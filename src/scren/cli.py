@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -25,6 +26,8 @@ from .guards import MAX_PARTIES, MAX_TOTAL_DIM, CostGuardError, check_cost
 from .monogamy import (
     ANTISYMMETRIC_333,
     CKW_COUNTEREXAMPLE_322,
+    _check_measure,
+    n_tangle_pure,
     sm_report,
 )
 from .negativity import negativity_mixed, negativity_pure
@@ -40,7 +43,7 @@ from .states import (
     to_density,
 )
 from .suites import paper_suite, wclass_suite
-from .tangle import n_tangle_pure, one_tangle, two_tangle
+from .tangle import one_tangle, two_tangle
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -74,16 +77,6 @@ def _config_from(args: argparse.Namespace) -> RoofConfig:
         tol=args.tol,
         seed=args.seed,
     )
-
-
-def _config_dict(config: RoofConfig) -> dict:
-    return {
-        "starts": config.starts,
-        "iters": config.iters,
-        "ensemble_size": config.ensemble_size,
-        "tol": config.tol,
-        "seed": config.seed,
-    }
 
 
 def _parse_indices(text: str | None, what: str) -> list[int] | None:
@@ -231,7 +224,7 @@ def _run_compute(args) -> dict:
         "measure": measure,
         "state": args.state,
         "value": float(value),
-        "config": _config_dict(config),
+        "config": dataclasses.asdict(config),
     }
     if args.cut is not None:
         out["cut"] = _parse_indices(args.cut, "--cut")
@@ -276,8 +269,7 @@ def _run_verify(args) -> tuple[dict, bool]:
 
 def _hunt_one(task: tuple) -> dict:
     """Residual of one sample; top-level so a process pool can run it."""
-    dims, label, sample_seed, measure, config_tuple, amplitudes = task
-    config = RoofConfig(*config_tuple)
+    dims, label, sample_seed, measure, config, amplitudes = task
     if amplitudes is not None:
         psi = PureState(tuple(dims), np.asarray(amplitudes))
     else:
@@ -315,16 +307,14 @@ def _run_hunt(args) -> dict:
         raise InputError("--dims needs local dimensions >= 2, e.g. 3,2,2")
     dims = tuple(dims)
     check_cost(dims)
-    if args.measure == "tangle" and len(dims) > 3 and any(d != 2 for d in dims):
-        raise InputError("tangle hunts beyond three parties need all-qubit dims")
+    _check_measure(dims, args.measure)
     config = _config_from(args)
-    config_tuple = (config.starts, config.iters, config.ensemble_size, config.tol, config.seed)
 
     tasks = []
     for label, fixture in _fixtures_for(dims):
-        tasks.append((dims, label, 0, args.measure, config_tuple, fixture.amplitudes.tolist()))
+        tasks.append((dims, label, 0, args.measure, config, fixture.amplitudes.tolist()))
     for i in range(args.samples):
-        tasks.append((dims, f"sample_{i:04d}", (args.seed, i), args.measure, config_tuple, None))
+        tasks.append((dims, f"sample_{i:04d}", (args.seed, i), args.measure, config, None))
 
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -348,7 +338,7 @@ def _run_hunt(args) -> dict:
         "min_residual": min(residuals) if residuals else None,
         "results": records,
         "candidates": candidates,
-        "config": _config_dict(config),
+        "config": dataclasses.asdict(config),
     }
 
 

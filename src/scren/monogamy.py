@@ -152,21 +152,21 @@ def _focus_first(psi: PureState, focus: int) -> PureState:
     return psi.permute(order)
 
 
-def _check_measure(psi: PureState, measure: str) -> None:
-    """Validate the measure against the (focus-first) state's dimensions."""
+def _check_measure(dims: tuple[int, ...], measure: str) -> None:
+    """Validate the measure against the focus-first local dimensions."""
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
-    if measure != "tangle" or psi.n_parties < 3:
+    if measure != "tangle" or len(dims) < 3:
         return
-    if psi.n_parties > 3 and any(d != 2 for d in psi.dims):
+    if len(dims) > 3 and any(d != 2 for d in dims):
         raise ValueError(
             "tangle-based reports beyond three parties are only defined for "
             "all-qubit states"
         )
-    if any(min(psi.dims[0], d) != 2 for d in psi.dims[1:]):
+    if any(min(dims[0], d) != 2 for d in dims[1:]):
         raise ValueError(
             "tangle-based reports need a qubit in every pair with the focus "
-            f"party, got dims {psi.dims} with the focus first"
+            f"party, got dims {dims} with the focus first"
         )
 
 
@@ -208,9 +208,9 @@ def _mixed_value(
     """Mixed m-party measure of the reduced state on focus + subset (0-based).
 
     Pairwise terms run at the given config.  Terms of order three and above
-    nest a full recursion inside every objective evaluation, so they run at
-    the scaled-down ``config.child()`` budget (and their members' inner roofs
-    scale down again); pass a larger config explicitly to override.
+    nest a full recursion inside every objective evaluation, so their outer
+    roof runs at ``config.child().child()`` and the residuals of its members
+    at one further ``.child()``.
     """
     key = (subset, measure)
     if memo is not None and key in memo:
@@ -247,7 +247,7 @@ def sm_report(
     config = config or RoofConfig()
     check_cost(psi.dims)
     work = _focus_first(psi, focus)
-    _check_measure(work, measure)
+    _check_measure(work.dims, measure)
     n = work.n_parties
     one = _cut_value(work, measure)
     memo: dict = {}
@@ -290,7 +290,7 @@ def ckw_report(
     config = config or RoofConfig()
     check_cost(psi.dims)
     work = _focus_first(psi, focus)
-    _check_measure(work, measure)
+    _check_measure(work.dims, measure)
     n = work.n_parties
     lhs = _cut_value(work, measure)
     terms = []
@@ -313,6 +313,18 @@ def ckw_report(
 def n_scren_pure(psi: PureState, focus: int = 0, config: RoofConfig | None = None) -> float:
     """Recursive multi-party residual of the squared convex-roof negativity."""
     return sm_report(psi, focus=focus, measure="scren", config=config).residual
+
+
+def n_tangle_pure(psi: PureState, focus: int = 0, config: RoofConfig | None = None) -> float:
+    """Residual tangle of an all-qubit pure state for the given focus party.
+
+    One-tangle of focus|rest minus every m-party mixed tangle contribution
+    raised to m/2.  May come out negative; its conjectured nonnegativity is
+    exactly the strong-monogamy statement for tangles.
+    """
+    if any(d != 2 for d in psi.dims):
+        raise ValueError("n_tangle_pure is defined for all-qubit states only")
+    return sm_report(psi, focus=focus, measure="tangle", config=config).residual
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every decomposition of ``rho`` into at most L pure states arises from the
 eigendecomposition through an L x L unitary mixing matrix (unitary freedom of
 ensembles, with zero-padding when L exceeds the rank).  The roof engine
-minimizes the ensemble average of a pure-state functional over that unitary,
-parametrized as U = exp(iH) U0 with H Hermitian, using derivative-free
+minimizes an objective of the (L, dim) array of unnormalized member rows
+sqrt(p_h)|psi_h> -- the weighted ensemble average sum_h p_h f(psi_h) -- over
+that unitary, parametrized as U = exp(iH) U0 with H Hermitian, using derivative-free
 direction-set (Powell) search from multiple starts: start 0 is the identity
 (so the eigendecomposition average is always an upper bound on the result)
 and the remaining starts are Haar-random unitaries.  The winning start gets a
@@ -14,7 +15,7 @@ results are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import Callable, Sequence
@@ -22,7 +23,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .negativity import negativity_pure
 from .states import Bipartition, DensityMatrix, PureState
 
 RANK_TOL = 1e-12
@@ -79,9 +79,6 @@ class RoofConfig:
             tol=self.tol,
             seed=self.seed,
         )
-
-    def with_ensemble_size(self, size: int | None) -> "RoofConfig":
-        return replace(self, ensemble_size=size)
 
 
 @dataclass(frozen=True)
@@ -173,6 +170,15 @@ def _support(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return lam, (evecs[:, :r] * np.sqrt(lam)).T
 
 
+def _members(dims: Sequence[int], rows: np.ndarray):
+    """(w, row / sqrt(w)) for each unnormalized row of weight w >= WEIGHT_TOL."""
+    weights = np.einsum("hd,hd->h", rows, rows.conj()).real
+    for w, row in zip(weights, rows):
+        if w < WEIGHT_TOL:
+            continue
+        yield float(w), PureState(dims, row / np.sqrt(w))
+
+
 def hjw_ensemble(rho: DensityMatrix, u: MixingUnitary | np.ndarray) -> Ensemble:
     """Decomposition |psi_h> ~ sum_i u_hi sqrt(lam_i)|e_i> induced by ``u``.
 
@@ -191,14 +197,7 @@ def hjw_ensemble(rho: DensityMatrix, u: MixingUnitary | np.ndarray) -> Ensemble:
         mat = MixingUnitary(np.asarray(u), source_rank=min(r, np.asarray(u).shape[0])).matrix
     if mat.shape[0] < r:
         raise ValueError(f"mixing matrix size {mat.shape[0]} is below the rank {r}")
-    rows = mat[:, :r] @ base
-    weights = np.einsum("hd,hd->h", rows, rows.conj()).real
-    members = []
-    for w, row in zip(weights, rows):
-        if w < WEIGHT_TOL:
-            continue
-        members.append((float(w), PureState(rho.dims, row / np.sqrt(w))))
-    ensemble = Ensemble(tuple(members))
+    ensemble = Ensemble(tuple(_members(rho.dims, mat[:, :r] @ base)))
     defect = np.abs(ensemble.reconstruct() - rho.matrix).max()
     if defect > 1e-8:
         raise AssertionError(f"ensemble does not reconstruct the state: {defect:.3e}")
@@ -221,25 +220,38 @@ def _unitary_from_params(theta: np.ndarray, size: int) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
+def member_average(dims: Sequence[int], fn: Callable[[PureState], float]):
+    """Row objective sum_h w_h fn(row_h / sqrt(w_h)) from a pure-state functional.
+
+    The weight w_h of a row is its squared norm; members below ``WEIGHT_TOL``
+    are dropped, as in :func:`hjw_ensemble`.
+    """
+
+    def average(rows: np.ndarray) -> float:
+        return float(sum(w * fn(psi) for w, psi in _members(dims, rows)))
+
+    return average
+
+
 def roof_minimize(
     rho: DensityMatrix,
-    objective: Callable[[PureState], float],
+    objective: Callable[[np.ndarray], float],
     config: RoofConfig | None = None,
-    vector_objective: Callable[[np.ndarray], float] | None = None,
     stop_below: float = 0.0,
 ) -> RoofResult:
-    """Minimize the ensemble average of ``objective`` over decompositions of ``rho``.
+    """Minimize ``objective`` over decompositions of ``rho``.
 
-    ``vector_objective``, when given, must map the (L, dim) array of
-    *unnormalized* member rows to the weighted average directly; it is a fast
-    path used by :func:`cren` and must agree with ``objective``.
+    ``objective`` maps the (L, dim) array of *unnormalized* member rows
+    sqrt(p_h)|psi_h> to the weighted average sum_h p_h f(psi_h); wrap a
+    pure-state functional with :func:`member_average`.
 
-    Two cheap exits precede the multi-start search, both reported with
-    ``starts=0``: if the eigendecomposition average is already at or below
-    ``stop_below`` it is returned as-is (the roof value is sandwiched between
-    it and zero), and if a seeded probe of random mixing unitaries shows a
-    spread below tol/1000 the objective is treated as decomposition
-    independent and the eigendecomposition ensemble is returned.
+    Three cheap exits precede the multi-start search, all reported with
+    ``starts=0``: a rank-one ``rho`` has a single decomposition; if the
+    eigendecomposition average is already at or below ``stop_below`` it is
+    returned as-is (the roof value is sandwiched between it and zero); and if
+    a seeded probe of random mixing unitaries shows a spread below tol/1000
+    the objective is treated as decomposition independent and the
+    eigendecomposition ensemble is returned.
 
     The ``converged`` flag is False when the winning start still improved by
     more than ``config.tol`` over the last quarter of its evaluation sequence.
@@ -253,55 +265,46 @@ def roof_minimize(
             f"ensemble size {size} outside [rank, rank*(rank+1)] = [{r}, {r * (r + 1)}]"
         )
 
-    if r == 1:
-        psi = PureState(rho.dims, base[0] / np.linalg.norm(base[0]))
-        value = float(objective(psi))
-        ensemble = Ensemble(((1.0, psi),))
-        return RoofResult(value, ensemble, starts=0, converged=True, history=(value,))
-
-    def average(rows: np.ndarray) -> float:
-        if vector_objective is not None:
-            return float(vector_objective(rows))
-        total = 0.0
-        weights = np.einsum("hd,hd->h", rows, rows.conj()).real
-        for w, row in zip(weights, rows):
-            if w < WEIGHT_TOL:
-                continue
-            total += w * objective(PureState(rho.dims, row / np.sqrt(w)))
-        return total
-
-    def evaluate(theta: np.ndarray, u0: np.ndarray) -> float:
-        u = _unitary_from_params(theta, size) @ u0
-        return average(u[:, :r] @ base)
-
     def finish(u, value, starts, converged, history) -> RoofResult:
-        ensemble = hjw_ensemble(rho, MixingUnitary(u, source_rank=r))
-        if value is None:
-            value = ensemble.average(objective)
         return RoofResult(
             value=float(value),
-            ensemble=ensemble,
+            ensemble=hjw_ensemble(rho, MixingUnitary(u, source_rank=r)),
             starts=starts,
             converged=converged,
             history=tuple(history),
         )
 
+    def powell(theta0, u0, maxfev, xtol, ftol) -> tuple[np.ndarray, list[float]]:
+        trace: list[float] = []
+
+        def tracked(theta):
+            val = objective((_unitary_from_params(theta, size) @ u0)[:, :r] @ base)
+            trace.append(val)
+            return val
+
+        res = minimize(
+            tracked,
+            theta0,
+            method="Powell",
+            options={"maxfev": maxfev, "xtol": xtol, "ftol": ftol, "maxiter": 10**6},
+        )
+        return np.array(res.x, dtype=float), trace
+
     identity = np.eye(size, dtype=np.complex128)
-    eigen_average = average(base if size == r else identity[:, :r] @ base)
-    if eigen_average <= stop_below:
+    eigen_average = objective(base if size == r else identity[:, :r] @ base)
+    if r == 1 or eigen_average <= stop_below:
         return finish(identity, eigen_average, 0, True, (eigen_average,))
 
     probe_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x9e3779b9)))
     probe_values = [eigen_average]
     for _ in range(PROBE_COUNT):
         u = haar_unitary(size, probe_rng)
-        probe_values.append(average(u[:, :r] @ base))
+        probe_values.append(objective(u[:, :r] @ base))
     spread = max(probe_values) - min(probe_values)
     if spread <= max(1e-12, config.tol * 1e-3):
-        return finish(identity, eigen_average, 0, True, tuple(probe_values))
+        return finish(identity, eigen_average, 0, True, probe_values)
 
     seeds = np.random.SeedSequence(config.seed).spawn(max(config.starts, 1))
-    n_params = size * size
     best_value = np.inf
     best_theta: np.ndarray | None = None
     best_u0: np.ndarray | None = None
@@ -310,52 +313,22 @@ def roof_minimize(
 
     for k in range(max(config.starts, 1)):
         u0 = identity if k == 0 else haar_unitary(size, np.random.default_rng(seeds[k]))
-        trace: list[float] = []
-
-        def tracked(theta, _u0=u0, _trace=trace):
-            val = evaluate(theta, _u0)
-            _trace.append(val)
-            return val
-
-        res = minimize(
-            tracked,
-            np.zeros(n_params),
-            method="Powell",
-            options={"maxfev": config.iters, "xtol": 1e-7, "ftol": 1e-11, "maxiter": 10**6},
-        )
+        theta, trace = powell(np.zeros(size * size), u0, config.iters, 1e-7, 1e-11)
         start_best = min(trace)
         history.append(start_best)
         if start_best < best_value:
-            best_value = start_best
-            best_theta = np.array(res.x, dtype=float)
-            best_u0 = u0
-            best_trace = trace
+            best_value, best_theta, best_u0, best_trace = start_best, theta, u0, trace
         if best_value <= stop_below:
             break
 
     if best_value > stop_below:
         # polish the winning start with tight line-search tolerances
-        polish_trace: list[float] = []
-
-        def polished(theta, _u0=best_u0, _trace=polish_trace):
-            val = evaluate(theta, _u0)
-            _trace.append(val)
-            return val
-
-        res = minimize(
-            polished,
-            best_theta,
-            method="Powell",
-            options={
-                "maxfev": max(100, config.iters // 2),
-                "xtol": 1e-10,
-                "ftol": 1e-14,
-                "maxiter": 10**6,
-            },
+        theta, polish_trace = powell(
+            best_theta, best_u0, max(100, config.iters // 2), 1e-10, 1e-14
         )
         if polish_trace and min(polish_trace) < best_value:
             best_value = min(polish_trace)
-            best_theta = np.array(res.x, dtype=float)
+            best_theta = theta
         best_trace = best_trace + polish_trace
 
     quarter = (3 * len(best_trace)) // 4
@@ -363,17 +336,16 @@ def roof_minimize(
     converged = bool(tail_gain <= config.tol)
 
     best_u = _unitary_from_params(best_theta, size) @ best_u0
-    return finish(best_u, None, len(history), converged, history)
+    return finish(best_u, objective(best_u[:, :r] @ base), len(history), converged, history)
 
 
-def _negativity_vector_objective(dims: Sequence[int], part: Bipartition):
+def _negativity_row_objective(dims: Sequence[int], part: Bipartition):
     """Weighted-average negativity of unnormalized member rows, batched.
 
     For an unnormalized row with singular values s_i the weight is sum s_i^2
     and weight * negativity is (sum s_i)^2 - sum s_i^2, so the ensemble
     average needs no explicit normalization.
     """
-    n = len(dims)
     order = [0] + [1 + i for i in part.side_a] + [1 + i for i in part.side_b]
     d_a = prod(dims[i] for i in part.side_a)
 
@@ -393,12 +365,7 @@ def cren(
     full_output: bool = False,
 ):
     """Convex-roof extended negativity: min ensemble-average negativity."""
-    result = roof_minimize(
-        rho,
-        objective=lambda psi: negativity_pure(psi, part),
-        config=config,
-        vector_objective=_negativity_vector_objective(rho.dims, part),
-    )
+    result = roof_minimize(rho, _negativity_row_objective(rho.dims, part), config)
     value = max(0.0, result.value)
     return (value, result) if full_output else value
 
@@ -427,12 +394,14 @@ def roof_sqrt_functional(
     value below that raises :class:`ConjectureViolation` with the state.
     """
 
-    def objective(psi: PureState) -> float:
+    def sqrt_member(psi: PureState) -> float:
         v = float(pure_fn(psi))
         if v < -CONJECTURE_ATOL:
             raise ConjectureViolation(psi, v)
         return np.sqrt(max(0.0, v))
 
-    result = roof_minimize(rho, objective, config, stop_below=SQRT_ROOF_FLOOR)
+    result = roof_minimize(
+        rho, member_average(rho.dims, sqrt_member), config, stop_below=SQRT_ROOF_FLOOR
+    )
     value = max(0.0, result.value) ** 2
     return (value, result) if full_output else value

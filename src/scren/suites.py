@@ -119,9 +119,8 @@ def paper_suite(seed: int = 7, oracle_trials: int = 50) -> dict:
 
 def _wclass_trial(task: tuple) -> dict:
     """One spec's theorem and lemma checks; top-level so a pool can run it."""
-    t, spec_data, seed, config_tuple, lemma_trials = task
+    t, spec_data, seed, config, lemma_trials = task
     spec = spec_from_dict(spec_data)
-    config = RoofConfig(*config_tuple)
     thm1 = verify_theorem1(spec, config)
     thm2 = verify_theorem2(spec, config)
     n = spec.n
@@ -159,9 +158,8 @@ def wclass_suite(
     """
     config = config or RoofConfig(seed=seed)
     rng = np.random.default_rng(seed)
-    config_tuple = (config.starts, config.iters, config.ensemble_size, config.tol, config.seed)
     tasks = [
-        (t, spec_to_dict(random_spec(rng, n, d)), seed, config_tuple, lemma_trials)
+        (t, spec_to_dict(random_spec(rng, n, d)), seed, config, lemma_trials)
         for t in range(trials)
     ]
     if workers > 1:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .guards import check_cost
 from .roof import RoofConfig, roof_sqrt_functional
 from .states import Bipartition, DensityMatrix, PureState, reduced_density
 
@@ -68,17 +67,3 @@ def two_tangle(
         rho, lambda psi: one_tangle(psi, part), config, full_output=full_output
     )
 
-
-def n_tangle_pure(psi: PureState, focus: int = 0, config: RoofConfig | None = None) -> float:
-    """Residual tangle of an all-qubit pure state for the given focus party.
-
-    One-tangle of focus|rest minus every m-party mixed tangle contribution
-    raised to m/2.  May come out negative; its conjectured nonnegativity is
-    exactly the strong-monogamy statement for tangles.
-    """
-    if any(d != 2 for d in psi.dims):
-        raise ValueError("n_tangle_pure is defined for all-qubit states only")
-    check_cost(psi.dims)
-    from .monogamy import sm_report  # deferred: monogamy builds on this module
-
-    return sm_report(psi, focus=focus, measure="tangle", config=config).residual

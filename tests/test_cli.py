@@ -324,6 +324,12 @@ def test_hunt_tangle_guard_beyond_three_parties(capsys):
     assert "all-qubit" in err
 
 
+def test_hunt_tangle_guard_needs_qubit_in_every_pair(capsys):
+    code, _, err = run_cli(capsys, "hunt", "--dims", "3,3,2", "--samples", "0", "--measure", "tangle")
+    assert code == EXIT_INPUT
+    assert "qubit in every pair" in err
+
+
 def test_hunt_bad_dims(capsys):
     code, _, _ = run_cli(capsys, "hunt", "--dims", "2,1", "--samples", "1")
     assert code == EXIT_INPUT

@@ -14,6 +14,7 @@ from scren import (
     cren,
     haar_unitary,
     hjw_ensemble,
+    member_average,
     negativity_pure,
     reduced_density,
     roof_minimize,
@@ -123,7 +124,9 @@ def test_hjw_reconstruction_random_pairs():
 
 def test_pure_input_evaluates_objective_directly():
     psi = bell_state()
-    res = roof_minimize(to_density(psi), lambda s: negativity_pure(s, PART2), FAST)
+    res = roof_minimize(
+        to_density(psi), member_average(psi.dims, lambda s: negativity_pure(s, PART2)), FAST
+    )
     assert res.starts == 0 and res.converged
     assert abs(res.value - 1.0) <= 1e-12
 
@@ -131,7 +134,7 @@ def test_pure_input_evaluates_objective_directly():
 def test_constant_objective_returns_constant():
     rng = np.random.default_rng(6)
     rho = random_mixed_state(rng, (2, 2), rank=3)
-    res = roof_minimize(rho, lambda s: 0.7, FAST)
+    res = roof_minimize(rho, member_average(rho.dims, lambda s: 0.7), FAST)
     assert abs(res.value - 0.7) <= 1e-12
     assert res.starts == 0  # detected as decomposition independent
 
@@ -140,16 +143,16 @@ def test_ensemble_size_bounds_enforced():
     rng = np.random.default_rng(7)
     rho = random_mixed_state(rng, (2, 2), rank=2)
     with pytest.raises(ValueError, match="outside"):
-        roof_minimize(rho, lambda s: 1.0, RoofConfig(ensemble_size=1, seed=0))
+        roof_minimize(rho, member_average(rho.dims, lambda s: 1.0), RoofConfig(ensemble_size=1, seed=0))
     with pytest.raises(ValueError, match="outside"):
-        roof_minimize(rho, lambda s: 1.0, RoofConfig(ensemble_size=7, seed=0))
+        roof_minimize(rho, member_average(rho.dims, lambda s: 1.0), RoofConfig(ensemble_size=7, seed=0))
 
 
 def test_value_matches_ensemble_average():
     rng = np.random.default_rng(8)
     rho = random_rank2_two_qubit(rng)
     objective = lambda s: negativity_pure(s, PART2)
-    res = roof_minimize(rho, objective, FAST)
+    res = roof_minimize(rho, member_average(rho.dims, objective), FAST)
     assert abs(res.value - res.ensemble.average(objective)) <= 1e-9
 
 
@@ -166,7 +169,7 @@ def test_value_upper_bounded_by_eigendecomposition_average():
 def test_history_has_one_entry_per_start_and_bounds_value():
     rng = np.random.default_rng(10)
     rho = random_rank2_two_qubit(rng)
-    res = roof_minimize(rho, lambda s: negativity_pure(s, PART2), FAST)
+    res = roof_minimize(rho, member_average(rho.dims, lambda s: negativity_pure(s, PART2)), FAST)
     if res.starts:  # not short-circuited
         assert len(res.history) == res.starts
         assert res.value <= min(res.history) + 1e-9
@@ -211,7 +214,7 @@ def test_cren_vector_path_matches_generic_objective():
         part = Bipartition(side_a, 2)
         cfg = RoofConfig(starts=5, iters=400, seed=13)
         fast = cren(rho, part, cfg)
-        generic = roof_minimize(rho, lambda s: negativity_pure(s, part), cfg)
+        generic = roof_minimize(rho, member_average(rho.dims, lambda s: negativity_pure(s, part)), cfg)
         assert abs(fast - generic.value) <= 1e-7
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from scren import DensityMatrix, PureState, haar_random_state, haar_unitary
+from scren.suites import random_rank2_two_qubit  # noqa: F401  (re-exported for the tests)
 
 
 def random_mixed_state(rng: np.random.Generator, dims, rank: int) -> DensityMatrix:
@@ -16,15 +17,6 @@ def random_mixed_state(rng: np.random.Generator, dims, rank: int) -> DensityMatr
         psi = haar_random_state(dims, rng)
         mat += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
     return DensityMatrix(tuple(dims), mat)
-
-
-def random_rank2_two_qubit(rng: np.random.Generator) -> DensityMatrix:
-    psi = haar_random_state((2, 2), rng)
-    phi = haar_random_state((2, 2), rng)
-    w = float(rng.uniform(0.1, 0.9))
-    mat = w * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    mat += (1.0 - w) * np.outer(phi.amplitudes, phi.amplitudes.conj())
-    return DensityMatrix((2, 2), mat)
 
 
 def apply_local_unitaries(psi: PureState, unitaries: dict[int, np.ndarray]) -> PureState:
