@@ -8,6 +8,12 @@ convex-roof optimizations; reduced-state values are memoized per subsystem
 subset within a report, and roofs inside another roof's objective run with a
 scaled-down budget (``RoofConfig.child``).
 
+The measure enters only at the top of a report: the focus-versus-rest cut and
+the pair roofs' guard.  The recursion below the top cut is measure
+independent.  On a 2 x k pair the two-tangle is the SCREN roof, and tangle
+reports nest (n >= 4) only for all-qubit states, where the one-tangle is the
+squared negativity; so every nested residual is a SCREN residual.
+
 Subsets are reported with the paper-style 1-based labels {2..n} assigned after
 moving the focus party to the front; subsystem indices handed to the state
 operations stay 0-based.
@@ -184,16 +190,20 @@ def _pair_value(rho: DensityMatrix, measure: str, config: RoofConfig) -> tuple[f
     return two_tangle(rho, config, full_output=True)
 
 
-def _residual_value(psi: PureState, measure: str, config: RoofConfig) -> float:
-    """Recursive pure-state residual with focus at position 0."""
+def _residual_value(psi: PureState, config: RoofConfig) -> float:
+    """Recursive pure-state SCREN residual with focus at position 0.
+
+    It needs no measure: ``_check_measure`` lets ``tangle`` reports nest only
+    for all-qubit states, where the two measures coincide term by term.
+    """
     n = psi.n_parties
-    one = _cut_value(psi, measure)
+    one = _cut_value(psi, "scren")
     if n == 2:
         return one
     total = one
     for m in range(2, n):
         for subset in combinations(range(1, n), m - 1):
-            value, _ = _mixed_value(psi, subset, measure, config)
+            value, _ = _mixed_value(psi, subset, "scren", config)
             total -= value ** (m / 2)
     return total
 
@@ -210,7 +220,8 @@ def _mixed_value(
     Pairwise terms run at the given config.  Terms of order three and above
     nest a full recursion inside every objective evaluation, so their outer
     roof runs at ``config.child().child()`` and the residuals of its members
-    at one further ``.child()``.
+    at one further ``.child()``.  ``measure`` picks the pair roof only; the
+    residuals of an order-three-or-above term are SCREN residuals.
     """
     key = (subset, measure)
     if memo is not None and key in memo:
@@ -223,7 +234,7 @@ def _mixed_value(
         inner = outer.child()
         value, result = roof_sqrt_functional(
             rho,
-            lambda member: _residual_value(member, measure, inner),
+            lambda member: _residual_value(member, inner),
             outer,
             full_output=True,
         )

@@ -29,8 +29,10 @@ RANK_TOL = 1e-12
 WEIGHT_TOL = 1e-14
 CONJECTURE_ATOL = 1e-7
 
-# Early-exit floor for sqrt-roof objectives: a best average below this squares
-# to 1e-10, two orders below the tightest tolerance any caller reports at.
+# Early-exit floor for the squared roofs (scren2, which is also the two-tangle,
+# and roof_sqrt_functional): a best average below this squares to 1e-10, two
+# orders below the tightest tolerance any caller reports at.  cren is not
+# squared, so it keeps no floor.
 SQRT_ROOF_FLOOR = 1e-5
 
 # Number of random unitaries probed to detect decomposition-independent
@@ -179,6 +181,15 @@ def _members(dims: Sequence[int], rows: np.ndarray):
         yield float(w), PureState(dims, row / np.sqrt(w))
 
 
+def _ensemble(rho: DensityMatrix, rows: np.ndarray) -> Ensemble:
+    """Ensemble of the unnormalized member rows, checked to rebuild ``rho`` to 1e-8."""
+    ensemble = Ensemble(tuple(_members(rho.dims, rows)))
+    defect = np.abs(ensemble.reconstruct() - rho.matrix).max()
+    if defect > 1e-8:
+        raise AssertionError(f"ensemble does not reconstruct the state: {defect:.3e}")
+    return ensemble
+
+
 def hjw_ensemble(rho: DensityMatrix, u: MixingUnitary | np.ndarray) -> Ensemble:
     """Decomposition |psi_h> ~ sum_i u_hi sqrt(lam_i)|e_i> induced by ``u``.
 
@@ -197,11 +208,7 @@ def hjw_ensemble(rho: DensityMatrix, u: MixingUnitary | np.ndarray) -> Ensemble:
         mat = MixingUnitary(np.asarray(u), source_rank=min(r, np.asarray(u).shape[0])).matrix
     if mat.shape[0] < r:
         raise ValueError(f"mixing matrix size {mat.shape[0]} is below the rank {r}")
-    ensemble = Ensemble(tuple(_members(rho.dims, mat[:, :r] @ base)))
-    defect = np.abs(ensemble.reconstruct() - rho.matrix).max()
-    if defect > 1e-8:
-        raise AssertionError(f"ensemble does not reconstruct the state: {defect:.3e}")
-    return ensemble
+    return _ensemble(rho, mat[:, :r] @ base)
 
 
 @lru_cache(maxsize=32)
@@ -265,10 +272,10 @@ def roof_minimize(
             f"ensemble size {size} outside [rank, rank*(rank+1)] = [{r}, {r * (r + 1)}]"
         )
 
-    def finish(u, value, starts, converged, history) -> RoofResult:
+    def finish(rows, value, starts, converged, history) -> RoofResult:
         return RoofResult(
             value=float(value),
-            ensemble=hjw_ensemble(rho, MixingUnitary(u, source_rank=r)),
+            ensemble=_ensemble(rho, rows),
             starts=starts,
             converged=converged,
             history=tuple(history),
@@ -291,9 +298,10 @@ def roof_minimize(
         return np.array(res.x, dtype=float), trace
 
     identity = np.eye(size, dtype=np.complex128)
-    eigen_average = objective(base if size == r else identity[:, :r] @ base)
+    eigen_rows = identity[:, :r] @ base
+    eigen_average = objective(base if size == r else eigen_rows)
     if r == 1 or eigen_average <= stop_below:
-        return finish(identity, eigen_average, 0, True, (eigen_average,))
+        return finish(eigen_rows, eigen_average, 0, True, (eigen_average,))
 
     probe_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x9e3779b9)))
     probe_values = [eigen_average]
@@ -302,7 +310,7 @@ def roof_minimize(
         probe_values.append(objective(u[:, :r] @ base))
     spread = max(probe_values) - min(probe_values)
     if spread <= max(1e-12, config.tol * 1e-3):
-        return finish(identity, eigen_average, 0, True, probe_values)
+        return finish(eigen_rows, eigen_average, 0, True, probe_values)
 
     seeds = np.random.SeedSequence(config.seed).spawn(max(config.starts, 1))
     best_value = np.inf
@@ -335,8 +343,8 @@ def roof_minimize(
     tail_gain = min(best_trace[:quarter]) - best_value if quarter > 0 else 0.0
     converged = bool(tail_gain <= config.tol)
 
-    best_u = _unitary_from_params(best_theta, size) @ best_u0
-    return finish(best_u, objective(best_u[:, :r] @ base), len(history), converged, history)
+    best_rows = (_unitary_from_params(best_theta, size) @ best_u0)[:, :r] @ base
+    return finish(best_rows, objective(best_rows), len(history), converged, history)
 
 
 def _negativity_row_objective(dims: Sequence[int], part: Bipartition):
@@ -376,9 +384,18 @@ def scren2(
     config: RoofConfig | None = None,
     full_output: bool = False,
 ):
-    """Square of the convex-roof extended negativity."""
-    value, result = cren(rho, part, config, full_output=True)
-    return (value**2, result) if full_output else value**2
+    """Square of the convex-roof extended negativity.
+
+    On a 2 x k pair this is also the mixed two-tangle, which
+    :func:`scren.tangle.two_tangle` computes by calling this function.  Like
+    every squared roof it stops at ``SQRT_ROOF_FLOOR``, so a near-separable
+    pair may report any value up to 1e-10 in place of zero.
+    """
+    result = roof_minimize(
+        rho, _negativity_row_objective(rho.dims, part), config, stop_below=SQRT_ROOF_FLOOR
+    )
+    value = max(0.0, result.value) ** 2
+    return (value, result) if full_output else value
 
 
 def roof_sqrt_functional(

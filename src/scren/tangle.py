@@ -1,17 +1,20 @@
 """Tangle hierarchy for qubit systems, with the Wootters closed form as oracle.
 
-The one-tangle of a pure state is 4 det(rho_A) when side A is a qubit.  For a
-qudit focus the linear-entropy form 2(1 - tr rho_A^2) is used; the two agree
-on qubits and reproduce the quoted value 4/3 for a marginal with spectrum
-(1/3, 1/3, 1/3).  Mixed-state tangles are convex roofs of the square root of
-the pure tangle, squared.
+The one-tangle of a pure state is the linear entropy 2(1 - tr rho_A^2) of the
+side-A marginal.  On a qubit marginal this equals 4 det(rho_A), and on a
+marginal with spectrum (1/3, 1/3, 1/3) it gives the quoted value 4/3.
+
+The mixed two-tangle is the squared convex roof of the square root of the
+one-tangle.  On a 2 x k pure state the one-tangle is the squared negativity
+(both are 4 lam_1 lam_2 in the Schmidt coefficients), so on 2 x k pairs the
+two-tangle is the SCREN roof and is computed by :func:`scren.roof.scren2`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .roof import RoofConfig, roof_sqrt_functional
+from .roof import RoofConfig, scren2
 from .states import Bipartition, DensityMatrix, PureState, reduced_density
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -19,14 +22,9 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
 def one_tangle(psi: PureState, part: Bipartition) -> float:
-    """Pure-state tangle across ``part``: 4 det rho_A, or 2(1 - tr rho_A^2)
-    when the side-A marginal is not a qubit."""
+    """Pure-state tangle across ``part``: 2(1 - tr rho_A^2)."""
     rho_a = reduced_density(psi, part.side_a).matrix
-    if rho_a.shape[0] == 2:
-        value = 4.0 * np.linalg.det(rho_a).real
-    else:
-        value = 2.0 * (1.0 - np.einsum("ij,ji->", rho_a, rho_a).real)
-    return max(0.0, float(value))
+    return max(0.0, float(2.0 * (1.0 - np.einsum("ij,ji->", rho_a, rho_a).real)))
 
 
 def wootters_tangle(rho: DensityMatrix) -> float:
@@ -52,8 +50,10 @@ def two_tangle(
     """Mixed-state tangle: squared roof of sqrt(one_tangle) over decompositions.
 
     Valid when every pure state in the support has Schmidt rank at most two,
-    which is guaranteed for 2 x k (or k x 2) systems; for genuine two-qubit
-    inputs this agrees with :func:`wootters_tangle`.
+    which is guaranteed for 2 x k (or k x 2) systems.  There sqrt(one_tangle)
+    is the negativity, so the two-tangle is the SCREN roof and this returns
+    :func:`scren.roof.scren2` of the pair; for genuine two-qubit inputs it
+    agrees with :func:`wootters_tangle`.
     """
     if rho.n_parties != 2:
         raise ValueError("two_tangle needs a bipartite density matrix")
@@ -62,8 +62,5 @@ def two_tangle(
             "two_tangle requires one side of dimension 2 so that all support "
             f"states have Schmidt rank <= 2, got dims {rho.dims}"
         )
-    part = Bipartition((0,), 2)
-    return roof_sqrt_functional(
-        rho, lambda psi: one_tangle(psi, part), config, full_output=full_output
-    )
+    return scren2(rho, Bipartition((0,), 2), config, full_output)
 

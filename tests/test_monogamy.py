@@ -204,6 +204,17 @@ def test_sm_matches_n_tangle_for_qubits():
         assert abs(scren_residual - tangle_residual) <= 1e-3
 
 
+def test_sm_tangle_and_scren_share_terms_on_qubits():
+    # below the top cut both measures run the same pair roofs and residuals
+    cfg = RoofConfig(starts=4, iters=300, seed=9)
+    rng = np.random.default_rng(9)
+    for psi in (haar_random_state((2, 2, 2), rng), w_state(4)):
+        tangle = sm_report(psi, 0, "tangle", cfg)
+        scren = sm_report(psi, 0, "scren", cfg)
+        assert [t.value for t in tangle.terms] == [t.value for t in scren.terms]
+        assert abs(tangle.one_value - scren.one_value) <= 1e-12
+
+
 def test_sm_report_serialization_schema():
     rep = sm_report(ghz_state(3), 0, "scren", FAST)
     data = rep.to_dict()

@@ -12,6 +12,7 @@ from scren import (
     RoofConfig,
     bell_state,
     cren,
+    haar_random_state,
     haar_unitary,
     hjw_ensemble,
     member_average,
@@ -253,6 +254,19 @@ def test_scren2_full_output_diagnostics():
     assert abs(value - max(0.0, result.value) ** 2) <= 1e-12
 
 
+def test_scren2_separable_mixture_stops_at_floor():
+    # a separable pair reaches the squared-roof floor and skips the other starts
+    rng = np.random.default_rng(24)
+    for dims in [(2, 2), (3, 2)]:
+        mat = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
+        for w in (0.3, 0.7):
+            psi = np.kron(*(haar_random_state((d,), rng).amplitudes for d in dims))
+            mat += w * np.outer(psi, psi.conj())
+        value, result = scren2(DensityMatrix(dims, mat), PART2, full_output=True)
+        assert value <= 1e-10
+        assert result.starts < RoofConfig().starts
+
+
 # ---------------------------------------------------------------------------
 # roof_sqrt_functional
 # ---------------------------------------------------------------------------
@@ -293,7 +307,7 @@ def test_sqrt_roof_three_party_wclass_term_vanishes():
     spec = random_spec(rng, 4, 3)
     psi = build_state(spec)
     rho = reduced_density(psi, (0, 1, 2))
-    val = roof_sqrt_functional(rho, lambda s: _residual_value(s, "scren", FAST.child()), FAST)
+    val = roof_sqrt_functional(rho, lambda s: _residual_value(s, FAST.child()), FAST)
     assert val <= 1e-3
 
 

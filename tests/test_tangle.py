@@ -15,6 +15,7 @@ from scren import (
     negativity_pure,
     one_tangle,
     reduced_density,
+    scren2,
     tensor,
     to_density,
     two_tangle,
@@ -23,7 +24,7 @@ from scren import (
 )
 from scren.monogamy import CKW_COUNTEREXAMPLE_322
 
-from util import random_local_unitaries, random_rank2_two_qubit
+from util import random_local_unitaries, random_mixed_state, random_rank2_two_qubit
 
 PART2 = Bipartition((0,), 2)
 FAST = RoofConfig(starts=8, iters=600, seed=7)
@@ -130,6 +131,22 @@ def test_two_tangle_matches_wootters_oracle():
         rho = random_rank2_two_qubit(rng)
         worst = max(worst, abs(two_tangle(rho) - wootters_tangle(rho)))
     assert worst <= 1e-4
+
+
+def test_two_tangle_is_scren2():
+    # on 2 x k pairs the two-tangle is the SCREN roof, run along the same path
+    rng = np.random.default_rng(10)
+    cfg = RoofConfig(starts=3, iters=300, seed=11)
+    for dims in [(2, 2), (2, 3), (3, 2)]:
+        for rank in (2, 3):
+            rho = random_mixed_state(rng, dims, rank)
+            tangle, t_result = two_tangle(rho, cfg, full_output=True)
+            scren, s_result = scren2(rho, PART2, cfg, full_output=True)
+            assert tangle == scren
+            assert t_result.value == s_result.value
+            assert t_result.starts == s_result.starts
+            assert t_result.converged == s_result.converged
+            assert t_result.history == s_result.history
 
 
 def test_two_tangle_dimension_guard():
