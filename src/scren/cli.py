@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .guards import MAX_PARTIES, MAX_TOTAL_DIM, CostGuardError, check_cost
+from .guards import CostGuardError, check_cost
 from .monogamy import (
     ANTISYMMETRIC_333,
     CKW_COUNTEREXAMPLE_322,
@@ -247,11 +247,7 @@ def _run_verify(args) -> tuple[dict, bool]:
         report = paper_suite(seed=args.seed, oracle_trials=trials)
     else:
         trials = args.trials if args.trials is not None else 20
-        if args.n > MAX_PARTIES or args.d**args.n > MAX_TOTAL_DIM:
-            raise CostGuardError(
-                f"wclass suite with n={args.n}, d={args.d} exceeds the cost guard "
-                f"(n <= {MAX_PARTIES}, total dimension <= {MAX_TOTAL_DIM})"
-            )
+        check_cost((args.d,) * args.n)
         report = wclass_suite(
             seed=args.seed,
             trials=trials,

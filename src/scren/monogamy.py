@@ -3,16 +3,17 @@
 The SM right-hand side sums, over every level m = 2..n-1 and every (m-1)-subset
 of the non-focus parties, the mixed m-party measure of the reduced state raised
 to m/2.  The mixed m-party measure is the squared roof of the square root of
-the recursively defined pure m-party residual, so evaluating one report nests
-convex-roof optimizations; reduced-state values are memoized per subsystem
-subset within a report, and roofs inside another roof's objective run with a
-scaled-down budget (``RoofConfig.child``).
+the pure m-party residual, and an m >= 3 member's residual is its own SCREN
+``sm_report`` residual, so ``sm_report`` is the only SM recursion and one
+report nests convex-roof optimizations.  Roofs inside another roof's objective
+run with a scaled-down budget (``RoofConfig.child``).
 
 The measure enters only at the top of a report: the focus-versus-rest cut and
-the pair roofs' guard.  The recursion below the top cut is measure
+the guard on its pairs.  The recursion below the top cut is measure
 independent.  On a 2 x k pair the two-tangle is the SCREN roof, and tangle
 reports nest (n >= 4) only for all-qubit states, where the one-tangle is the
-squared negativity; so every nested residual is a SCREN residual.
+squared negativity; so every pair value is ``scren2`` and every nested
+residual is a SCREN residual.
 
 Subsets are reported with the paper-style 1-based labels {2..n} assigned after
 moving the focus party to the front; subsystem indices handed to the state
@@ -22,14 +23,14 @@ operations stay 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 import numpy as np
 
 from .guards import check_cost
 from .negativity import negativity_pure
 from .roof import RoofConfig, RoofResult, roof_sqrt_functional, scren2
-from .states import Bipartition, DensityMatrix, PureState, reduced_density
-from .tangle import one_tangle, two_tangle
+from .states import Bipartition, PureState, reduced_density
+from .tangle import one_tangle
 
 SATISFIED_ATOL = 1e-6
 
@@ -159,10 +160,16 @@ def _focus_first(psi: PureState, focus: int) -> PureState:
 
 
 def _check_measure(dims: tuple[int, ...], measure: str) -> None:
-    """Validate the measure against the focus-first local dimensions."""
+    """Validate the measure against the focus-first local dimensions.
+
+    Tangle reports need a qubit in every pair with the focus party, so that
+    each pair's two-tangle is defined; this covers the pair of a two-party
+    report too.  Beyond three parties they need all qubits, so that the
+    nested SCREN residuals are tangle residuals.
+    """
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
-    if measure != "tangle" or len(dims) < 3:
+    if measure != "tangle":
         return
     if len(dims) > 3 and any(d != 2 for d in dims):
         raise ValueError(
@@ -184,63 +191,30 @@ def _cut_value(psi: PureState, measure: str) -> float:
     return one_tangle(psi, part)
 
 
-def _pair_value(rho: DensityMatrix, measure: str, config: RoofConfig) -> tuple[float, RoofResult]:
-    if measure == "scren":
-        return scren2(rho, Bipartition((0,), 2), config, full_output=True)
-    return two_tangle(rho, config, full_output=True)
-
-
-def _residual_value(psi: PureState, config: RoofConfig) -> float:
-    """Recursive pure-state SCREN residual with focus at position 0.
-
-    It needs no measure: ``_check_measure`` lets ``tangle`` reports nest only
-    for all-qubit states, where the two measures coincide term by term.
-    """
-    n = psi.n_parties
-    one = _cut_value(psi, "scren")
-    if n == 2:
-        return one
-    total = one
-    for m in range(2, n):
-        for subset in combinations(range(1, n), m - 1):
-            value, _ = _mixed_value(psi, subset, "scren", config)
-            total -= value ** (m / 2)
-    return total
-
-
 def _mixed_value(
-    psi: PureState,
-    subset: tuple[int, ...],
-    measure: str,
-    config: RoofConfig,
-    memo: dict | None = None,
+    psi: PureState, subset: tuple[int, ...], config: RoofConfig
 ) -> tuple[float, RoofResult]:
     """Mixed m-party measure of the reduced state on focus + subset (0-based).
 
-    Pairwise terms run at the given config.  Terms of order three and above
-    nest a full recursion inside every objective evaluation, so their outer
-    roof runs at ``config.child().child()`` and the residuals of its members
-    at one further ``.child()``.  ``measure`` picks the pair roof only; the
-    residuals of an order-three-or-above term are SCREN residuals.
+    Pairs are the ``scren2`` roof at the given config, which is also the
+    two-tangle of the pairs ``_check_measure`` admits.  Terms of order three
+    and above are the squared roof of the square root of each member's own
+    SCREN ``sm_report`` residual; that nests a full report inside every
+    objective evaluation, so their outer roof runs at
+    ``config.child().child()`` and the members' reports at one further
+    ``.child()``.
     """
-    key = (subset, measure)
-    if memo is not None and key in memo:
-        return memo[key]
     rho = reduced_density(psi, (0,) + subset)
     if len(subset) == 1:
-        value, result = _pair_value(rho, measure, config)
-    else:
-        outer = config.child().child()
-        inner = outer.child()
-        value, result = roof_sqrt_functional(
-            rho,
-            lambda member: _residual_value(member, inner),
-            outer,
-            full_output=True,
-        )
-    if memo is not None:
-        memo[key] = (value, result)
-    return value, result
+        return scren2(rho, Bipartition((0,), 2), config, full_output=True)
+    outer = config.child().child()
+    inner = outer.child()
+    return roof_sqrt_functional(
+        rho,
+        lambda member: sm_report(member, 0, "scren", inner).residual,
+        outer,
+        full_output=True,
+    )
 
 
 def sm_report(
@@ -261,13 +235,12 @@ def sm_report(
     _check_measure(work.dims, measure)
     n = work.n_parties
     one = _cut_value(work, measure)
-    memo: dict = {}
     terms: list[SMTerm] = []
     rhs = 0.0
     for m in range(2, n):
         for vec in enumerate_subsets(n, m):
             subset = tuple(j - 1 for j in vec.entries)  # labels 2..n -> positions 1..n-1
-            value, result = _mixed_value(work, subset, measure, config, memo)
+            value, result = _mixed_value(work, subset, config)
             contribution = value ** (m / 2)
             rhs += contribution
             terms.append(
@@ -306,7 +279,7 @@ def ckw_report(
     lhs = _cut_value(work, measure)
     terms = []
     for j in range(1, n):
-        value, _ = _mixed_value(work, (j,), measure, config)
+        value, _ = _mixed_value(work, (j,), config)
         terms.append(CKWTerm(party=j + 1, value=value))
     rhs = float(sum(t.value for t in terms))
     residual = lhs - rhs
@@ -357,8 +330,6 @@ def _antisymmetric_333() -> PureState:
     # Totally antisymmetric three-qutrit singlet, all signed level permutations.
     amps = np.zeros(27, dtype=np.complex128)
     even = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
-    from itertools import permutations
-
     for perm in permutations(range(3)):
         a, b, c = perm
         amps[a * 9 + b * 3 + c] = 1.0 if perm in even else -1.0

@@ -11,6 +11,7 @@ report is reproduced byte for byte.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from itertools import combinations
 
 import numpy as np
 
@@ -182,7 +183,5 @@ def wclass_suite(
 
 
 def _subsets_of_size(n: int, size: int):
-    from itertools import combinations
-
     for rest in combinations(range(1, n), size - 1):
         yield (0,) + rest

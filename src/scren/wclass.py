@@ -30,7 +30,7 @@ import numpy as np
 
 from .monogamy import SMReport, sm_report
 from .negativity import negativity_pure
-from .roof import RoofConfig, hjw_ensemble, scren2
+from .roof import RoofConfig, haar_unitary, hjw_ensemble, scren2
 from .states import Bipartition, PureState, reduced_density
 
 HAMMING_SUPPORT_ATOL = 1e-10
@@ -95,14 +95,7 @@ def _excitation_index(dims: Sequence[int], slot: int, level: int) -> int:
 
 def build_state(spec: WClassSpec) -> PureState:
     """The n-qudit state sqrt(p)|W> + sqrt(1-p)|vacuum>."""
-    dims = (spec.d,) * spec.n
-    amps = np.zeros(prod(dims), dtype=np.complex128)
-    amps[0] = np.sqrt(1.0 - spec.p)
-    root_p = np.sqrt(spec.p)
-    for s in range(spec.n):
-        for i in range(1, spec.d):
-            amps[_excitation_index(dims, s, i)] = root_p * spec.a[s, i - 1]
-    return PureState(dims, amps)
+    return PureState((spec.d,) * spec.n, reduced_xy(spec, range(spec.n))[0])
 
 
 def one_scren_closed(spec: WClassSpec) -> float:
@@ -170,14 +163,6 @@ class Lemma1Report:
     max_violation: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "keep": list(self.keep),
-            "trials": self.trials,
-            "max_violation": self.max_violation,
-            "passed": self.passed,
-        }
-
 
 def _weight_le_one_indices(n_kept: int, d: int) -> np.ndarray:
     dims = (d,) * n_kept
@@ -196,8 +181,6 @@ def verify_lemma1(
 ) -> Lemma1Report:
     """Mix the reduced state with random unitaries and measure how much
     amplitude any member has outside the W-plus-vacuum support."""
-    from .roof import haar_unitary
-
     kept = tuple(sorted({int(i) for i in keep}))
     rho = reduced_density(build_state(spec), kept)
     rank = rho.rank()
@@ -230,18 +213,6 @@ class Theorem1Report:
     sum_error: float
     tolerance: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "one_numeric": self.one_numeric,
-            "one_closed": self.one_closed,
-            "pair_numeric": list(self.pair_numeric),
-            "pair_closed": list(self.pair_closed),
-            "pair_errors": list(self.pair_errors),
-            "sum_error": self.sum_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
 
 
 def verify_theorem1(
@@ -283,15 +254,6 @@ class Theorem2Report:
     max_higher_term: float
     tolerance: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "max_higher_term": self.max_higher_term,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "sm": self.report.to_dict(),
-        }
 
 
 def verify_theorem2(

@@ -237,8 +237,9 @@ def test_verify_wclass_workers_match_serial(capsys):
 
 
 def test_verify_wclass_guard(capsys):
-    code, _, _ = run_cli(capsys, "verify", "wclass", "--n", "7", "--d", "3")
+    code, _, err = run_cli(capsys, "verify", "wclass", "--n", "7", "--d", "3")
     assert code == EXIT_COST_GUARD
+    assert "parties" in err
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
@@ -325,9 +326,10 @@ def test_hunt_tangle_guard_beyond_three_parties(capsys):
 
 
 def test_hunt_tangle_guard_needs_qubit_in_every_pair(capsys):
-    code, _, err = run_cli(capsys, "hunt", "--dims", "3,3,2", "--samples", "0", "--measure", "tangle")
-    assert code == EXIT_INPUT
-    assert "qubit in every pair" in err
+    for dims in ("3,3,2", "3,3"):
+        code, _, err = run_cli(capsys, "hunt", "--dims", dims, "--samples", "0", "--measure", "tangle")
+        assert code == EXIT_INPUT
+        assert "qubit in every pair" in err
 
 
 def test_hunt_bad_dims(capsys):

@@ -19,6 +19,8 @@ from scren import (
     n_scren_pure,
     n_tangle_pure,
     negativity_pure,
+    reduced_density,
+    roof_sqrt_functional,
     scren2,
     sm_report,
     w_state,
@@ -215,6 +217,22 @@ def test_sm_tangle_and_scren_share_terms_on_qubits():
         assert abs(tangle.one_value - scren.one_value) <= 1e-12
 
 
+def test_nested_term_is_the_members_own_report_residual():
+    # an m = 3 term is the squared roof of sqrt(n_scren_pure) of its members
+    outer = FAST.child().child()
+    inner = outer.child()
+    rng = np.random.default_rng(3)
+    states = [ghz_state(4), w_state(4)]
+    states += [build_state(random_spec(rng, 4, 3)) for _ in range(4)]
+    for psi in states:
+        rep = sm_report(psi, 0, "scren", FAST)
+        (term,) = [t for t in rep.terms if t.subset.entries == (2, 3)]
+        direct = roof_sqrt_functional(
+            reduced_density(psi, (0, 1, 2)), lambda s: n_scren_pure(s, 0, inner), outer
+        )
+        assert term.value == direct
+
+
 def test_sm_report_serialization_schema():
     rep = sm_report(ghz_state(3), 0, "scren", FAST)
     data = rep.to_dict()
@@ -263,6 +281,11 @@ def test_tangle_measure_guard_qutrit_pair():
     # the same state is fine when the focus is the qubit
     rep = sm_report(psi, 2, "tangle", FAST)
     assert np.isfinite(rep.residual)
+    # a two-party report has one pair, so it needs a qubit too
+    qutrits = haar_random_state((3, 3), rng)
+    for report in (sm_report, ckw_report):
+        with pytest.raises(ValueError, match="qubit in every pair"):
+            report(qutrits, 0, "tangle", FAST)
 
 
 def test_unknown_measure_rejected():

@@ -16,6 +16,7 @@ from scren import (
     haar_unitary,
     hjw_ensemble,
     member_average,
+    n_scren_pure,
     negativity_pure,
     reduced_density,
     roof_minimize,
@@ -301,13 +302,11 @@ def test_sqrt_roof_raises_conjecture_violation():
 
 def test_sqrt_roof_three_party_wclass_term_vanishes():
     # three-qudit reductions of a W-plus-vacuum state have zero residual
-    from scren.monogamy import _residual_value
-
     rng = np.random.default_rng(20)
     spec = random_spec(rng, 4, 3)
     psi = build_state(spec)
     rho = reduced_density(psi, (0, 1, 2))
-    val = roof_sqrt_functional(rho, lambda s: _residual_value(s, FAST.child()), FAST)
+    val = roof_sqrt_functional(rho, lambda s: n_scren_pure(s, 0, FAST.child()), FAST)
     assert val <= 1e-3
 
 
