@@ -12,8 +12,11 @@ The measure enters only at the top of a report: the focus-versus-rest cut and
 the guard on its pairs.  The recursion below the top cut is measure
 independent.  On a 2 x k pair the two-tangle is the SCREN roof, and tangle
 reports nest (n >= 4) only for all-qubit states, where the one-tangle is the
-squared negativity; so every pair value is ``scren2`` and every nested
-residual is a SCREN residual.
+squared negativity; so every pair value is the SCREN pair roof and every
+nested residual is a SCREN residual.  A qubit pair's roof is the Wootters
+closed form (:func:`scren.tangle.wootters_tangle`), so all-qubit reports run
+no pair optimizer, and the residual of a 3-qubit member is exact: the
+Coffman-Kundu-Wootters three-tangle 4|Det psi|.  Other pairs run ``scren2``.
 
 Subsets are reported with the paper-style 1-based labels {2..n} assigned after
 moving the focus party to the front; subsystem indices handed to the state
@@ -28,9 +31,9 @@ import numpy as np
 
 from .guards import check_cost
 from .negativity import negativity_pure
-from .roof import RoofConfig, RoofResult, roof_sqrt_functional, scren2
+from .roof import RoofConfig, roof_sqrt_functional, scren2
 from .states import Bipartition, PureState, reduced_density
-from .tangle import one_tangle
+from .tangle import one_tangle, wootters_tangle
 
 SATISFIED_ATOL = 1e-6
 
@@ -193,28 +196,33 @@ def _cut_value(psi: PureState, measure: str) -> float:
 
 def _mixed_value(
     psi: PureState, subset: tuple[int, ...], config: RoofConfig
-) -> tuple[float, RoofResult]:
+) -> tuple[float, bool, int]:
     """Mixed m-party measure of the reduced state on focus + subset (0-based).
 
-    Pairs are the ``scren2`` roof at the given config, which is also the
-    two-tangle of the pairs ``_check_measure`` admits.  Terms of order three
-    and above are the squared roof of the square root of each member's own
-    SCREN ``sm_report`` residual; that nests a full report inside every
-    objective evaluation, so their outer roof runs at
-    ``config.child().child()`` and the members' reports at one further
-    ``.child()``.
+    Returns ``(value, converged, starts)``.  A qubit pair is the Wootters
+    closed form, reported as ``(C^2, True, 0)``; any other pair is the
+    ``scren2`` roof at the given config.  Either is also the two-tangle of the
+    pairs ``_check_measure`` admits.  Terms of order three and above are the
+    squared roof of the square root of each member's own SCREN ``sm_report``
+    residual; that nests a full report inside every objective evaluation, so
+    their outer roof runs at ``config.child().child()`` and the members'
+    reports at one further ``.child()``.
     """
     rho = reduced_density(psi, (0,) + subset)
+    if rho.dims == (2, 2):
+        return wootters_tangle(rho), True, 0
     if len(subset) == 1:
-        return scren2(rho, Bipartition((0,), 2), config, full_output=True)
-    outer = config.child().child()
-    inner = outer.child()
-    return roof_sqrt_functional(
-        rho,
-        lambda member: sm_report(member, 0, "scren", inner).residual,
-        outer,
-        full_output=True,
-    )
+        value, result = scren2(rho, Bipartition((0,), 2), config, full_output=True)
+    else:
+        outer = config.child().child()
+        inner = outer.child()
+        value, result = roof_sqrt_functional(
+            rho,
+            lambda member: sm_report(member, 0, "scren", inner).residual,
+            outer,
+            full_output=True,
+        )
+    return value, result.converged, result.starts
 
 
 def sm_report(
@@ -240,7 +248,7 @@ def sm_report(
     for m in range(2, n):
         for vec in enumerate_subsets(n, m):
             subset = tuple(j - 1 for j in vec.entries)  # labels 2..n -> positions 1..n-1
-            value, result = _mixed_value(work, subset, config)
+            value, converged, starts = _mixed_value(work, subset, config)
             contribution = value ** (m / 2)
             rhs += contribution
             terms.append(
@@ -248,8 +256,8 @@ def sm_report(
                     subset=vec,
                     value=value,
                     contribution=contribution,
-                    converged=result.converged,
-                    starts=result.starts,
+                    converged=converged,
+                    starts=starts,
                 )
             )
     residual = one - rhs
@@ -279,7 +287,7 @@ def ckw_report(
     lhs = _cut_value(work, measure)
     terms = []
     for j in range(1, n):
-        value, _ = _mixed_value(work, (j,), config)
+        value = _mixed_value(work, (j,), config)[0]
         terms.append(CKWTerm(party=j + 1, value=value))
     rhs = float(sum(t.value for t in terms))
     residual = lhs - rhs

@@ -1,4 +1,4 @@
-"""Tangle hierarchy for qubit systems, with the Wootters closed form as oracle.
+"""Tangle hierarchy for qubit systems, with the Wootters closed form.
 
 The one-tangle of a pure state is the linear entropy 2(1 - tr rho_A^2) of the
 side-A marginal.  On a qubit marginal this equals 4 det(rho_A), and on a
@@ -8,13 +8,18 @@ The mixed two-tangle is the squared convex roof of the square root of the
 one-tangle.  On a 2 x k pure state the one-tangle is the squared negativity
 (both are 4 lam_1 lam_2 in the Schmidt coefficients), so on 2 x k pairs the
 two-tangle is the SCREN roof and is computed by :func:`scren.roof.scren2`.
+
+On two qubits that roof has the Wootters closed form,
+:func:`wootters_tangle`.  Strong-monogamy reports use it for every qubit pair;
+``scren2`` and ``two_tangle`` stay on the optimizer, which the closed form
+checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .roof import RoofConfig, scren2
+from .roof import RoofConfig, _support, scren2
 from .states import Bipartition, DensityMatrix, PureState, reduced_density
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -28,18 +33,20 @@ def one_tangle(psi: PureState, part: Bipartition) -> float:
 
 
 def wootters_tangle(rho: DensityMatrix) -> float:
-    """Two-qubit tangle from the concurrence closed form.
+    """Two-qubit tangle from the concurrence closed form; returns C^2.
 
-    C = max(0, mu1 - mu2 - mu3 - mu4) with mu_i the descending square roots
-    of the eigenvalues of rho (sy x sy) rho* (sy x sy); returns C^2.
+    C = max(0, s_1 - s_2 - ... - s_r) with s_i the descending singular values
+    of the r x r symmetric matrix B (sy x sy) B^T, where B holds the support
+    rows sqrt(lam_i) e_i.  These are the square roots of the eigenvalues of
+    rho (sy x sy) rho* (sy x sy), taken without that non-Hermitian
+    eigenproblem, so a rank-deficient input leaves no roundoff roots behind
+    (a pure state gives its one-tangle to machine precision).
     """
     if rho.dims != (2, 2):
         raise ValueError(f"wootters_tangle needs a 2x2 qubit pair, got dims {rho.dims}")
-    m = rho.matrix @ _YY @ rho.matrix.conj() @ _YY
-    mu = np.sqrt(np.clip(np.linalg.eigvals(m).real, 0.0, None))
-    mu.sort()
-    c = mu[-1] - mu[-2] - mu[-3] - mu[-4]
-    return max(0.0, float(c)) ** 2
+    _, base = _support(rho)
+    s = np.linalg.svd(base @ _YY @ base.T, compute_uv=False)
+    return max(0.0, float(s[0] - s[1:].sum())) ** 2
 
 
 def two_tangle(

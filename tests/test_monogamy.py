@@ -24,6 +24,7 @@ from scren import (
     scren2,
     sm_report,
     w_state,
+    wootters_tangle,
 )
 from scren.wclass import build_state, random_spec
 
@@ -104,6 +105,30 @@ def test_fixture_333_scren_values():
 
 def test_n_scren_ghz3():
     assert abs(n_scren_pure(ghz_state(3), 0, FAST) - 1.0) <= 1e-6
+
+
+def _hyperdeterminant(psi) -> complex:
+    """Cayley's hyperdeterminant of a 2 x 2 x 2 amplitude tensor."""
+    a000, a001, a010, a011, a100, a101, a110, a111 = psi.amplitudes
+    return (
+        a000**2 * a111**2 + a001**2 * a110**2 + a010**2 * a101**2 + a100**2 * a011**2
+        - 2 * (
+            a000 * a111 * a011 * a100 + a000 * a111 * a101 * a010
+            + a000 * a111 * a110 * a001 + a011 * a100 * a101 * a010
+            + a011 * a100 * a110 * a001 + a101 * a010 * a110 * a001
+        )
+        + 4 * (a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100)
+    )
+
+
+def test_n_scren_three_qubits_is_three_tangle():
+    # exact qubit pairs make the residual the CKW three-tangle 4|Det psi|
+    rng = np.random.default_rng(13)
+    states = [haar_random_state((2, 2, 2), rng) for _ in range(20)]
+    for psi in states + [ghz_state(3), w_state(3)]:
+        assert abs(n_scren_pure(psi, 0, FAST) - 4 * abs(_hyperdeterminant(psi))) <= 1e-12
+    assert abs(n_scren_pure(ghz_state(3), 0, FAST) - 1.0) <= 1e-12
+    assert abs(n_scren_pure(w_state(3), 0, FAST)) <= 1e-12
 
 
 def test_n_scren_wclass_three_qudit_saturates():
@@ -203,7 +228,7 @@ def test_sm_matches_n_tangle_for_qubits():
     for psi in (ghz_state(3), w_state(3), haar_random_state((2, 2, 2), rng), ghz_state(4)):
         scren_residual = sm_report(psi, 0, "scren", cfg).residual
         tangle_residual = n_tangle_pure(psi, 0, cfg)
-        assert abs(scren_residual - tangle_residual) <= 1e-3
+        assert abs(scren_residual - tangle_residual) <= 1e-12
 
 
 def test_sm_tangle_and_scren_share_terms_on_qubits():
@@ -215,6 +240,24 @@ def test_sm_tangle_and_scren_share_terms_on_qubits():
         scren = sm_report(psi, 0, "scren", cfg)
         assert [t.value for t in tangle.terms] == [t.value for t in scren.terms]
         assert abs(tangle.one_value - scren.one_value) <= 1e-12
+
+
+def test_qubit_pairs_are_wootters_and_qudit_pairs_scren2():
+    cfg = RoofConfig(starts=4, iters=300, seed=14)
+    rng = np.random.default_rng(14)
+    psi = haar_random_state((2, 2, 2), rng)
+    for term in sm_report(psi, 0, "scren", cfg).terms:
+        (j,) = term.subset.entries
+        assert term.value == wootters_tangle(reduced_density(psi, (0, j - 1)))
+        assert term.starts == 0
+        assert term.converged
+    psi = haar_random_state((2, 3, 2), rng)
+    pairs = {t.subset.entries: t for t in sm_report(psi, 0, "scren", cfg).terms}
+    qutrit = reduced_density(psi, (0, 1))
+    assert qutrit.dims == (2, 3)
+    assert pairs[(2,)].value == scren2(qutrit, Bipartition((0,), 2), cfg)
+    assert pairs[(3,)].value == wootters_tangle(reduced_density(psi, (0, 2)))
+    assert pairs[(3,)].starts == 0
 
 
 def test_nested_term_is_the_members_own_report_residual():

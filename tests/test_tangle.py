@@ -100,6 +100,16 @@ def test_wootters_werner_closed_form():
     assert abs(wootters_tangle(werner(0.9)) - 0.7225) <= 1e-12
 
 
+def test_wootters_pure_states_equal_one_tangle():
+    # a rank-one input leaves no roundoff roots: C^2 is the pure-state tangle
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for _ in range(200):
+        psi = haar_random_state((2, 2), rng)
+        worst = max(worst, abs(wootters_tangle(to_density(psi)) - one_tangle(psi, PART2)))
+    assert worst <= 1e-13
+
+
 def test_wootters_rejects_wrong_dims():
     rng = np.random.default_rng(3)
     rho = to_density(haar_random_state((3, 2), rng))
