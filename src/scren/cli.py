@@ -242,6 +242,8 @@ def _run_compute(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def _run_verify(args) -> tuple[dict, bool]:
+    if args.trials is not None and args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     if args.suite == "paper":
         trials = args.trials if args.trials is not None else 50
         report = paper_suite(seed=args.seed, oracle_trials=trials)

@@ -26,8 +26,8 @@ def negativity_mixed(rho: DensityMatrix, part: Bipartition) -> float:
     """Trace norm of the partial transpose minus one.
 
     Evaluated as twice the weight of the negative eigenvalues (equal to
-    ||.||_1 - 1 since the trace is one), which is exactly zero for PPT states
-    at the same -1e-10 eigenvalue tolerance :func:`is_ppt` uses.
+    ||.||_1 - 1 since the trace is one), and exactly zero when no eigenvalue
+    lies below -1e-10, which is the test :func:`is_ppt` applies.
     """
     mu = np.linalg.eigvalsh(partial_transpose(rho, part))
     if mu[0] >= -PPT_ATOL:
@@ -37,5 +37,4 @@ def negativity_mixed(rho: DensityMatrix, part: Bipartition) -> float:
 
 def is_ppt(rho: DensityMatrix, part: Bipartition) -> bool:
     """True iff the partial transpose has no eigenvalue below -1e-10."""
-    mu = np.linalg.eigvalsh(partial_transpose(rho, part))
-    return bool(mu[0] >= -PPT_ATOL)
+    return negativity_mixed(rho, part) == 0.0

@@ -23,9 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .states import Bipartition, DensityMatrix, PureState
+from .states import RANK_TOL, Bipartition, DensityMatrix, PureState
 
-RANK_TOL = 1e-12
 WEIGHT_TOL = 1e-14
 CONJECTURE_ATOL = 1e-7
 
@@ -64,7 +63,9 @@ class RoofConfig:
     ``ensemble_size`` (L) defaults to the rank of the input state and may be
     raised up to rank*(rank+1).  ``iters`` is the per-start evaluation budget.
     ``child()`` derives the reduced-budget config used for roofs that run
-    inside another roof's objective (the recursive multi-party measures).
+    inside another roof's objective (the recursive multi-party measures).  Its
+    floor of (3, 200) means the doubly derived budget of an m >= 3 term's
+    outer roof stays (3, 200) unless starts >= 64 or iters >= 5025.
     """
 
     starts: int = 16
@@ -84,29 +85,6 @@ class RoofConfig:
 
 
 @dataclass(frozen=True)
-class MixingUnitary:
-    """Unitary mixing matrix relating two decompositions of the same state."""
-
-    matrix: np.ndarray
-    source_rank: int
-
-    def __post_init__(self):
-        mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("mixing matrix must be square")
-        defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
-        if defect > 1e-9:
-            raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
-        if not 1 <= self.source_rank <= mat.shape[0]:
-            raise ValueError("source_rank must lie in [1, L]")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class Ensemble:
     """Weighted pure-state decomposition {(p_h, |psi_h>)} of a mixed state."""
 
@@ -119,7 +97,7 @@ class Ensemble:
         weights = np.array([p for p, _ in members])
         if np.any(weights < 0):
             raise ValueError("ensemble weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-9:
+        if not abs(weights.sum() - 1.0) <= 1e-9:
             raise ValueError(f"ensemble weights sum to {weights.sum()!r}, expected 1")
         object.__setattr__(self, "members", members)
 
@@ -190,22 +168,23 @@ def _ensemble(rho: DensityMatrix, rows: np.ndarray) -> Ensemble:
     return ensemble
 
 
-def hjw_ensemble(rho: DensityMatrix, u: MixingUnitary | np.ndarray) -> Ensemble:
+def hjw_ensemble(rho: DensityMatrix, u: np.ndarray) -> Ensemble:
     """Decomposition |psi_h> ~ sum_i u_hi sqrt(lam_i)|e_i> induced by ``u``.
 
-    Columns of ``u`` beyond the rank of ``rho`` mix in zero vectors, so an
-    L x L unitary yields up to L members; members with weight below 1e-14 are
-    dropped.  The returned ensemble reconstructs ``rho`` exactly (unitarity of
-    the columns), which is asserted to 1e-8.
+    ``u`` must be a square unitary (to 1e-9) of size L at least the rank of
+    ``rho``.  Columns beyond the rank mix in zero vectors, so an L x L unitary
+    yields up to L members; members with weight below 1e-14 are dropped.  The
+    returned ensemble reconstructs ``rho`` exactly (unitarity of the columns),
+    which is asserted to 1e-8.
     """
+    mat = np.ascontiguousarray(u, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError("mixing matrix must be square")
+    defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
+    if not defect <= 1e-9:
+        raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
     lam, base = _support(rho)
     r = len(lam)
-    if isinstance(u, MixingUnitary):
-        if u.source_rank != r:
-            raise ValueError(f"mixing matrix declares rank {u.source_rank}, state has {r}")
-        mat = u.matrix
-    else:
-        mat = MixingUnitary(np.asarray(u), source_rank=min(r, np.asarray(u).shape[0])).matrix
     if mat.shape[0] < r:
         raise ValueError(f"mixing matrix size {mat.shape[0]} is below the rank {r}")
     return _ensemble(rho, mat[:, :r] @ base)

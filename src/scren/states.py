@@ -21,11 +21,7 @@ import numpy as np
 
 NORM_ATOL = 1e-9
 LOADER_NORM_ATOL = 1e-6
-SCHMIDT_RANK_TOL = 1e-12
-
-
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"A{i + 1}" for i in range(n))
+RANK_TOL = 1e-12
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -43,13 +39,10 @@ class PureState:
         Local dimension of each subsystem, each at least 2.
     amplitudes : array_like
         Complex vector of length prod(dims) in row-major basis order.
-    labels : sequence of str, optional
-        Party names, default A1..An.
     """
 
     dims: tuple[int, ...]
     amplitudes: np.ndarray
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -61,14 +54,10 @@ class PureState:
                 f"amplitude vector has length {amps.shape}, expected ({prod(dims)},)"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > 2 * NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= 2 * NORM_ATOL:
             raise ValueError(f"state is not normalized: <psi|psi> = {norm_sq!r}")
-        labels = tuple(self.labels) if self.labels else _default_labels(len(dims))
-        if len(labels) != len(dims):
-            raise ValueError("labels and dims must have the same length")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", _freeze(amps))
-        object.__setattr__(self, "labels", labels)
 
     @property
     def n_parties(self) -> int:
@@ -88,11 +77,7 @@ class PureState:
         if sorted(order) != list(range(self.n_parties)):
             raise ValueError(f"not a permutation of subsystems: {order}")
         amps = self.as_tensor().transpose(order).reshape(-1)
-        return PureState(
-            tuple(self.dims[i] for i in order),
-            amps,
-            tuple(self.labels[i] for i in order),
-        )
+        return PureState(tuple(self.dims[i] for i in order), amps)
 
 
 @dataclass(frozen=True)
@@ -113,10 +98,10 @@ class DensityMatrix:
             raise ValueError(f"matrix has shape {mat.shape}, expected ({d}, {d})")
         if validate:
             herm_defect = np.abs(mat - mat.conj().T).max()
-            if herm_defect > 1e-9:
+            if not herm_defect <= 1e-9:
                 raise ValueError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
             tr = complex(np.trace(mat))
-            if abs(tr - 1.0) > 1e-9:
+            if not abs(tr - 1.0) <= 1e-9:
                 raise ValueError(f"trace must be 1, got {tr!r}")
             min_eig = float(np.linalg.eigvalsh(mat)[0])
             if min_eig < -1e-9:
@@ -132,8 +117,8 @@ class DensityMatrix:
     def total_dim(self) -> int:
         return prod(self.dims)
 
-    def rank(self, tol: float = SCHMIDT_RANK_TOL) -> int:
-        return int(np.sum(np.linalg.eigvalsh(self.matrix) > tol))
+    def rank(self) -> int:
+        return int(np.sum(np.linalg.eigvalsh(self.matrix) > RANK_TOL))
 
 
 @dataclass(frozen=True)
@@ -195,7 +180,7 @@ class SchmidtDecomposition:
 
     @property
     def rank(self) -> int:
-        return int(np.sum(self.coefficients > SCHMIDT_RANK_TOL))
+        return int(np.sum(self.coefficients > RANK_TOL))
 
     def reconstruct(self) -> PureState:
         """Reassemble sum_i sqrt(lambda_i) |e_i>|f_i> in the original subsystem order."""
@@ -215,11 +200,7 @@ def tensor(states: Sequence[PureState]) -> PureState:
     amps = states[0].amplitudes
     for s in states[1:]:
         amps = np.kron(amps, s.amplitudes)
-    dims = tuple(d for s in states for d in s.dims)
-    labels = tuple(lbl for s in states for lbl in s.labels)
-    if len(set(labels)) != len(labels):
-        labels = _default_labels(len(dims))
-    return PureState(dims, amps, labels)
+    return PureState(tuple(d for s in states for d in s.dims), amps)
 
 
 def to_density(psi: PureState) -> DensityMatrix:
@@ -382,7 +363,7 @@ def state_from_dict(data: dict) -> PureState:
     dims = tuple(int(d) for d in data["dims"])
     amps = _pairs_to_complex(data["amplitudes"], "amplitudes").reshape(-1)
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > LOADER_NORM_ATOL:
+    if not abs(norm - 1.0) <= LOADER_NORM_ATOL:
         raise ValueError(f"state norm {norm!r} deviates by more than {LOADER_NORM_ATOL}")
     return PureState(dims, amps / norm)
 
@@ -397,7 +378,7 @@ def density_from_dict(data: dict) -> DensityMatrix:
     if mat.ndim != 2:
         raise ValueError("matrix must be a nested list of [re, im] pairs")
     tr = float(np.trace(mat).real)
-    if abs(tr - 1.0) > LOADER_NORM_ATOL:
+    if not abs(tr - 1.0) <= LOADER_NORM_ATOL:
         raise ValueError(f"trace {tr!r} deviates by more than {LOADER_NORM_ATOL}")
     return DensityMatrix(dims, mat / tr)
 

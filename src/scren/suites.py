@@ -28,6 +28,8 @@ from .wclass import (
     verify_theorem2,
 )
 
+LEMMA_TRIALS = 10
+
 
 def random_rank2_two_qubit(rng: np.random.Generator) -> DensityMatrix:
     """Mixture of two Haar-random two-qubit pure states at a generic weight."""
@@ -39,9 +41,9 @@ def random_rank2_two_qubit(rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix((2, 2), mat, validate=False)
 
 
-def oracle_comparison(seed: int, trials: int = 50, config: RoofConfig | None = None) -> dict:
+def oracle_comparison(seed: int, trials: int = 50) -> dict:
     """Worst |scren2 - wootters_tangle| over seeded random rank-2 states."""
-    config = config or RoofConfig(seed=seed)
+    config = RoofConfig(seed=seed)
     rng = np.random.default_rng(seed)
     part = Bipartition((0,), 2)
     worst = 0.0
@@ -101,7 +103,7 @@ def paper_suite(seed: int = 7, oracle_trials: int = 50) -> dict:
     )
 
     # 4: optimizer against the Wootters closed form
-    cmp = oracle_comparison(seed, trials=oracle_trials, config=config)
+    cmp = oracle_comparison(seed, trials=oracle_trials)
     checks.append(
         {
             "name": "two_qubit_oracle",
@@ -120,15 +122,15 @@ def paper_suite(seed: int = 7, oracle_trials: int = 50) -> dict:
 
 def _wclass_trial(task: tuple) -> dict:
     """One spec's theorem and lemma checks; top-level so a pool can run it."""
-    t, spec_data, seed, config, lemma_trials = task
+    t, spec_data, seed, config = task
     spec = spec_from_dict(spec_data)
     thm1 = verify_theorem1(spec, config)
     thm2 = verify_theorem2(spec, config)
     n = spec.n
     lemma_worst = 0.0
     for size in range(2, n):
-        for rest in _subsets_of_size(n, size):
-            rep = verify_lemma1(spec, rest, trials=lemma_trials, seed=seed + t)
+        for rest in combinations(range(1, n), size - 1):
+            rep = verify_lemma1(spec, (0,) + rest, trials=LEMMA_TRIALS, seed=seed + t)
             lemma_worst = max(lemma_worst, rep.max_violation)
     return {
         "trial": t,
@@ -149,7 +151,6 @@ def wclass_suite(
     n: int = 4,
     d: int = 3,
     config: RoofConfig | None = None,
-    lemma_trials: int = 10,
     workers: int = 1,
 ) -> dict:
     """Theorem and lemma checks on ``trials`` random W-plus-vacuum specs.
@@ -159,10 +160,7 @@ def wclass_suite(
     """
     config = config or RoofConfig(seed=seed)
     rng = np.random.default_rng(seed)
-    tasks = [
-        (t, spec_to_dict(random_spec(rng, n, d)), seed, config, lemma_trials)
-        for t in range(trials)
-    ]
+    tasks = [(t, spec_to_dict(random_spec(rng, n, d)), seed, config) for t in range(trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_wclass_trial, tasks))
@@ -180,8 +178,3 @@ def wclass_suite(
         "results": results,
         "all_passed": bool(all_passed),
     }
-
-
-def _subsets_of_size(n: int, size: int):
-    for rest in combinations(range(1, n), size - 1):
-        yield (0,) + rest

@@ -28,12 +28,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .monogamy import SMReport, sm_report
-from .negativity import negativity_pure
-from .roof import RoofConfig, haar_unitary, hjw_ensemble, scren2
-from .states import Bipartition, PureState, reduced_density
+from .monogamy import SMReport, ckw_report, sm_report
+from .roof import RoofConfig, haar_unitary, hjw_ensemble
+from .states import PureState, reduced_density
 
 HAMMING_SUPPORT_ATOL = 1e-10
+THEOREM_ATOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class WClassSpec:
         if a.shape != (n, d - 1):
             raise ValueError(f"coefficient array must have shape ({n}, {d - 1}), got {a.shape}")
         total = float(np.sum(np.abs(a) ** 2))
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"coefficients must satisfy sum |a_si|^2 = 1, got {total!r}")
         p = float(self.p)
         if not 0.0 <= p <= 1.0:
@@ -211,36 +211,29 @@ class Theorem1Report:
     pair_closed: tuple[float, ...]
     pair_errors: tuple[float, ...]
     sum_error: float
-    tolerance: float
     passed: bool
 
 
-def verify_theorem1(
-    spec: WClassSpec,
-    config: RoofConfig | None = None,
-    tolerance: float = 1e-3,
-) -> Theorem1Report:
-    """Check one-SCREN == sum of pairwise SCRENs, numeric against closed form."""
-    config = config or RoofConfig()
-    psi = build_state(spec)
-    one_numeric = negativity_pure(psi, Bipartition((0,), spec.n)) ** 2
-    pair_numeric = []
-    pair_closed = []
-    for s in range(2, spec.n + 1):
-        rho = reduced_density(psi, (0, s - 1))
-        pair_numeric.append(scren2(rho, Bipartition((0,), 2), config))
-        pair_closed.append(two_scren_closed(spec, s))
+def verify_theorem1(spec: WClassSpec, config: RoofConfig | None = None) -> Theorem1Report:
+    """Check one-SCREN == sum of pairwise SCRENs, numeric against closed form.
+
+    The numeric side is the SCREN ``ckw_report`` of the state with party 1 in
+    focus, so qubit pairs take the Wootters closed form and qudit pairs the
+    ``scren2`` roof.
+    """
+    rep = ckw_report(build_state(spec), 0, "scren", config)
+    pair_numeric = tuple(t.value for t in rep.terms)
+    pair_closed = tuple(two_scren_closed(spec, s) for s in range(2, spec.n + 1))
     errors = tuple(abs(a - b) for a, b in zip(pair_numeric, pair_closed))
-    sum_error = abs(one_numeric - sum(pair_closed))
-    passed = bool(max(errors, default=0.0) <= tolerance and sum_error <= tolerance)
+    sum_error = abs(rep.lhs - sum(pair_closed))
+    passed = bool(max(errors, default=0.0) <= THEOREM_ATOL and sum_error <= THEOREM_ATOL)
     return Theorem1Report(
-        one_numeric=one_numeric,
+        one_numeric=rep.lhs,
         one_closed=one_scren_closed(spec),
-        pair_numeric=tuple(pair_numeric),
-        pair_closed=tuple(pair_closed),
+        pair_numeric=pair_numeric,
+        pair_closed=pair_closed,
         pair_errors=errors,
         sum_error=sum_error,
-        tolerance=tolerance,
         passed=passed,
     )
 
@@ -252,25 +245,19 @@ class Theorem2Report:
     report: SMReport
     residual: float
     max_higher_term: float
-    tolerance: float
     passed: bool
 
 
-def verify_theorem2(
-    spec: WClassSpec,
-    config: RoofConfig | None = None,
-    tolerance: float = 1e-3,
-) -> Theorem2Report:
+def verify_theorem2(spec: WClassSpec, config: RoofConfig | None = None) -> Theorem2Report:
     """Run the full SM report on the state and check saturation."""
     report = sm_report(build_state(spec), focus=0, measure="scren", config=config)
     higher = [t.value for t in report.terms if t.order >= 3]
     max_higher = max(higher, default=0.0)
-    passed = bool(abs(report.residual) <= tolerance and max_higher <= tolerance)
+    passed = bool(abs(report.residual) <= THEOREM_ATOL and max_higher <= THEOREM_ATOL)
     return Theorem2Report(
         report=report,
         residual=report.residual,
         max_higher_term=max_higher,
-        tolerance=tolerance,
         passed=passed,
     )
 

@@ -140,6 +140,21 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("key", ["amplitudes", "matrix"])
+def test_nan_state_file_exits_2(capsys, tmp_path, key):
+    if key == "amplitudes":
+        values = np.array([np.nan, 0, 0, 1], dtype=complex)
+    else:
+        values = np.eye(4, dtype=complex) / 4
+        values[0, 1] = values[1, 0] = np.nan
+    pairs = np.stack([values.real, values.imag], axis=-1).tolist()
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({"dims": [2, 2], key: pairs}))
+    code, _, err = run_cli(capsys, "compute", "negativity", "--state", str(bad), "--cut", "0")
+    assert code == EXIT_INPUT
+    assert "cannot load state file" in err
+
+
 def test_missing_cut_exits_2(capsys, state_files):
     code, _, err = run_cli(capsys, "compute", "negativity", "--state", state_files["bell"])
     assert code == EXIT_INPUT
@@ -240,6 +255,14 @@ def test_verify_wclass_guard(capsys):
     code, _, err = run_cli(capsys, "verify", "wclass", "--n", "7", "--d", "3")
     assert code == EXIT_COST_GUARD
     assert "parties" in err
+
+
+@pytest.mark.parametrize("suite", ["paper", "wclass"])
+def test_verify_rejects_zero_trials(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", suite, "--trials", "0")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "--trials" in err
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

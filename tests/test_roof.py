@@ -7,7 +7,6 @@ from scren import (
     Bipartition,
     ConjectureViolation,
     DensityMatrix,
-    MixingUnitary,
     PureState,
     RoofConfig,
     bell_state,
@@ -46,8 +45,11 @@ def test_haar_unitary_is_unitary():
 
 
 def test_mixing_unitary_rejects_non_unitary():
+    rho = random_mixed_state(np.random.default_rng(0), (2, 2), rank=2)
     with pytest.raises(ValueError, match="unitary"):
-        MixingUnitary(np.ones((2, 2)), source_rank=2)
+        hjw_ensemble(rho, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="square"):
+        hjw_ensemble(rho, np.eye(3)[:, :2])
 
 
 def test_ensemble_weight_validation():
@@ -58,6 +60,8 @@ def test_ensemble_weight_validation():
         Ensemble(((0.5, psi), (0.4, psi)))
     with pytest.raises(ValueError, match="nonnegative"):
         Ensemble(((1.5, psi), (-0.5, psi)))
+    with pytest.raises(ValueError, match="sum"):
+        Ensemble(((float("nan"), psi), (0.5, psi)))
     with pytest.raises(ValueError, match="at least one"):
         Ensemble(())
 
@@ -101,13 +105,6 @@ def test_hjw_rejects_undersized_matrix():
     rho = random_mixed_state(rng, (2, 2), rank=3)
     with pytest.raises(ValueError, match="below the rank"):
         hjw_ensemble(rho, np.eye(2))
-
-
-def test_hjw_rejects_mismatched_declared_rank():
-    rng = np.random.default_rng(4)
-    rho = random_mixed_state(rng, (2, 2), rank=2)
-    with pytest.raises(ValueError, match="rank"):
-        hjw_ensemble(rho, MixingUnitary(np.eye(3), source_rank=3))
 
 
 def test_hjw_reconstruction_random_pairs():

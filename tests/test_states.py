@@ -12,7 +12,6 @@ from scren import (
     basis_state,
     bell_state,
     dump_state,
-    ghz_state,
     haar_random_state,
     load_state,
     partial_trace,
@@ -73,9 +72,16 @@ def test_bipartition_validation():
     assert part.side_b == (1, 3)
 
 
-def test_default_labels():
-    psi = ghz_state(3)
-    assert psi.labels == ("A1", "A2", "A3")
+def test_pure_state_rejects_nan():
+    with pytest.raises(ValueError, match="normalized"):
+        PureState((2, 2), [np.nan, 0, 0, 1])
+
+
+def test_density_matrix_rejects_nan():
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix((2,), [[np.nan, 0], [0, 1]])
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix((2,), [[0.5, np.nan], [np.nan, 0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +346,16 @@ def test_density_loader_rejects_bad_trace():
     bad = {"dims": [2, 2], "matrix": [[[2 * v.real, 2 * v.imag] for v in row] for row in rho.matrix]}
     with pytest.raises(ValueError, match="trace"):
         density_from_dict(bad)
+
+
+def test_loaders_reject_nan():
+    amps = [[np.nan, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    with pytest.raises(ValueError, match="deviates"):
+        state_from_dict({"dims": [2, 2], "amplitudes": amps})
+    with pytest.raises(ValueError, match="deviates"):
+        density_from_dict({"dims": [2], "matrix": [[[np.nan, 0], [0, 0]], [[0, 0], [1, 0]]]})
+    with pytest.raises(ValueError, match="Hermitian"):
+        density_from_dict({"dims": [2], "matrix": [[[0.5, 0], [np.nan, 0]], [[np.nan, 0], [0.5, 0]]]})
 
 
 def test_load_state_requires_known_keys(tmp_path):

@@ -19,6 +19,7 @@ from scren import (
     verify_theorem1,
     verify_theorem2,
     w_state,
+    wootters_tangle,
 )
 from scren.wclass import marginal_focus_matrix, spec_from_dict, spec_to_dict
 
@@ -36,6 +37,15 @@ def equal_w3() -> WClassSpec:
 def test_spec_rejects_bad_normalization():
     with pytest.raises(ValueError, match="sum"):
         WClassSpec(3, 2, np.full((3, 1), 1.0, dtype=complex), 0.5)
+
+
+def test_spec_rejects_nan():
+    a = np.full((3, 1), 1 / np.sqrt(3), dtype=complex)
+    a[0, 0] = np.nan
+    with pytest.raises(ValueError, match="sum"):
+        WClassSpec(3, 2, a, 0.5)
+    with pytest.raises(ValueError, match="weight"):
+        WClassSpec(3, 2, equal_w3().a, np.nan)
 
 
 def test_spec_rejects_bad_p():
@@ -230,6 +240,15 @@ def test_theorem1_random_qudit_spec():
     rep = verify_theorem1(random_spec(rng, 4, 3), FAST)
     assert rep.passed
     assert max(rep.pair_errors) <= 1e-3 and rep.sum_error <= 1e-3
+
+
+def test_theorem1_qubit_pairs_are_wootters():
+    rng = np.random.default_rng(19)
+    for _ in range(4):
+        spec = random_spec(rng, 4, 2)
+        psi = build_state(spec)
+        expected = tuple(wootters_tangle(reduced_density(psi, (0, s))) for s in (1, 2, 3))
+        assert verify_theorem1(spec, FAST).pair_numeric == expected
 
 
 def test_theorem2_three_parties():
