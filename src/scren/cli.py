@@ -306,6 +306,8 @@ def _run_hunt(args) -> dict:
     dims = tuple(dims)
     check_cost(dims)
     _check_measure(dims, args.measure)
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     config = _config_from(args)
 
     tasks = []

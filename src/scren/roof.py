@@ -61,7 +61,8 @@ class RoofConfig:
     """Settings for the roof optimizer.
 
     ``ensemble_size`` (L) defaults to the rank of the input state and may be
-    raised up to rank*(rank+1).  ``iters`` is the per-start evaluation budget.
+    raised up to rank*(rank+1).  ``iters`` is the per-start evaluation budget;
+    it and ``starts`` must be at least 1.
     ``child()`` derives the reduced-budget config used for roofs that run
     inside another roof's objective (the recursive multi-party measures).  Its
     floor of (3, 200) means the doubly derived budget of an m >= 3 term's
@@ -74,6 +75,12 @@ class RoofConfig:
     tol: float = 1e-6
     seed: int = 0
 
+    def __post_init__(self):
+        if self.starts < 1 or self.iters < 1:
+            raise ValueError(
+                f"starts and iters must be at least 1, got {self.starts} and {self.iters}"
+            )
+
     def child(self) -> "RoofConfig":
         return RoofConfig(
             starts=max(3, self.starts // 4),
@@ -85,48 +92,15 @@ class RoofConfig:
 
 
 @dataclass(frozen=True)
-class Ensemble:
-    """Weighted pure-state decomposition {(p_h, |psi_h>)} of a mixed state."""
-
-    members: tuple[tuple[float, PureState], ...]
-
-    def __post_init__(self):
-        members = tuple((float(p), s) for p, s in self.members)
-        if not members:
-            raise ValueError("ensemble must have at least one member")
-        weights = np.array([p for p, _ in members])
-        if np.any(weights < 0):
-            raise ValueError("ensemble weights must be nonnegative")
-        if not abs(weights.sum() - 1.0) <= 1e-9:
-            raise ValueError(f"ensemble weights sum to {weights.sum()!r}, expected 1")
-        object.__setattr__(self, "members", members)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([p for p, _ in self.members])
-
-    @property
-    def states(self) -> tuple[PureState, ...]:
-        return tuple(s for _, s in self.members)
-
-    def average(self, fn: Callable[[PureState], float]) -> float:
-        return float(sum(p * fn(s) for p, s in self.members))
-
-    def reconstruct(self) -> np.ndarray:
-        """The density matrix sum_h p_h |psi_h><psi_h| generated by the members."""
-        d = self.members[0][1].total_dim
-        out = np.zeros((d, d), dtype=np.complex128)
-        for p, s in self.members:
-            out += p * np.outer(s.amplitudes, s.amplitudes.conj())
-        return out
-
-
-@dataclass(frozen=True)
 class RoofResult:
-    """Outcome of a roof minimization: value, argmin ensemble and diagnostics."""
+    """Outcome of a roof minimization: value, argmin decomposition and diagnostics.
+
+    ``rows`` is the read-only (L, dim) array of the winning decomposition's
+    unnormalized member rows sqrt(p_h)|psi_h>.
+    """
 
     value: float
-    ensemble: Ensemble
+    rows: np.ndarray
     starts: int
     converged: bool
     history: tuple[float, ...]
@@ -159,23 +133,23 @@ def _members(dims: Sequence[int], rows: np.ndarray):
         yield float(w), PureState(dims, row / np.sqrt(w))
 
 
-def _ensemble(rho: DensityMatrix, rows: np.ndarray) -> Ensemble:
-    """Ensemble of the unnormalized member rows, checked to rebuild ``rho`` to 1e-8."""
-    ensemble = Ensemble(tuple(_members(rho.dims, rows)))
-    defect = np.abs(ensemble.reconstruct() - rho.matrix).max()
-    if defect > 1e-8:
-        raise AssertionError(f"ensemble does not reconstruct the state: {defect:.3e}")
-    return ensemble
+def _checked_rows(rho: DensityMatrix, rows: np.ndarray) -> np.ndarray:
+    """``rows`` made read-only, checked to rebuild ``rho`` to 1e-8."""
+    defect = np.abs(rows.T @ rows.conj() - rho.matrix).max()
+    if not defect <= 1e-8:
+        raise AssertionError(f"rows do not rebuild the state: {defect:.3e}")
+    rows.flags.writeable = False
+    return rows
 
 
-def hjw_ensemble(rho: DensityMatrix, u: np.ndarray) -> Ensemble:
-    """Decomposition |psi_h> ~ sum_i u_hi sqrt(lam_i)|e_i> induced by ``u``.
+def hjw_ensemble(rho: DensityMatrix, u: np.ndarray) -> np.ndarray:
+    """Member rows sqrt(p_h)|psi_h> = sum_i u_hi sqrt(lam_i)|e_i> induced by ``u``.
 
     ``u`` must be a square unitary (to 1e-9) of size L at least the rank of
     ``rho``.  Columns beyond the rank mix in zero vectors, so an L x L unitary
-    yields up to L members; members with weight below 1e-14 are dropped.  The
-    returned ensemble reconstructs ``rho`` exactly (unitarity of the columns),
-    which is asserted to 1e-8.
+    yields L rows; rows of negligible weight stay in the array, and
+    :func:`member_average` skips them.  The rows rebuild ``rho`` exactly
+    (unitarity of the columns), which is asserted to 1e-8.
     """
     mat = np.ascontiguousarray(u, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -187,7 +161,7 @@ def hjw_ensemble(rho: DensityMatrix, u: np.ndarray) -> Ensemble:
     r = len(lam)
     if mat.shape[0] < r:
         raise ValueError(f"mixing matrix size {mat.shape[0]} is below the rank {r}")
-    return _ensemble(rho, mat[:, :r] @ base)
+    return _checked_rows(rho, mat[:, :r] @ base)
 
 
 @lru_cache(maxsize=32)
@@ -209,8 +183,8 @@ def _unitary_from_params(theta: np.ndarray, size: int) -> np.ndarray:
 def member_average(dims: Sequence[int], fn: Callable[[PureState], float]):
     """Row objective sum_h w_h fn(row_h / sqrt(w_h)) from a pure-state functional.
 
-    The weight w_h of a row is its squared norm; members below ``WEIGHT_TOL``
-    are dropped, as in :func:`hjw_ensemble`.
+    The weight w_h of a row is its squared norm; rows below ``WEIGHT_TOL``
+    are skipped.
     """
 
     def average(rows: np.ndarray) -> float:
@@ -254,7 +228,7 @@ def roof_minimize(
     def finish(rows, value, starts, converged, history) -> RoofResult:
         return RoofResult(
             value=float(value),
-            ensemble=_ensemble(rho, rows),
+            rows=_checked_rows(rho, rows),
             starts=starts,
             converged=converged,
             history=tuple(history),
@@ -291,14 +265,14 @@ def roof_minimize(
     if spread <= max(1e-12, config.tol * 1e-3):
         return finish(eigen_rows, eigen_average, 0, True, probe_values)
 
-    seeds = np.random.SeedSequence(config.seed).spawn(max(config.starts, 1))
+    seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
     best_value = np.inf
     best_theta: np.ndarray | None = None
     best_u0: np.ndarray | None = None
     best_trace: list[float] = []
     history: list[float] = []
 
-    for k in range(max(config.starts, 1)):
+    for k in range(config.starts):
         u0 = identity if k == 0 else haar_unitary(size, np.random.default_rng(seeds[k]))
         theta, trace = powell(np.zeros(size * size), u0, config.iters, 1e-7, 1e-11)
         start_best = min(trace)

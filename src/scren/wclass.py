@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .monogamy import SMReport, ckw_report, sm_report
-from .roof import RoofConfig, haar_unitary, hjw_ensemble
+from .roof import RoofConfig, _members, haar_unitary, hjw_ensemble
 from .states import PureState, reduced_density
 
 HAMMING_SUPPORT_ATOL = 1e-10
@@ -181,6 +181,8 @@ def verify_lemma1(
 ) -> Lemma1Report:
     """Mix the reduced state with random unitaries and measure how much
     amplitude any member has outside the W-plus-vacuum support."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     kept = tuple(sorted({int(i) for i in keep}))
     rho = reduced_density(build_state(spec), kept)
     rank = rho.rank()
@@ -188,14 +190,14 @@ def verify_lemma1(
     outside = np.setdiff1d(np.arange(rho.total_dim), allowed)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         u = haar_unitary(rank, rng)
-        for _, member in hjw_ensemble(rho, u).members:
+        for _, member in _members(rho.dims, hjw_ensemble(rho, u)):
             if outside.size:
                 worst = max(worst, float(np.abs(member.amplitudes[outside]).max()))
     return Lemma1Report(
         keep=kept,
-        trials=max(1, trials),
+        trials=trials,
         max_violation=worst,
         passed=bool(worst <= HAMMING_SUPPORT_ATOL),
     )

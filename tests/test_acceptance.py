@@ -22,6 +22,7 @@ from scren import (
     cren,
     haar_unitary,
     hjw_ensemble,
+    member_average,
     negativity_pure,
     random_spec,
     reduced_density,
@@ -169,16 +170,16 @@ def test_criterion_7_property_suites():
         rank = int(rng.integers(1, 4))
         rho = random_mixed_state(rng, dims, rank=rank)
         size = rho.rank() + int(rng.integers(0, 3))
-        ens = hjw_ensemble(rho, haar_unitary(size, rng))
-        worst_rebuild = max(worst_rebuild, float(np.abs(ens.reconstruct() - rho.matrix).max()))
+        rows = hjw_ensemble(rho, haar_unitary(size, rng))
+        worst_rebuild = max(worst_rebuild, float(np.abs(rows.T @ rows.conj() - rho.matrix).max()))
     if worst_rebuild > 1e-10:
         failures.append(f"ensemble rebuild error {worst_rebuild:.2e}")
 
     # roof value never exceeds the eigendecomposition average
     for _ in range(20):
         rho = random_mixed_state(rng, (2, 2), rank=int(rng.integers(2, 4)))
-        eigen_avg = hjw_ensemble(rho, np.eye(rho.rank())).average(
-            lambda s: negativity_pure(s, PART2)
+        eigen_avg = member_average(rho.dims, lambda s: negativity_pure(s, PART2))(
+            hjw_ensemble(rho, np.eye(rho.rank()))
         )
         if cren(rho, PART2, CONFIG) > eigen_avg + 1e-9:
             failures.append("roof above eigendecomposition average")
@@ -200,12 +201,8 @@ def test_criterion_7_property_suites():
         for s in (1, 2, 3):
             rho = reduced_density(build_state(spec), (0, s))
             rank = rho.rank()
-            avgs = [
-                hjw_ensemble(rho, haar_unitary(rank, rng)).average(
-                    lambda st: negativity_pure(st, PART2)
-                )
-                for _ in range(50)
-            ]
+            average = member_average(rho.dims, lambda st: negativity_pure(st, PART2))
+            avgs = [average(hjw_ensemble(rho, haar_unitary(rank, rng))) for _ in range(50)]
             worst_spread = max(worst_spread, max(avgs) - min(avgs))
     if worst_spread > 1e-8:
         failures.append(f"decomposition-independence spread {worst_spread:.2e}")

@@ -18,6 +18,7 @@ from scren.cli import (
 )
 from scren.monogamy import CKW_COUNTEREXAMPLE_322
 from scren.roof import ConjectureViolation
+from scren.suites import random_rank2_two_qubit
 
 
 @pytest.fixture()
@@ -153,6 +154,16 @@ def test_nan_state_file_exits_2(capsys, tmp_path, key):
     code, _, err = run_cli(capsys, "compute", "negativity", "--state", str(bad), "--cut", "0")
     assert code == EXIT_INPUT
     assert "cannot load state file" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--iters", "0"), ("--starts", "-2")])
+def test_compute_rejects_budgets_below_one(capsys, tmp_path, flag, value):
+    path = tmp_path / "pair.json"
+    dump_state(random_rank2_two_qubit(np.random.default_rng(3)), path)
+    code, out, err = run_cli(capsys, "compute", "scren", "--state", str(path), "--cut", "0", flag, value)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "at least 1" in err
 
 
 def test_missing_cut_exits_2(capsys, state_files):
@@ -353,6 +364,14 @@ def test_hunt_tangle_guard_needs_qubit_in_every_pair(capsys):
         code, _, err = run_cli(capsys, "hunt", "--dims", dims, "--samples", "0", "--measure", "tangle")
         assert code == EXIT_INPUT
         assert "qubit in every pair" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_hunt_rejects_samples_below_one(capsys, samples):
+    code, out, err = run_cli(capsys, "hunt", "--dims", "2,2,2", "--samples", samples)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "--samples" in err
 
 
 def test_hunt_bad_dims(capsys):

@@ -52,20 +52,6 @@ def test_mixing_unitary_rejects_non_unitary():
         hjw_ensemble(rho, np.eye(3)[:, :2])
 
 
-def test_ensemble_weight_validation():
-    from scren import Ensemble
-
-    psi = bell_state()
-    with pytest.raises(ValueError, match="sum"):
-        Ensemble(((0.5, psi), (0.4, psi)))
-    with pytest.raises(ValueError, match="nonnegative"):
-        Ensemble(((1.5, psi), (-0.5, psi)))
-    with pytest.raises(ValueError, match="sum"):
-        Ensemble(((float("nan"), psi), (0.5, psi)))
-    with pytest.raises(ValueError, match="at least one"):
-        Ensemble(())
-
-
 def test_config_child_shrinks_budget():
     child = RoofConfig(starts=16, iters=2000, seed=3).child()
     assert child.starts < 16 and child.iters < 2000
@@ -74,20 +60,26 @@ def test_config_child_shrinks_budget():
     assert grandchild.starts >= 3 and grandchild.iters >= 200
 
 
+@pytest.mark.parametrize("budget", [{"starts": 0}, {"iters": 0}, {"starts": -2}])
+def test_config_rejects_budgets_below_one(budget):
+    with pytest.raises(ValueError, match="at least 1"):
+        RoofConfig(**budget)
+
+
 def test_hjw_identity_returns_eigendecomposition():
     rng = np.random.default_rng(1)
     rho = random_mixed_state(rng, (2, 2), rank=2)
     lam, base = _support(rho)
-    ens = hjw_ensemble(rho, np.eye(2))
-    weights = sorted(ens.weights, reverse=True)
+    rows = hjw_ensemble(rho, np.eye(2))
+    weights = sorted(np.linalg.norm(rows, axis=1) ** 2, reverse=True)
     np.testing.assert_allclose(weights, sorted(lam, reverse=True), atol=1e-12)
 
 
 def test_hjw_rank_one_gives_single_member():
     psi = bell_state()
-    ens = hjw_ensemble(to_density(psi), np.eye(1))
-    assert len(ens.members) == 1
-    overlap = abs(np.vdot(ens.states[0].amplitudes, psi.amplitudes))
+    rows = hjw_ensemble(to_density(psi), np.eye(1))
+    assert rows.shape[0] == 1
+    overlap = abs(np.vdot(rows[0], psi.amplitudes))
     assert abs(overlap - 1.0) <= 1e-12
 
 
@@ -95,9 +87,9 @@ def test_hjw_padded_ensemble_reconstructs():
     rng = np.random.default_rng(2)
     rho = random_mixed_state(rng, (2, 2), rank=2)
     u = haar_unitary(3, rng)
-    ens = hjw_ensemble(rho, u)
-    assert len(ens.members) == 3
-    assert np.abs(ens.reconstruct() - rho.matrix).max() <= 1e-10
+    rows = hjw_ensemble(rho, u)
+    assert rows.shape[0] == 3
+    assert np.abs(rows.T @ rows.conj() - rho.matrix).max() <= 1e-10
 
 
 def test_hjw_rejects_undersized_matrix():
@@ -113,8 +105,8 @@ def test_hjw_reconstruction_random_pairs():
         rank = int(rng.integers(1, 4))
         rho = random_mixed_state(rng, (2, 2), rank=rank)
         size = rho.rank() + int(rng.integers(0, 3))
-        ens = hjw_ensemble(rho, haar_unitary(size, rng))
-        assert np.abs(ens.reconstruct() - rho.matrix).max() <= 1e-10
+        rows = hjw_ensemble(rho, haar_unitary(size, rng))
+        assert np.abs(rows.T @ rows.conj() - rho.matrix).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +144,17 @@ def test_value_matches_ensemble_average():
     rho = random_rank2_two_qubit(rng)
     objective = lambda s: negativity_pure(s, PART2)
     res = roof_minimize(rho, member_average(rho.dims, objective), FAST)
-    assert abs(res.value - res.ensemble.average(objective)) <= 1e-9
+    assert abs(res.value - member_average(rho.dims, objective)(res.rows)) <= 1e-9
+    assert np.abs(res.rows.T @ res.rows.conj() - rho.matrix).max() <= 1e-10
+    assert not res.rows.flags.writeable
 
 
 def test_value_upper_bounded_by_eigendecomposition_average():
     rng = np.random.default_rng(9)
     for _ in range(10):
         rho = random_mixed_state(rng, (2, 2), rank=int(rng.integers(2, 4)))
-        eigen_avg = hjw_ensemble(rho, np.eye(rho.rank())).average(
-            lambda s: negativity_pure(s, PART2)
+        eigen_avg = member_average(rho.dims, lambda s: negativity_pure(s, PART2))(
+            hjw_ensemble(rho, np.eye(rho.rank()))
         )
         assert cren(rho, PART2, FAST) <= eigen_avg + 1e-9
 
@@ -313,10 +307,8 @@ def test_decomposition_independence_of_wclass_pair_reduction():
     spec = random_spec(rng, 4, 3)
     rho = reduced_density(build_state(spec), (0, 1))
     rank = rho.rank()
-    averages = []
-    for _ in range(50):
-        ens = hjw_ensemble(rho, haar_unitary(rank, rng))
-        averages.append(ens.average(lambda s: negativity_pure(s, PART2)))
+    average = member_average(rho.dims, lambda s: negativity_pure(s, PART2))
+    averages = [average(hjw_ensemble(rho, haar_unitary(rank, rng))) for _ in range(50)]
     assert max(averages) - min(averages) <= 1e-8
 
 

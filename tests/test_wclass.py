@@ -207,6 +207,12 @@ def test_lemma1_two_party_reduction():
     assert rep.passed and rep.max_violation <= 1e-10
 
 
+def test_lemma1_rejects_zero_trials():
+    spec = random_spec(np.random.default_rng(11), 4, 3)
+    with pytest.raises(ValueError, match="trials"):
+        verify_lemma1(spec, (0, 1), trials=0)
+
+
 def test_lemma1_all_subsets_of_random_specs():
     rng = np.random.default_rng(12)
     from itertools import combinations
