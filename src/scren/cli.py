@@ -65,7 +65,6 @@ def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--iters", type=int, default=2000, help="evaluation budget per start")
     parser.add_argument("--ensemble-size", type=int, default=None,
                         help="decomposition size L (default: rank of the state)")
-    parser.add_argument("--tol", type=float, default=1e-6, help="convergence tolerance")
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
 
 
@@ -74,7 +73,6 @@ def _config_from(args: argparse.Namespace) -> RoofConfig:
         starts=args.starts,
         iters=args.iters,
         ensemble_size=args.ensemble_size,
-        tol=args.tol,
         seed=args.seed,
     )
 

@@ -6,7 +6,11 @@ to m/2.  The mixed m-party measure is the squared roof of the square root of
 the pure m-party residual, and an m >= 3 member's residual is its own SCREN
 ``sm_report`` residual, so ``sm_report`` is the only SM recursion and one
 report nests convex-roof optimizations.  Roofs inside another roof's objective
-run with a scaled-down budget (``RoofConfig.child``).
+run at the fixed small budget ``NESTED_CONFIG``.
+
+The CKW report is the pair level (m = 2) of the same balance sheet: one loop
+builds both, and both return an :class:`SMReport` with one schema.  For three
+parties the two inequalities coincide.
 
 The measure enters only at the top of a report: the focus-versus-rest cut and
 the guard on its pairs.  The recursion below the top cut is measure
@@ -25,7 +29,7 @@ operations stay 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 import numpy as np
 
@@ -36,6 +40,11 @@ from .states import Bipartition, PureState, reduced_density
 from .tangle import one_tangle, wootters_tangle
 
 SATISFIED_ATOL = 1e-6
+
+# Budget of every roof nested in an m >= 3 term: the term's outer roof and
+# its members' reports (run with the report's seed).  Each outer objective
+# evaluation runs a full member report, so the budget stays small.
+NESTED_CONFIG = RoofConfig(starts=3, iters=200)
 
 MEASURES = ("scren", "tangle")
 
@@ -92,7 +101,10 @@ class SMTerm:
 
 @dataclass(frozen=True)
 class SMReport:
-    """Strong-monogamy balance sheet for one pure state and focus party."""
+    """Strong-monogamy balance sheet for one pure state and focus party.
+
+    A CKW report (:func:`ckw_report`) is the same sheet over its m = 2 terms.
+    """
 
     measure: str
     focus: int
@@ -121,35 +133,6 @@ class SMReport:
                 "levels": {str(m): v for m, v in sorted(self.level_totals().items())},
                 "all_converged": all(t.converged for t in self.terms),
             },
-        }
-
-
-@dataclass(frozen=True)
-class CKWTerm:
-    party: int
-    value: float
-
-
-@dataclass(frozen=True)
-class CKWReport:
-    """Pairwise (CKW-type) monogamy balance sheet."""
-
-    measure: str
-    focus: int
-    lhs: float
-    terms: tuple[CKWTerm, ...]
-    rhs: float
-    residual: float
-    satisfied: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "terms": [{"party": t.party, "value": t.value} for t in self.terms],
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "satisfied": self.satisfied,
-            "diagnostics": {"measure": self.measure, "focus": self.focus},
         }
 
 
@@ -205,8 +188,8 @@ def _mixed_value(
     pairs ``_check_measure`` admits.  Terms of order three and above are the
     squared roof of the square root of each member's own SCREN ``sm_report``
     residual; that nests a full report inside every objective evaluation, so
-    their outer roof runs at ``config.child().child()`` and the members'
-    reports at one further ``.child()``.
+    both that outer roof and the members' reports run at ``NESTED_CONFIG``
+    with the report's seed, whatever the report's own budget.
     """
     rho = reduced_density(psi, (0,) + subset)
     if rho.dims == (2, 2):
@@ -214,29 +197,24 @@ def _mixed_value(
     if len(subset) == 1:
         value, result = scren2(rho, Bipartition((0,), 2), config, full_output=True)
     else:
-        outer = config.child().child()
-        inner = outer.child()
+        nested = replace(NESTED_CONFIG, seed=config.seed)
         value, result = roof_sqrt_functional(
             rho,
-            lambda member: sm_report(member, 0, "scren", inner).residual,
-            outer,
+            lambda member: sm_report(member, 0, "scren", nested).residual,
+            nested,
             full_output=True,
         )
     return value, result.converged, result.starts
 
 
-def sm_report(
+def _report(
     psi: PureState,
-    focus: int = 0,
-    measure: str = "scren",
-    config: RoofConfig | None = None,
+    focus: int,
+    measure: str,
+    config: RoofConfig | None,
+    pairs_only: bool,
 ) -> SMReport:
-    """Full strong-monogamy report for ``psi`` with the given focus party.
-
-    Labels in the returned terms follow the focus-first relabeling: the focus
-    party is label 1 and the remaining parties keep their original order as
-    labels 2..n.
-    """
+    """The balance sheet over levels m = 2..n-1, or over the pair level only."""
     config = config or RoofConfig()
     check_cost(psi.dims)
     work = _focus_first(psi, focus)
@@ -245,15 +223,15 @@ def sm_report(
     one = _cut_value(work, measure)
     terms: list[SMTerm] = []
     rhs = 0.0
-    for m in range(2, n):
-        for vec in enumerate_subsets(n, m):
-            subset = tuple(j - 1 for j in vec.entries)  # labels 2..n -> positions 1..n-1
+    for m in range(2, 3 if pairs_only else n):
+        for entries in combinations(range(2, n + 1), m - 1):
+            subset = tuple(j - 1 for j in entries)  # labels 2..n -> positions 1..n-1
             value, converged, starts = _mixed_value(work, subset, config)
             contribution = value ** (m / 2)
             rhs += contribution
             terms.append(
                 SMTerm(
-                    subset=vec,
+                    subset=IndexVector(entries),
                     value=value,
                     contribution=contribution,
                     converged=converged,
@@ -272,34 +250,34 @@ def sm_report(
     )
 
 
+def sm_report(
+    psi: PureState,
+    focus: int = 0,
+    measure: str = "scren",
+    config: RoofConfig | None = None,
+) -> SMReport:
+    """Full strong-monogamy report for ``psi`` with the given focus party.
+
+    Labels in the returned terms follow the focus-first relabeling: the focus
+    party is label 1 and the remaining parties keep their original order as
+    labels 2..n.
+    """
+    return _report(psi, focus, measure, config, pairs_only=False)
+
+
 def ckw_report(
     psi: PureState,
     focus: int = 0,
     measure: str = "scren",
     config: RoofConfig | None = None,
-) -> CKWReport:
-    """Pairwise monogamy report: focus-versus-rest against the sum of pairs."""
-    config = config or RoofConfig()
-    check_cost(psi.dims)
-    work = _focus_first(psi, focus)
-    _check_measure(work.dims, measure)
-    n = work.n_parties
-    lhs = _cut_value(work, measure)
-    terms = []
-    for j in range(1, n):
-        value = _mixed_value(work, (j,), config)[0]
-        terms.append(CKWTerm(party=j + 1, value=value))
-    rhs = float(sum(t.value for t in terms))
-    residual = lhs - rhs
-    return CKWReport(
-        measure=measure,
-        focus=focus,
-        lhs=lhs,
-        terms=tuple(terms),
-        rhs=rhs,
-        residual=residual,
-        satisfied=bool(residual >= -SATISFIED_ATOL),
-    )
+) -> SMReport:
+    """Pairwise (CKW) report: the pair level of :func:`sm_report`.
+
+    Its terms are the m = 2 terms of the SM report, so on three parties the
+    two reports are equal.  A two-party state has one pair term here and
+    none in the SM report.
+    """
+    return _report(psi, focus, measure, config, pairs_only=True)
 
 
 def n_scren_pure(psi: PureState, focus: int = 0, config: RoofConfig | None = None) -> float:

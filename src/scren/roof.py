@@ -35,8 +35,14 @@ CONJECTURE_ATOL = 1e-7
 SQRT_ROOF_FLOOR = 1e-5
 
 # Number of random unitaries probed to detect decomposition-independent
-# objectives before running the optimizer.
+# objectives before running the optimizer, and the largest spread of their
+# values that still counts as independent.
 PROBE_COUNT = 8
+PROBE_SPREAD_TOL = 1e-9
+
+# A search is reported unconverged when its winning start still improved by
+# more than this over the last quarter of its evaluations.
+CONVERGED_TOL = 1e-6
 
 
 class ConjectureViolation(Exception):
@@ -63,16 +69,11 @@ class RoofConfig:
     ``ensemble_size`` (L) defaults to the rank of the input state and may be
     raised up to rank*(rank+1).  ``iters`` is the per-start evaluation budget;
     it and ``starts`` must be at least 1.
-    ``child()`` derives the reduced-budget config used for roofs that run
-    inside another roof's objective (the recursive multi-party measures).  Its
-    floor of (3, 200) means the doubly derived budget of an m >= 3 term's
-    outer roof stays (3, 200) unless starts >= 64 or iters >= 5025.
     """
 
     starts: int = 16
     iters: int = 2000
     ensemble_size: int | None = None
-    tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -80,15 +81,6 @@ class RoofConfig:
             raise ValueError(
                 f"starts and iters must be at least 1, got {self.starts} and {self.iters}"
             )
-
-    def child(self) -> "RoofConfig":
-        return RoofConfig(
-            starts=max(3, self.starts // 4),
-            iters=max(200, self.iters // 5),
-            ensemble_size=None,
-            tol=self.tol,
-            seed=self.seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -209,12 +201,12 @@ def roof_minimize(
     ``starts=0``: a rank-one ``rho`` has a single decomposition; if the
     eigendecomposition average is already at or below ``stop_below`` it is
     returned as-is (the roof value is sandwiched between it and zero); and if
-    a seeded probe of random mixing unitaries shows a spread below tol/1000
-    the objective is treated as decomposition independent and the
-    eigendecomposition ensemble is returned.
+    a seeded probe of random mixing unitaries shows a spread of at most
+    ``PROBE_SPREAD_TOL`` the objective is treated as decomposition independent
+    and the eigendecomposition ensemble is returned.
 
     The ``converged`` flag is False when the winning start still improved by
-    more than ``config.tol`` over the last quarter of its evaluation sequence.
+    more than ``CONVERGED_TOL`` over the last quarter of its evaluation sequence.
     """
     config = config or RoofConfig()
     lam, base = _support(rho)
@@ -262,7 +254,7 @@ def roof_minimize(
         u = haar_unitary(size, probe_rng)
         probe_values.append(objective(u[:, :r] @ base))
     spread = max(probe_values) - min(probe_values)
-    if spread <= max(1e-12, config.tol * 1e-3):
+    if spread <= PROBE_SPREAD_TOL:
         return finish(eigen_rows, eigen_average, 0, True, probe_values)
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
@@ -294,7 +286,7 @@ def roof_minimize(
 
     quarter = (3 * len(best_trace)) // 4
     tail_gain = min(best_trace[:quarter]) - best_value if quarter > 0 else 0.0
-    converged = bool(tail_gain <= config.tol)
+    converged = bool(tail_gain <= CONVERGED_TOL)
 
     best_rows = (_unitary_from_params(best_theta, size) @ best_u0)[:, :r] @ base
     return finish(best_rows, objective(best_rows), len(history), converged, history)

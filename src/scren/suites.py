@@ -67,7 +67,7 @@ def paper_suite(seed: int = 7, oracle_trials: int = 50) -> dict:
 
     # 1: tangle values of the 3x2x2 counterexample, including the violation
     rep = ckw_report(CKW_COUNTEREXAMPLE_322, focus=0, measure="tangle", config=config)
-    one_ok = _close(rep.lhs, 4.0 / 3.0, 1e-9)
+    one_ok = _close(rep.one_value, 4.0 / 3.0, 1e-9)
     pair_ok = all(_close(t.value, 8.0 / 9.0, 1e-3) for t in rep.terms)
     residual_ok = _close(rep.residual, -4.0 / 9.0, 2e-3)
     checks.append(
@@ -80,7 +80,7 @@ def paper_suite(seed: int = 7, oracle_trials: int = 50) -> dict:
 
     # 2: the same state under SCREN satisfies the pairwise inequality
     rep = ckw_report(CKW_COUNTEREXAMPLE_322, focus=0, measure="scren", config=config)
-    one_ok = _close(rep.lhs, 4.0, 1e-9)
+    one_ok = _close(rep.one_value, 4.0, 1e-9)
     pair_ok = all(_close(t.value, 8.0 / 9.0, 1e-3) for t in rep.terms)
     checks.append(
         {
@@ -92,7 +92,7 @@ def paper_suite(seed: int = 7, oracle_trials: int = 50) -> dict:
 
     # 3: antisymmetric qutrit fixture
     rep = ckw_report(ANTISYMMETRIC_333, focus=0, measure="scren", config=config)
-    one_ok = _close(rep.lhs, 4.0, 1e-9)
+    one_ok = _close(rep.one_value, 4.0, 1e-9)
     pair_ok = all(_close(t.value, 1.0, 1e-3) for t in rep.terms)
     checks.append(
         {
@@ -127,11 +127,11 @@ def _wclass_trial(task: tuple) -> dict:
     thm1 = verify_theorem1(spec, config)
     thm2 = verify_theorem2(spec, config)
     n = spec.n
-    lemma_worst = 0.0
-    for size in range(2, n):
-        for rest in combinations(range(1, n), size - 1):
-            rep = verify_lemma1(spec, (0,) + rest, trials=LEMMA_TRIALS, seed=seed + t)
-            lemma_worst = max(lemma_worst, rep.max_violation)
+    lemma = [
+        verify_lemma1(spec, (0,) + rest, trials=LEMMA_TRIALS, seed=seed + t)
+        for size in range(2, n)
+        for rest in combinations(range(1, n), size - 1)
+    ]
     return {
         "trial": t,
         "p": spec.p,
@@ -140,8 +140,8 @@ def _wclass_trial(task: tuple) -> dict:
         "theorem2_passed": thm2.passed,
         "theorem2_residual": thm2.residual,
         "theorem2_max_higher_term": thm2.max_higher_term,
-        "lemma1_max_violation": lemma_worst,
-        "lemma1_passed": bool(lemma_worst <= 1e-10),
+        "lemma1_max_violation": max((rep.max_violation for rep in lemma), default=0.0),
+        "lemma1_passed": all(rep.passed for rep in lemma),
     }
 
 

@@ -220,17 +220,17 @@ def verify_theorem1(spec: WClassSpec, config: RoofConfig | None = None) -> Theor
     """Check one-SCREN == sum of pairwise SCRENs, numeric against closed form.
 
     The numeric side is the SCREN ``ckw_report`` of the state with party 1 in
-    focus, so qubit pairs take the Wootters closed form and qudit pairs the
-    ``scren2`` roof.
+    focus (the m = 2 terms of its SM report), so qubit pairs take the Wootters
+    closed form and qudit pairs the ``scren2`` roof.
     """
     rep = ckw_report(build_state(spec), 0, "scren", config)
     pair_numeric = tuple(t.value for t in rep.terms)
     pair_closed = tuple(two_scren_closed(spec, s) for s in range(2, spec.n + 1))
     errors = tuple(abs(a - b) for a, b in zip(pair_numeric, pair_closed))
-    sum_error = abs(rep.lhs - sum(pair_closed))
+    sum_error = abs(rep.one_value - sum(pair_closed))
     passed = bool(max(errors, default=0.0) <= THEOREM_ATOL and sum_error <= THEOREM_ATOL)
     return Theorem1Report(
-        one_numeric=rep.lhs,
+        one_numeric=rep.one_value,
         one_closed=one_scren_closed(spec),
         pair_numeric=pair_numeric,
         pair_closed=pair_closed,

@@ -48,7 +48,7 @@ def _report(criterion: str, passed: bool, elapsed: float, detail: str) -> None:
 def test_criterion_1_counterexample_tangle():
     t0 = time.time()
     rep = ckw_report(CKW_COUNTEREXAMPLE_322, 0, "tangle", CONFIG)
-    one_err = abs(rep.lhs - 4 / 3)
+    one_err = abs(rep.one_value - 4 / 3)
     pair_err = max(abs(t.value - 8 / 9) for t in rep.terms)
     res_err = abs(rep.residual + 4 / 9)
     elapsed = time.time() - t0
@@ -58,7 +58,7 @@ def test_criterion_1_counterexample_tangle():
         "criterion 1: 3x2x2 tangle violation",
         ok,
         elapsed,
-        f"one={rep.lhs:.9f} pairs={[round(t.value, 6) for t in rep.terms]} "
+        f"one={rep.one_value:.9f} pairs={[round(t.value, 6) for t in rep.terms]} "
         f"residual={rep.residual:.6f}",
     )
     assert ok
@@ -67,7 +67,7 @@ def test_criterion_1_counterexample_tangle():
 def test_criterion_2_counterexample_scren():
     t0 = time.time()
     rep = ckw_report(CKW_COUNTEREXAMPLE_322, 0, "scren", CONFIG)
-    one_err = abs(rep.lhs - 4.0)
+    one_err = abs(rep.one_value - 4.0)
     pair_err = max(abs(t.value - 8 / 9) for t in rep.terms)
     elapsed = time.time() - t0
     ok = one_err <= 1e-9 and pair_err <= 1e-3 and rep.satisfied and elapsed <= 60.0
@@ -75,7 +75,7 @@ def test_criterion_2_counterexample_scren():
         "criterion 2: 3x2x2 SCREN holds",
         ok,
         elapsed,
-        f"one={rep.lhs:.9f} pairs={[round(t.value, 6) for t in rep.terms]} "
+        f"one={rep.one_value:.9f} pairs={[round(t.value, 6) for t in rep.terms]} "
         f"residual={rep.residual:.6f}",
     )
     assert ok
@@ -84,7 +84,7 @@ def test_criterion_2_counterexample_scren():
 def test_criterion_3_antisymmetric_scren():
     t0 = time.time()
     rep = ckw_report(ANTISYMMETRIC_333, 0, "scren", CONFIG)
-    one_err = abs(rep.lhs - 4.0)
+    one_err = abs(rep.one_value - 4.0)
     pair_err = max(abs(t.value - 1.0) for t in rep.terms)
     elapsed = time.time() - t0
     ok = one_err <= 1e-9 and pair_err <= 1e-3 and elapsed <= 120.0
@@ -92,7 +92,7 @@ def test_criterion_3_antisymmetric_scren():
         "criterion 3: antisymmetric qutrit fixture",
         ok,
         elapsed,
-        f"one={rep.lhs:.9f} pairs={[round(t.value, 6) for t in rep.terms]}",
+        f"one={rep.one_value:.9f} pairs={[round(t.value, 6) for t in rep.terms]}",
     )
     assert ok
 

@@ -166,6 +166,16 @@ def test_compute_rejects_budgets_below_one(capsys, tmp_path, flag, value):
     assert "at least 1" in err
 
 
+def test_tol_flag_is_an_input_error(capsys, state_files):
+    # the convergence threshold is a fixed constant of the roof engine
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "scren", "--state", state_files["bell"], "--cut", "0", "--tol", "1e-6"])
+    assert exc.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
 def test_missing_cut_exits_2(capsys, state_files):
     code, _, err = run_cli(capsys, "compute", "negativity", "--state", state_files["bell"])
     assert code == EXIT_INPUT

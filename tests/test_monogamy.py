@@ -1,6 +1,7 @@
 """CKW and strong-monogamy reports, subsets, fixtures, serialization."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scren import (
     CostGuardError,
     IndexVector,
     RoofConfig,
+    bell_state,
     ckw_report,
     enumerate_subsets,
     ghz_state,
@@ -26,6 +28,7 @@ from scren import (
     w_state,
     wootters_tangle,
 )
+from scren.monogamy import NESTED_CONFIG
 from scren.wclass import build_state, random_spec
 
 FAST = RoofConfig(starts=8, iters=600, seed=7)
@@ -76,7 +79,7 @@ def test_index_vector_validation():
 
 def test_fixture_322_tangle_violation():
     rep = ckw_report(CKW_COUNTEREXAMPLE_322, 0, "tangle", FAST)
-    assert abs(rep.lhs - 4 / 3) <= 1e-9
+    assert abs(rep.one_value - 4 / 3) <= 1e-9
     for term in rep.terms:
         assert abs(term.value - 8 / 9) <= 1e-3
     assert abs(rep.residual + 4 / 9) <= 2e-3
@@ -85,7 +88,7 @@ def test_fixture_322_tangle_violation():
 
 def test_fixture_322_scren_satisfied():
     rep = ckw_report(CKW_COUNTEREXAMPLE_322, 0, "scren", FAST)
-    assert abs(rep.lhs - 4.0) <= 1e-9
+    assert abs(rep.one_value - 4.0) <= 1e-9
     for term in rep.terms:
         assert abs(term.value - 8 / 9) <= 1e-3
     assert rep.satisfied
@@ -93,7 +96,7 @@ def test_fixture_322_scren_satisfied():
 
 def test_fixture_333_scren_values():
     rep = ckw_report(ANTISYMMETRIC_333, 0, "scren", FAST)
-    assert abs(rep.lhs - 4.0) <= 1e-9
+    assert abs(rep.one_value - 4.0) <= 1e-9
     for term in rep.terms:
         assert abs(term.value - 1.0) <= 1e-3
     assert rep.satisfied
@@ -194,7 +197,7 @@ def test_sm_dominates_ckw():
     for psi in (ghz_state(4), haar_random_state((2, 2, 2), rng)):
         sm = sm_report(psi, 0, "scren", cfg)
         ckw = ckw_report(psi, 0, "scren", cfg)
-        assert sm.rhs_total >= ckw.rhs - 1e-6
+        assert sm.rhs_total >= ckw.rhs_total - 1e-6
 
 
 def test_sm_permutation_covariance():
@@ -262,8 +265,7 @@ def test_qubit_pairs_are_wootters_and_qudit_pairs_scren2():
 
 def test_nested_term_is_the_members_own_report_residual():
     # an m = 3 term is the squared roof of sqrt(n_scren_pure) of its members
-    outer = FAST.child().child()
-    inner = outer.child()
+    nested = replace(NESTED_CONFIG, seed=FAST.seed)
     rng = np.random.default_rng(3)
     states = [ghz_state(4), w_state(4)]
     states += [build_state(random_spec(rng, 4, 3)) for _ in range(4)]
@@ -271,25 +273,35 @@ def test_nested_term_is_the_members_own_report_residual():
         rep = sm_report(psi, 0, "scren", FAST)
         (term,) = [t for t in rep.terms if t.subset.entries == (2, 3)]
         direct = roof_sqrt_functional(
-            reduced_density(psi, (0, 1, 2)), lambda s: n_scren_pure(s, 0, inner), outer
+            reduced_density(psi, (0, 1, 2)), lambda s: n_scren_pure(s, 0, nested), nested
         )
         assert term.value == direct
 
 
-def test_sm_report_serialization_schema():
-    rep = sm_report(ghz_state(3), 0, "scren", FAST)
-    data = rep.to_dict()
+@pytest.mark.parametrize("report", [sm_report, ckw_report], ids=lambda f: f.__name__)
+def test_sm_report_serialization_schema(report):
+    data = report(ghz_state(3), 0, "scren", FAST).to_dict()
     assert set(data) == {"one", "terms", "rhs", "residual", "satisfied", "diagnostics"}
     for term in data["terms"]:
         assert set(term) == {"subset", "m", "value", "contribution", "converged"}
+    assert set(data["diagnostics"]) == {"measure", "focus", "levels", "all_converged"}
     json.dumps(data)  # JSON-safe
 
 
-def test_ckw_report_serialization():
-    rep = ckw_report(ghz_state(3), 0, "scren", FAST)
-    data = rep.to_dict()
-    assert set(data) == {"lhs", "terms", "rhs", "residual", "satisfied", "diagnostics"}
-    json.dumps(data)
+def test_ckw_report_is_the_pair_level_of_sm_report():
+    rng = np.random.default_rng(15)
+    for psi in (w_state(4), build_state(random_spec(rng, 4, 3))):
+        ckw = ckw_report(psi, 0, "scren", FAST)
+        sm = sm_report(psi, 0, "scren", FAST)
+        pairs = [t for t in sm.terms if t.order == 2]
+        assert ckw.terms == tuple(pairs)
+        assert ckw.one_value == sm.one_value
+        assert ckw.residual == ckw.one_value - sum(t.value for t in pairs)
+    # two parties: one pair term against none in the SM report
+    rep = ckw_report(bell_state(), 0, "scren", FAST)
+    assert [t.subset.entries for t in rep.terms] == [(2,)]
+    assert abs(rep.residual) <= 1e-12
+    assert sm_report(bell_state(), 0, "scren", FAST).terms == ()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Convex-roof engine: ensemble mixing, minimization, and its invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from scren import (
     to_density,
     wootters_tangle,
 )
+from scren.monogamy import NESTED_CONFIG
 from scren.roof import _support
 from scren.wclass import build_state, random_spec
 
@@ -50,14 +53,6 @@ def test_mixing_unitary_rejects_non_unitary():
         hjw_ensemble(rho, np.ones((2, 2)))
     with pytest.raises(ValueError, match="square"):
         hjw_ensemble(rho, np.eye(3)[:, :2])
-
-
-def test_config_child_shrinks_budget():
-    child = RoofConfig(starts=16, iters=2000, seed=3).child()
-    assert child.starts < 16 and child.iters < 2000
-    assert child.seed == 3
-    grandchild = child.child()
-    assert grandchild.starts >= 3 and grandchild.iters >= 200
 
 
 @pytest.mark.parametrize("budget", [{"starts": 0}, {"iters": 0}, {"starts": -2}])
@@ -297,7 +292,8 @@ def test_sqrt_roof_three_party_wclass_term_vanishes():
     spec = random_spec(rng, 4, 3)
     psi = build_state(spec)
     rho = reduced_density(psi, (0, 1, 2))
-    val = roof_sqrt_functional(rho, lambda s: n_scren_pure(s, 0, FAST.child()), FAST)
+    nested = replace(NESTED_CONFIG, seed=FAST.seed)
+    val = roof_sqrt_functional(rho, lambda s: n_scren_pure(s, 0, nested), FAST)
     assert val <= 1e-3
 
 
