@@ -247,6 +247,9 @@ def _run_verify(args) -> tuple[dict, bool]:
         report = paper_suite(seed=args.seed, oracle_trials=trials)
     else:
         trials = args.trials if args.trials is not None else 20
+        if args.n < 3:
+            # a two-party SM report has no terms, so Theorem 2 cannot saturate
+            raise InputError(f"verify wclass needs --n >= 3, got {args.n}")
         check_cost((args.d,) * args.n)
         report = wclass_suite(
             seed=args.seed,

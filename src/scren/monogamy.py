@@ -4,9 +4,10 @@ The SM right-hand side sums, over every level m = 2..n-1 and every (m-1)-subset
 of the non-focus parties, the mixed m-party measure of the reduced state raised
 to m/2.  The mixed m-party measure is the squared roof of the square root of
 the pure m-party residual, and an m >= 3 member's residual is its own SCREN
-``sm_report`` residual, so ``sm_report`` is the only SM recursion and one
-report nests convex-roof optimizations.  Roofs inside another roof's objective
-run at the fixed small budget ``NESTED_CONFIG``.
+``sm_report`` residual (on three qubits, the three-tangle closed form), so
+``sm_report`` is the only SM recursion and one report may nest convex-roof
+optimizations.  Roofs that nest another roof in their objective run at the
+fixed small budget ``NESTED_CONFIG``.
 
 The CKW report is the pair level (m = 2) of the same balance sheet: one loop
 builds both, and both return an :class:`SMReport` with one schema.  For three
@@ -19,8 +20,11 @@ reports nest (n >= 4) only for all-qubit states, where the one-tangle is the
 squared negativity; so every pair value is the SCREN pair roof and every
 nested residual is a SCREN residual.  A qubit pair's roof is the Wootters
 closed form (:func:`scren.tangle.wootters_tangle`), so all-qubit reports run
-no pair optimizer, and the residual of a 3-qubit member is exact: the
-Coffman-Kundu-Wootters three-tangle 4|Det psi|.  Other pairs run ``scren2``.
+no pair optimizer.  Other pairs run ``scren2``.  The residual of a 3-qubit
+state is the Coffman-Kundu-Wootters three-tangle 4|Det psi|
+(:func:`scren.tangle.three_tangle_rows`): ``n_scren_pure`` returns it without
+a report, and the m = 3 term of a 3-qubit reduced state is one roof over
+hyperdeterminant rows at the report's own budget, with no roof nested in it.
 
 Subsets are reported with the paper-style 1-based labels {2..n} assigned after
 moving the focus party to the front; subsystem indices handed to the state
@@ -35,15 +39,17 @@ import numpy as np
 
 from .guards import check_cost
 from .negativity import negativity_pure
-from .roof import RoofConfig, roof_sqrt_functional, scren2
+from .roof import SQRT_ROOF_FLOOR, RoofConfig, roof_minimize, roof_sqrt_functional, scren2
 from .states import Bipartition, PureState, reduced_density
-from .tangle import one_tangle, wootters_tangle
+from .tangle import one_tangle, three_tangle_rows, wootters_tangle
 
 SATISFIED_ATOL = 1e-6
 
-# Budget of every roof nested in an m >= 3 term: the term's outer roof and
-# its members' reports (run with the report's seed).  Each outer objective
-# evaluation runs a full member report, so the budget stays small.
+# Budget of an m >= 3 term whose objective nests a roof: the term's outer
+# roof and its members' reports (run with the report's seed).  These are the
+# terms with a qudit member and the m = 4 terms of 5-party reports; each outer
+# objective evaluation runs a full member report, so the budget stays small.
+# An all-qubit m = 3 term nests no roof and runs at the report's own budget.
 NESTED_CONFIG = RoofConfig(starts=3, iters=200)
 
 MEASURES = ("scren", "tangle")
@@ -186,7 +192,10 @@ def _mixed_value(
     closed form, reported as ``(C^2, True, 0)``; any other pair is the
     ``scren2`` roof at the given config.  Either is also the two-tangle of the
     pairs ``_check_measure`` admits.  Terms of order three and above are the
-    squared roof of the square root of each member's own SCREN ``sm_report``
+    squared roof of the square root of each member's SCREN residual.  On a
+    3-qubit reduced state that residual is the three-tangle, so the term is
+    the squared roof of sum_h sqrt(4|Det row_h|) over the member rows, at the
+    given config.  Any other member's residual is its own ``sm_report``
     residual; that nests a full report inside every objective evaluation, so
     both that outer roof and the members' reports run at ``NESTED_CONFIG``
     with the report's seed, whatever the report's own budget.
@@ -196,6 +205,14 @@ def _mixed_value(
         return wootters_tangle(rho), True, 0
     if len(subset) == 1:
         value, result = scren2(rho, Bipartition((0,), 2), config, full_output=True)
+    elif rho.dims == (2, 2, 2):
+        result = roof_minimize(
+            rho,
+            lambda rows: float(np.sqrt(three_tangle_rows(rows)).sum()),
+            config,
+            stop_below=SQRT_ROOF_FLOOR,
+        )
+        value = max(0.0, result.value) ** 2
     else:
         nested = replace(NESTED_CONFIG, seed=config.seed)
         value, result = roof_sqrt_functional(
@@ -281,7 +298,13 @@ def ckw_report(
 
 
 def n_scren_pure(psi: PureState, focus: int = 0, config: RoofConfig | None = None) -> float:
-    """Recursive multi-party residual of the squared convex-roof negativity."""
+    """Recursive multi-party residual of the squared convex-roof negativity.
+
+    On three qubits this is the three-tangle 4|Det psi|, which depends on
+    neither the focus nor the config and is returned without a report.
+    """
+    if psi.dims == (2, 2, 2):
+        return float(three_tangle_rows(_focus_first(psi, focus).amplitudes[None])[0])
     return sm_report(psi, focus=focus, measure="scren", config=config).residual
 
 

@@ -13,6 +13,12 @@ On two qubits that roof has the Wootters closed form,
 :func:`wootters_tangle`.  Strong-monogamy reports use it for every qubit pair;
 ``scren2`` and ``two_tangle`` stay on the optimizer, which the closed form
 checks.
+
+On three qubits the SCREN strong-monogamy residual is the Coffman-Kundu-Wootters
+three-tangle 4|Det psi|, with Det Cayley's hyperdeterminant.
+:func:`three_tangle_rows` evaluates it on a batch of unnormalized rows, so
+``n_scren_pure`` on three qubits and the m = 3 terms of all-qubit reports
+need neither a nested report nor a ``PureState`` per member.
 """
 
 from __future__ import annotations
@@ -47,6 +53,24 @@ def wootters_tangle(rho: DensityMatrix) -> float:
     _, base = _support(rho)
     s = np.linalg.svd(base @ _YY @ base.T, compute_uv=False)
     return max(0.0, float(s[0] - s[1:].sum())) ** 2
+
+
+def three_tangle_rows(rows: np.ndarray) -> np.ndarray:
+    """Three-tangle 4|Det row| of each row of an (L, 8) array of 3-qubit amplitudes.
+
+    Det is the discriminant b^2 - 4ac of the quadratic det(A_0 + t A_1) =
+    a + b t + c t^2, where A_0 and A_1 are the 2 x 2 slices of the row at
+    first qubit 0 and 1.  Det is homogeneous of degree 4, so a row of weight
+    w = |row|^2 gives w^2 tau_3(row / sqrt(w)) and the rows need no
+    normalization: the square root of the result is w sqrt(tau_3).
+    """
+    if rows.ndim != 2 or rows.shape[1] != 8:
+        raise ValueError(f"three_tangle_rows needs an (L, 8) array, got shape {rows.shape}")
+    r = rows.T
+    a = r[0] * r[3] - r[1] * r[2]
+    c = r[4] * r[7] - r[5] * r[6]
+    b = r[0] * r[7] + r[4] * r[3] - r[1] * r[6] - r[5] * r[2]
+    return 4.0 * np.abs(b * b - 4.0 * a * c)
 
 
 def two_tangle(

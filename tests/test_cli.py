@@ -278,6 +278,17 @@ def test_verify_wclass_guard(capsys):
     assert "parties" in err
 
 
+@pytest.mark.parametrize("n", ["2", "1"])
+def test_verify_wclass_rejects_fewer_than_three_parties(capsys, n):
+    # a two-party SM report has no terms, so Theorem 2's saturation check cannot hold
+    code, out, err = run_cli(
+        capsys, "verify", "wclass", "--n", n, "--d", "2", "--trials", "1", "--seed", "1"
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "--n" in err
+
+
 @pytest.mark.parametrize("suite", ["paper", "wclass"])
 def test_verify_rejects_zero_trials(capsys, suite):
     code, out, err = run_cli(capsys, "verify", suite, "--trials", "0")

@@ -22,13 +22,16 @@ from scren import (
     n_tangle_pure,
     negativity_pure,
     reduced_density,
+    roof_minimize,
     roof_sqrt_functional,
     scren2,
     sm_report,
+    three_tangle_rows,
     w_state,
     wootters_tangle,
 )
 from scren.monogamy import NESTED_CONFIG
+from scren.roof import SQRT_ROOF_FLOOR
 from scren.wclass import build_state, random_spec
 
 FAST = RoofConfig(starts=8, iters=600, seed=7)
@@ -125,13 +128,38 @@ def _hyperdeterminant(psi) -> complex:
 
 
 def test_n_scren_three_qubits_is_three_tangle():
-    # exact qubit pairs make the residual the CKW three-tangle 4|Det psi|
+    # the residual is the CKW three-tangle 4|Det psi|, checked against Cayley's formula
     rng = np.random.default_rng(13)
     states = [haar_random_state((2, 2, 2), rng) for _ in range(20)]
     for psi in states + [ghz_state(3), w_state(3)]:
         assert abs(n_scren_pure(psi, 0, FAST) - 4 * abs(_hyperdeterminant(psi))) <= 1e-12
     assert abs(n_scren_pure(ghz_state(3), 0, FAST) - 1.0) <= 1e-12
     assert abs(n_scren_pure(w_state(3), 0, FAST)) <= 1e-12
+
+
+def test_n_scren_three_qubits_is_the_report_residual_for_every_focus():
+    # the closed form stands in for the report, whose pairs are exact Wootters values
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        psi = haar_random_state((2, 2, 2), rng)
+        for focus in range(3):
+            report = sm_report(psi, focus, "scren", FAST)
+            assert abs(n_scren_pure(psi, focus, FAST) - report.residual) <= 1e-13
+
+
+def test_n_scren_three_qubits_ignores_the_config():
+    rng = np.random.default_rng(18)
+    for psi in [haar_random_state((2, 2, 2), rng) for _ in range(4)] + [ghz_state(3)]:
+        cheap = n_scren_pure(psi, 0, RoofConfig(starts=1, iters=1, seed=3))
+        assert cheap == n_scren_pure(psi, 0, FAST)
+        assert cheap == n_scren_pure(psi, 0)
+
+
+def test_n_scren_three_qubits_rejects_focus_out_of_range():
+    psi = haar_random_state((2, 2, 2), np.random.default_rng(19))
+    for focus in (3, -1):
+        with pytest.raises(ValueError, match="focus"):
+            n_scren_pure(psi, focus, FAST)
 
 
 def test_n_scren_wclass_three_qudit_saturates():
@@ -263,19 +291,48 @@ def test_qubit_pairs_are_wootters_and_qudit_pairs_scren2():
     assert pairs[(3,)].starts == 0
 
 
+def _three_tangle_roof(rho, config):
+    """Squared roof of the summed sqrt(4|Det row|) over the member rows."""
+    result = roof_minimize(
+        rho,
+        lambda rows: float(np.sqrt(three_tangle_rows(rows)).sum()),
+        config,
+        stop_below=SQRT_ROOF_FLOOR,
+    )
+    return max(0.0, result.value) ** 2, result
+
+
 def test_nested_term_is_the_members_own_report_residual():
-    # an m = 3 term is the squared roof of sqrt(n_scren_pure) of its members
+    # an m = 3 term is the squared roof of sqrt(n_scren_pure) of its members;
+    # on qubit members that residual is the three-tangle, at the report's budget
     nested = replace(NESTED_CONFIG, seed=FAST.seed)
+    for psi in (ghz_state(4), w_state(4)):
+        rep = sm_report(psi, 0, "scren", FAST)
+        (term,) = [t for t in rep.terms if t.subset.entries == (2, 3)]
+        direct, _ = _three_tangle_roof(reduced_density(psi, (0, 1, 2)), FAST)
+        assert term.value == direct
     rng = np.random.default_rng(3)
-    states = [ghz_state(4), w_state(4)]
-    states += [build_state(random_spec(rng, 4, 3)) for _ in range(4)]
-    for psi in states:
+    for psi in [build_state(random_spec(rng, 4, 3)) for _ in range(4)]:
         rep = sm_report(psi, 0, "scren", FAST)
         (term,) = [t for t in rep.terms if t.subset.entries == (2, 3)]
         direct = roof_sqrt_functional(
             reduced_density(psi, (0, 1, 2)), lambda s: n_scren_pure(s, 0, nested), nested
         )
         assert term.value == direct
+
+
+def test_all_qubit_m3_terms_run_at_the_report_budget():
+    # the three-tangle roof nests no roof, so --starts/--iters reach every m = 3 term
+    psi = haar_random_state((2,) * 4, np.random.default_rng(16))
+    for cfg in (RoofConfig(starts=2, iters=150, seed=5), RoofConfig(starts=4, iters=250, seed=5)):
+        triples = [t for t in sm_report(psi, 0, "scren", cfg).terms if t.order == 3]
+        assert len(triples) == 3
+        for term in triples:
+            subset = tuple(j - 1 for j in term.subset.entries)
+            direct, result = _three_tangle_roof(reduced_density(psi, (0,) + subset), cfg)
+            assert term.value == direct
+            assert term.converged == result.converged
+            assert term.starts == result.starts == cfg.starts
 
 
 @pytest.mark.parametrize("report", [sm_report, ckw_report], ids=lambda f: f.__name__)

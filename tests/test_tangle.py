@@ -17,6 +17,7 @@ from scren import (
     reduced_density,
     scren2,
     tensor,
+    three_tangle_rows,
     to_density,
     two_tangle,
     w_state,
@@ -115,6 +116,44 @@ def test_wootters_rejects_wrong_dims():
     rho = to_density(haar_random_state((3, 2), rng))
     with pytest.raises(ValueError, match="qubit"):
         wootters_tangle(rho)
+
+
+# ---------------------------------------------------------------------------
+# three_tangle_rows
+# ---------------------------------------------------------------------------
+
+def test_three_tangle_fixture_values():
+    biseparable = tensor([bell_state(), ghz_state(1)])
+    rows = np.stack([psi.amplitudes for psi in (ghz_state(3), w_state(3), biseparable)])
+    values = three_tangle_rows(rows)
+    assert values.shape == (3,)
+    assert abs(values[0] - 1.0) <= 1e-15
+    assert values[1] <= 1e-15 and values[2] <= 1e-15
+
+
+def test_three_tangle_scaled_row_is_w_squared_times_normalized():
+    # Det is homogeneous of degree 4: a row sqrt(w)|psi> gives w^2 tau_3(psi)
+    rng = np.random.default_rng(21)
+    for w in (0.05, 0.4, 1.0, 2.5):
+        psi = haar_random_state((2, 2, 2), rng)
+        (normalized,) = three_tangle_rows(psi.amplitudes[None])
+        (scaled,) = three_tangle_rows(np.sqrt(w) * psi.amplitudes[None])
+        assert abs(scaled - w**2 * normalized) <= 1e-14 * max(1.0, w**2)
+
+
+def test_three_tangle_local_unitary_invariance_and_batching():
+    rng = np.random.default_rng(22)
+    states = [haar_random_state((2, 2, 2), rng) for _ in range(5)]
+    batch = three_tangle_rows(np.stack([psi.amplitudes for psi in states]))
+    for psi, value in zip(states, batch):
+        moved = random_local_unitaries(psi, rng)
+        assert abs(three_tangle_rows(moved.amplitudes[None])[0] - value) <= 1e-13
+        assert abs(three_tangle_rows(psi.amplitudes[None])[0] - value) <= 1e-15
+
+
+def test_three_tangle_rejects_wrong_shape():
+    with pytest.raises(ValueError, match="8"):
+        three_tangle_rows(np.zeros((2, 4), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
