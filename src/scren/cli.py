@@ -61,11 +61,15 @@ class InputError(Exception):
 
 
 def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--starts", type=int, default=16, help="optimizer multi-starts")
+    parser.add_argument("--starts", type=int, default=16,
+                        help="optimizer multi-starts (a rank-2 qubit-qudit pair runs "
+                             "one start from a chord scan instead)")
     parser.add_argument("--iters", type=int, default=2000, help="evaluation budget per start")
     parser.add_argument("--ensemble-size", type=int, default=None,
                         help="decomposition size L (default: rank of the state)")
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="master random seed (on a rank-2 qubit-qudit pair it "
+                             "seeds only the decomposition-independence probe)")
 
 
 def _config_from(args: argparse.Namespace) -> RoofConfig:
@@ -239,9 +243,15 @@ def _run_compute(args) -> dict:
 # verify
 # ---------------------------------------------------------------------------
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise InputError(f"--workers must be at least 1, got {workers}")
+
+
 def _run_verify(args) -> tuple[dict, bool]:
     if args.trials is not None and args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
+    _check_workers(args.workers)
     if args.suite == "paper":
         trials = args.trials if args.trials is not None else 50
         report = paper_suite(seed=args.seed, oracle_trials=trials)
@@ -309,6 +319,7 @@ def _run_hunt(args) -> dict:
     _check_measure(dims, args.measure)
     if args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
+    _check_workers(args.workers)
     config = _config_from(args)
 
     tasks = []

@@ -11,6 +11,16 @@ direction-set (Powell) search from multiple starts: start 0 is the identity
 and the remaining starts are Haar-random unitaries.  The winning start gets a
 high-precision polish pass.  All randomness derives from the config seed, so
 results are reproducible.
+
+A rank-2 state of a qubit and a qudit searched at L = 2 takes one start
+instead.  Its two-member decompositions are exactly the chords of its Bloch
+ball through the state's Bloch vector (Osterloh, Siewert & Uhlmann, PRA 77,
+032310 (2008)), a two-parameter family, so a fixed grid of ``CHORD_COUNT``
+chord directions plus the eigendecomposition is scanned and Powell runs from
+the best of them.  That start is deterministic, so ``starts`` and ``seed``
+do not change its value.  On 3 x 3 pairs the same single start missed the
+multi-start value on some states, so every other input keeps multi-start
+search.
 """
 
 from __future__ import annotations
@@ -40,6 +50,9 @@ SQRT_ROOF_FLOOR = 1e-5
 PROBE_COUNT = 8
 PROBE_SPREAD_TOL = 1e-9
 
+# Chord directions scanned for the single start of a rank-2 pair roof.
+CHORD_COUNT = 64
+
 # A search is reported unconverged when its winning start still improved by
 # more than this over the last quarter of its evaluations.
 CONVERGED_TOL = 1e-6
@@ -68,7 +81,9 @@ class RoofConfig:
 
     ``ensemble_size`` (L) defaults to the rank of the input state and may be
     raised up to rank*(rank+1).  ``iters`` is the per-start evaluation budget;
-    it and ``starts`` must be at least 1.
+    it and ``starts`` must be at least 1.  A rank-2 qubit-qudit pair at
+    L = 2 runs one start from a chord scan whatever ``starts`` says, and there
+    ``seed`` only seeds the decomposition-independence probe.
     """
 
     starts: int = 16
@@ -172,6 +187,41 @@ def _unitary_from_params(theta: np.ndarray, size: int) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
+def _chord_unitaries(lam: np.ndarray) -> np.ndarray:
+    """(CHORD_COUNT, 2, 2) mixing unitaries of the two-member chord decompositions.
+
+    In the eigenbasis of a rank-2 state, normalized to q = lam / sum(lam), the
+    Bloch vector is r0 = (0, 0, c) with c = q_1 - q_2.  The chord through r0
+    along u meets the sphere at n = r0 + t u with t = -b +- sqrt(b^2 + 1 - c^2),
+    b = c u_z, and its end points n+ and n- mix back to r0 at weights
+    p+ = -t- / (t+ - t-) and p- = 1 - p+.  The member psi(n) =
+    cos(theta/2) e_1 + e^{i phi} sin(theta/2) e_2 is the row
+    sqrt(p) (cos(theta/2) / sqrt(q_1), e^{i phi} sin(theta/2) / sqrt(q_2)) of
+    the unitary acting on the support rows sqrt(lam_i) e_i.
+
+    The directions u are the upper half of a Fibonacci sphere: a chord and its
+    reverse are the same decomposition.  The z-axis, the eigendecomposition,
+    is left to the caller.
+    """
+    k = np.arange(CHORD_COUNT)
+    z = 1.0 - (k + 0.5) / CHORD_COUNT
+    azimuth = k * np.pi * (3.0 - np.sqrt(5.0))
+    rad = np.sqrt(1.0 - z**2)
+    u = np.column_stack([rad * np.cos(azimuth), rad * np.sin(azimuth), z])
+    q = lam / lam.sum()
+    c = q[0] - q[1]
+    b = c * u[:, 2]
+    root = np.sqrt(b**2 + 1.0 - c**2)
+    t = np.column_stack([-b + root, -b - root])
+    p_plus = -t[:, 1] / (t[:, 0] - t[:, 1])
+    p = np.column_stack([p_plus, 1.0 - p_plus])
+    n = np.array([0.0, 0.0, c]) + t[:, :, None] * u[:, None, :]
+    theta = np.arccos(np.clip(n[..., 2], -1.0, 1.0))
+    phase = np.exp(1j * np.arctan2(n[..., 1], n[..., 0]))
+    psi = np.stack([np.cos(theta / 2), phase * np.sin(theta / 2)], axis=-1)
+    return np.sqrt(p)[..., None] * psi / np.sqrt(q)
+
+
 def member_average(dims: Sequence[int], fn: Callable[[PureState], float]):
     """Row objective sum_h w_h fn(row_h / sqrt(w_h)) from a pure-state functional.
 
@@ -204,6 +254,13 @@ def roof_minimize(
     a seeded probe of random mixing unitaries shows a spread of at most
     ``PROBE_SPREAD_TOL`` the objective is treated as decomposition independent
     and the eigendecomposition ensemble is returned.
+
+    The search runs ``config.starts`` Powell starts (the identity, then
+    Haar-random unitaries), except on a two-party rank-2 ``rho`` with a qubit
+    party at L = 2: there one start runs, from the best chord decomposition
+    of a deterministic grid (see :func:`_chord_unitaries`), which includes
+    the eigendecomposition, and ``starts`` and ``seed`` do not change the
+    result unless the probe exits.
 
     The ``converged`` flag is False when the winning start still improved by
     more than ``CONVERGED_TOL`` over the last quarter of its evaluation sequence.
@@ -257,15 +314,24 @@ def roof_minimize(
     if spread <= PROBE_SPREAD_TOL:
         return finish(eigen_rows, eigen_average, 0, True, probe_values)
 
-    seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
+    if len(rho.dims) == 2 and min(rho.dims) == 2 and r == size == 2:
+        # a chord scan finds the basin; the identity is the chord along z
+        chords = [(eigen_average, identity)]
+        chords += [(objective(u @ base), u) for u in _chord_unitaries(lam)]
+        start_unitaries = [min(chords, key=lambda vu: vu[0])[1]]
+    else:
+        seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
+        start_unitaries = (
+            identity if k == 0 else haar_unitary(size, np.random.default_rng(seeds[k]))
+            for k in range(config.starts)
+        )
     best_value = np.inf
     best_theta: np.ndarray | None = None
     best_u0: np.ndarray | None = None
     best_trace: list[float] = []
     history: list[float] = []
 
-    for k in range(config.starts):
-        u0 = identity if k == 0 else haar_unitary(size, np.random.default_rng(seeds[k]))
+    for u0 in start_unitaries:
         theta, trace = powell(np.zeros(size * size), u0, config.iters, 1e-7, 1e-11)
         start_best = min(trace)
         history.append(start_best)

@@ -297,6 +297,15 @@ def test_verify_rejects_zero_trials(capsys, suite):
     assert "--trials" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("suite", ["paper", "wclass"])
+def test_verify_rejects_workers_below_one(capsys, suite, workers):
+    code, out, err = run_cli(capsys, "verify", suite, "--trials", "1", "--workers", workers)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "--workers" in err
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(
         "scren.cli.paper_suite",
@@ -393,6 +402,14 @@ def test_hunt_rejects_samples_below_one(capsys, samples):
     assert code == EXIT_INPUT
     assert out == ""
     assert "--samples" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_hunt_rejects_workers_below_one(capsys, workers):
+    code, out, err = run_cli(capsys, "hunt", "--dims", "2,2,2", "--samples", "1", "--workers", workers)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "--workers" in err
 
 
 def test_hunt_bad_dims(capsys):

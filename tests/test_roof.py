@@ -255,6 +255,48 @@ def test_scren2_separable_mixture_stops_at_floor():
 
 
 # ---------------------------------------------------------------------------
+# chord start of rank-2 pair roofs
+# ---------------------------------------------------------------------------
+
+def test_pair_roof_matches_wootters_at_default_config():
+    rng = np.random.default_rng(25)
+    for _ in range(50):
+        rho = random_rank2_two_qubit(rng)
+        assert abs(scren2(rho, PART2) - wootters_tangle(rho)) <= 1e-12
+
+
+def test_rank2_pair_roof_is_free_of_seed_and_starts():
+    rng = np.random.default_rng(26)
+    rho = random_mixed_state(rng, (3, 2), rank=2)
+    results = [
+        cren(rho, PART2, RoofConfig(starts=starts, iters=600, seed=seed), full_output=True)[1]
+        for seed in (0, 1, 2)
+        for starts in (2, 16)
+    ]
+    for result in results:
+        assert result.starts == 1
+        assert result.value == results[0].value
+        assert np.array_equal(result.rows, results[0].rows)
+    eigen_avg = member_average(rho.dims, lambda s: negativity_pure(s, PART2))(
+        hjw_ensemble(rho, np.eye(2))
+    )
+    assert results[0].value <= eigen_avg
+
+
+@pytest.mark.parametrize("build, part", [
+    (lambda rng: reduced_density(haar_random_state((2,) * 4, rng), (0, 1, 2)), Bipartition((0,), 3)),
+    (lambda rng: random_mixed_state(rng, (3, 3), rank=2), PART2),
+], ids=["three_qubits", "qutrit_pair"])
+def test_other_rank2_roofs_keep_every_start(build, part):
+    # the chord start is for rank-2 pairs with a qubit party only
+    rho = build(np.random.default_rng(27))
+    assert rho.rank() == 2
+    config = RoofConfig(starts=3, iters=100, seed=4)
+    _, result = cren(rho, part, config, full_output=True)
+    assert result.starts == config.starts
+
+
+# ---------------------------------------------------------------------------
 # roof_sqrt_functional
 # ---------------------------------------------------------------------------
 
