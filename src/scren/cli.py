@@ -252,9 +252,10 @@ def _run_verify(args) -> tuple[dict, bool]:
     if args.trials is not None and args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
     _check_workers(args.workers)
+    config = _config_from(args)
     if args.suite == "paper":
         trials = args.trials if args.trials is not None else 50
-        report = paper_suite(seed=args.seed, oracle_trials=trials)
+        report = paper_suite(config=config, oracle_trials=trials)
     else:
         trials = args.trials if args.trials is not None else 20
         if args.n < 3:
@@ -266,7 +267,7 @@ def _run_verify(args) -> tuple[dict, bool]:
             trials=trials,
             n=args.n,
             d=args.d,
-            config=_config_from(args),
+            config=config,
             workers=args.workers,
         )
     return report, bool(report["all_passed"])

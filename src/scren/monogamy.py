@@ -309,14 +309,15 @@ def n_scren_pure(psi: PureState, focus: int = 0, config: RoofConfig | None = Non
 
 
 def n_tangle_pure(psi: PureState, focus: int = 0, config: RoofConfig | None = None) -> float:
-    """Residual tangle of an all-qubit pure state for the given focus party.
+    """Residual tangle of a pure state for the given focus party.
 
     One-tangle of focus|rest minus every m-party mixed tangle contribution
     raised to m/2.  May come out negative; its conjectured nonnegativity is
-    exactly the strong-monogamy statement for tangles.
+    exactly the strong-monogamy statement for tangles.  The dims must pass
+    the tangle guard of :func:`sm_report` (a qubit in every pair with the
+    focus, all qubits beyond three parties); the 3x2x2 counterexample
+    gives about -4/9.
     """
-    if any(d != 2 for d in psi.dims):
-        raise ValueError("n_tangle_pure is defined for all-qubit states only")
     return sm_report(psi, focus=focus, measure="tangle", config=config).residual
 
 

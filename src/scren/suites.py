@@ -19,16 +19,7 @@ from .monogamy import ANTISYMMETRIC_333, CKW_COUNTEREXAMPLE_322, ckw_report
 from .roof import RoofConfig, scren2
 from .states import Bipartition, DensityMatrix, haar_random_state
 from .tangle import wootters_tangle
-from .wclass import (
-    random_spec,
-    spec_from_dict,
-    spec_to_dict,
-    verify_lemma1,
-    verify_theorem1,
-    verify_theorem2,
-)
-
-LEMMA_TRIALS = 10
+from .wclass import random_spec, verify_lemma1, verify_theorem1, verify_theorem2
 
 
 def random_rank2_two_qubit(rng: np.random.Generator) -> DensityMatrix:
@@ -41,10 +32,10 @@ def random_rank2_two_qubit(rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix((2, 2), mat, validate=False)
 
 
-def oracle_comparison(seed: int, trials: int = 50) -> dict:
-    """Worst |scren2 - wootters_tangle| over seeded random rank-2 states."""
-    config = RoofConfig(seed=seed)
-    rng = np.random.default_rng(seed)
+def oracle_comparison(config: RoofConfig, trials: int = 50) -> dict:
+    """Worst |scren2 - wootters_tangle| over random rank-2 states drawn from
+    ``config.seed``."""
+    rng = np.random.default_rng(config.seed)
     part = Bipartition((0,), 2)
     worst = 0.0
     errors = []
@@ -60,9 +51,9 @@ def _close(value: float, target: float, atol: float) -> bool:
     return abs(value - target) <= atol
 
 
-def paper_suite(seed: int = 7, oracle_trials: int = 50) -> dict:
+def paper_suite(config: RoofConfig | None = None, oracle_trials: int = 50) -> dict:
     """The four fixture checks, one entry per acceptance criterion 1-4."""
-    config = RoofConfig(seed=seed)
+    config = config or RoofConfig(seed=7)
     checks = []
 
     # 1: tangle values of the 3x2x2 counterexample, including the violation
@@ -103,7 +94,7 @@ def paper_suite(seed: int = 7, oracle_trials: int = 50) -> dict:
     )
 
     # 4: optimizer against the Wootters closed form
-    cmp = oracle_comparison(seed, trials=oracle_trials)
+    cmp = oracle_comparison(config, trials=oracle_trials)
     checks.append(
         {
             "name": "two_qubit_oracle",
@@ -114,7 +105,7 @@ def paper_suite(seed: int = 7, oracle_trials: int = 50) -> dict:
 
     return {
         "suite": "paper",
-        "seed": seed,
+        "seed": config.seed,
         "checks": checks,
         "all_passed": bool(all(c["passed"] for c in checks)),
     }
@@ -122,13 +113,12 @@ def paper_suite(seed: int = 7, oracle_trials: int = 50) -> dict:
 
 def _wclass_trial(task: tuple) -> dict:
     """One spec's theorem and lemma checks; top-level so a pool can run it."""
-    t, spec_data, seed, config = task
-    spec = spec_from_dict(spec_data)
+    t, spec, config = task
     thm1 = verify_theorem1(spec, config)
     thm2 = verify_theorem2(spec, config)
     n = spec.n
     lemma = [
-        verify_lemma1(spec, (0,) + rest, trials=LEMMA_TRIALS, seed=seed + t)
+        verify_lemma1(spec, (0,) + rest)
         for size in range(2, n)
         for rest in combinations(range(1, n), size - 1)
     ]
@@ -160,7 +150,7 @@ def wclass_suite(
     """
     config = config or RoofConfig(seed=seed)
     rng = np.random.default_rng(seed)
-    tasks = [(t, spec_to_dict(random_spec(rng, n, d)), seed, config) for t in range(trials)]
+    tasks = [(t, random_spec(rng, n, d), config) for t in range(trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_wclass_trial, tasks))

@@ -29,8 +29,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .monogamy import SMReport, ckw_report, sm_report
-from .roof import RoofConfig, _members, haar_unitary, hjw_ensemble
-from .states import PureState, reduced_density
+from .roof import RoofConfig, _support
+from .states import DensityMatrix, PureState, reduced_density
 
 HAMMING_SUPPORT_ATOL = 1e-10
 THEOREM_ATOL = 1e-3
@@ -155,11 +155,15 @@ def reduced_xy(spec: WClassSpec, keep: Iterable[int]) -> tuple[np.ndarray, np.nd
 
 @dataclass(frozen=True)
 class Lemma1Report:
-    """Support check: every mixed decomposition member stays in the
-    Hamming-weight-<=1 subspace of the kept parties."""
+    """Support check of one reduced state: the members of every pure-state
+    decomposition stay in the Hamming-weight-<=1 subspace of the kept parties.
+
+    ``max_violation`` is the largest amplitude outside that subspace of any
+    unit vector in the state's range, which by the Hughston-Jozsa-Wootters
+    theorem is the set of all decomposition members.
+    """
 
     keep: tuple[int, ...]
-    trials: int
     max_violation: float
     passed: bool
 
@@ -173,34 +177,24 @@ def _weight_le_one_indices(n_kept: int, d: int) -> np.ndarray:
     return np.array(sorted(idx))
 
 
-def verify_lemma1(
-    spec: WClassSpec,
-    keep: Iterable[int],
-    trials: int = 50,
-    seed: int = 0,
-) -> Lemma1Report:
-    """Mix the reduced state with random unitaries and measure how much
-    amplitude any member has outside the W-plus-vacuum support."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+def outside_amplitude(rho: DensityMatrix) -> float:
+    """Largest amplitude outside Hamming weight <= 1 of a unit vector in the
+    range of ``rho`` (all parties of local dimension ``rho.dims[0]``).
+
+    That maximum at basis index j is sqrt(P_jj) for the range projector P.
+    """
+    lam, rows = _support(rho)
+    weight = np.sum(np.abs(rows) ** 2 / lam[:, None], axis=0)
+    weight[_weight_le_one_indices(len(rho.dims), rho.dims[0])] = 0.0
+    return float(np.sqrt(weight.max()))
+
+
+def verify_lemma1(spec: WClassSpec, keep: Iterable[int]) -> Lemma1Report:
+    """Check Lemma 1 on the reduction of the state onto ``keep`` (0-based):
+    every decomposition of it stays inside the W-plus-vacuum support."""
     kept = tuple(sorted({int(i) for i in keep}))
-    rho = reduced_density(build_state(spec), kept)
-    rank = rho.rank()
-    allowed = _weight_le_one_indices(len(kept), spec.d)
-    outside = np.setdiff1d(np.arange(rho.total_dim), allowed)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        u = haar_unitary(rank, rng)
-        for _, member in _members(rho.dims, hjw_ensemble(rho, u)):
-            if outside.size:
-                worst = max(worst, float(np.abs(member.amplitudes[outside]).max()))
-    return Lemma1Report(
-        keep=kept,
-        trials=trials,
-        max_violation=worst,
-        passed=bool(worst <= HAMMING_SUPPORT_ATOL),
-    )
+    worst = outside_amplitude(reduced_density(build_state(spec), kept))
+    return Lemma1Report(keep=kept, max_violation=worst, passed=bool(worst <= HAMMING_SUPPORT_ATOL))
 
 
 @dataclass(frozen=True)
@@ -261,25 +255,4 @@ def verify_theorem2(spec: WClassSpec, config: RoofConfig | None = None) -> Theor
         residual=report.residual,
         max_higher_term=max_higher,
         passed=passed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
-def spec_to_dict(spec: WClassSpec) -> dict:
-    a = np.stack([spec.a.real, spec.a.imag], axis=-1)
-    return {"n": spec.n, "d": spec.d, "p": spec.p, "a": a.tolist()}
-
-
-def spec_from_dict(data: dict) -> WClassSpec:
-    arr = np.asarray(data["a"], dtype=float)
-    if arr.ndim != 3 or arr.shape[-1] != 2:
-        raise ValueError("coefficients must be nested [re, im] pairs per party and level")
-    return WClassSpec(
-        n=int(data["n"]),
-        d=int(data["d"]),
-        a=arr[..., 0] + 1j * arr[..., 1],
-        p=float(data["p"]),
     )

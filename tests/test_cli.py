@@ -86,6 +86,15 @@ def test_compute_tangle_pure_and_mixed(capsys, state_files):
     assert abs(json.loads(out)["value"] - 8 / 9) <= 1e-3
 
 
+def test_compute_ntangle_counterexample_322(capsys, state_files):
+    # the paper's tangle counterexample: residual 4/3 - 2 * 8/9
+    code, out, _ = run_cli(
+        capsys, "compute", "ntangle", "--state", state_files["eq24"], "--focus", "0", "--seed", "7",
+    )
+    assert code == EXIT_OK
+    assert abs(json.loads(out)["value"] + 4 / 9) <= 1e-3
+
+
 def test_compute_cren_equals_negativity_for_pure(capsys, state_files):
     code, out, _ = run_cli(capsys, "compute", "cren", "--state", state_files["bell"], "--cut", "0")
     assert code == EXIT_OK
@@ -304,6 +313,15 @@ def test_verify_rejects_workers_below_one(capsys, suite, workers):
     assert code == EXIT_INPUT
     assert out == ""
     assert "--workers" in err
+
+
+@pytest.mark.parametrize("flag", ["--starts", "--iters"])
+@pytest.mark.parametrize("suite", ["paper", "wclass"])
+def test_verify_rejects_budgets_below_one(capsys, suite, flag):
+    code, out, err = run_cli(capsys, "verify", suite, "--trials", "1", flag, "0")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "at least 1" in err
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

@@ -229,7 +229,7 @@ def test_n_tangle_two_qubits_reduces_to_pure_tangle():
 def test_n_tangle_requires_qubits():
     rng = np.random.default_rng(7)
     with pytest.raises(ValueError, match="qubit"):
-        n_tangle_pure(haar_random_state((3, 2), rng), 0, FAST)
+        n_tangle_pure(haar_random_state((3, 3), rng), 0, FAST)
 
 
 def test_n_tangle_cost_guard():

@@ -5,10 +5,13 @@ import pytest
 
 from scren import (
     Bipartition,
+    DensityMatrix,
     RoofConfig,
     WClassSpec,
     basis_state,
     build_state,
+    haar_unitary,
+    hjw_ensemble,
     negativity_pure,
     one_scren_closed,
     random_spec,
@@ -21,7 +24,7 @@ from scren import (
     w_state,
     wootters_tangle,
 )
-from scren.wclass import marginal_focus_matrix, spec_from_dict, spec_to_dict
+from scren.wclass import HAMMING_SUPPORT_ATOL, marginal_focus_matrix, outside_amplitude
 
 FAST = RoofConfig(starts=8, iters=600, seed=7)
 
@@ -196,21 +199,15 @@ def test_lemma1_rank_one_reduction():
     rng = np.random.default_rng(10)
     spec = random_spec(rng, 3, 3)
     pure = WClassSpec(spec.n, spec.d, spec.a, 1.0)
-    rep = verify_lemma1(pure, range(3), trials=5, seed=1)
+    rep = verify_lemma1(pure, range(3))
     assert rep.passed
 
 
 def test_lemma1_two_party_reduction():
     rng = np.random.default_rng(11)
     spec = random_spec(rng, 4, 3)
-    rep = verify_lemma1(spec, (0, 2), trials=50, seed=2)
+    rep = verify_lemma1(spec, (0, 2))
     assert rep.passed and rep.max_violation <= 1e-10
-
-
-def test_lemma1_rejects_zero_trials():
-    spec = random_spec(np.random.default_rng(11), 4, 3)
-    with pytest.raises(ValueError, match="trials"):
-        verify_lemma1(spec, (0, 1), trials=0)
 
 
 def test_lemma1_all_subsets_of_random_specs():
@@ -221,8 +218,42 @@ def test_lemma1_all_subsets_of_random_specs():
         spec = random_spec(rng, 4, 3)
         for size in (2, 3):
             for rest in combinations(range(1, 4), size - 1):
-                rep = verify_lemma1(spec, (0,) + rest, trials=10, seed=3)
+                rep = verify_lemma1(spec, (0,) + rest)
                 assert rep.passed
+
+
+def _w_plus_weight_two(eps: float) -> np.ndarray:
+    """Unit 3-qubit W-plus-vacuum vector with amplitude eps on |110>."""
+    w = build_state(random_spec(np.random.default_rng(20), 3, 2)).amplitudes
+    assert w[6] == 0.0
+    out = np.sqrt(1.0 - eps**2) * w
+    out[6] = eps
+    return out
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 0.25])
+def test_outside_amplitude_detects_weight_two_admixture(eps):
+    psi = _w_plus_weight_two(eps)
+    rho = DensityMatrix((2, 2, 2), np.outer(psi, psi.conj()))
+    violation = outside_amplitude(rho)
+    assert abs(violation - eps) <= 1e-12
+    assert violation > HAMMING_SUPPORT_ATOL
+
+
+def test_outside_amplitude_bounds_every_hjw_member():
+    # range span{psi, |000>}: the best unit vector drops the vacuum part of psi
+    eps = 1e-3
+    psi = _w_plus_weight_two(eps)
+    vac = np.zeros(8, dtype=complex)
+    vac[0] = 1.0
+    rho = DensityMatrix((2, 2, 2), 0.6 * np.outer(psi, psi.conj()) + 0.4 * np.outer(vac, vac))
+    bound = outside_amplitude(rho)
+    assert abs(bound - eps / np.sqrt(1.0 - abs(psi[0]) ** 2)) <= 1e-12
+    rng = np.random.default_rng(21)
+    for size in (2, 4, 6):
+        rows = hjw_ensemble(rho, haar_unitary(size, rng))
+        members = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        assert np.abs(members[:, 6]).max() <= bound + 1e-12
 
 
 def test_theorem1_qubit_w():
@@ -276,21 +307,3 @@ def test_theorem2_vacuum_all_zero():
     rep = verify_theorem2(WClassSpec(spec.n, spec.d, spec.a, 0.0), FAST)
     assert rep.passed
     assert abs(rep.residual) <= 1e-12 and rep.max_higher_term <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
-def test_spec_json_roundtrip():
-    rng = np.random.default_rng(18)
-    spec = random_spec(rng, 4, 3)
-    again = spec_from_dict(spec_to_dict(spec))
-    assert again.n == spec.n and again.d == spec.d
-    assert abs(again.p - spec.p) <= 1e-15
-    np.testing.assert_allclose(again.a, spec.a, atol=1e-15)
-
-
-def test_spec_from_dict_validates_shape():
-    with pytest.raises(ValueError, match="pairs"):
-        spec_from_dict({"n": 3, "d": 2, "p": 0.5, "a": [[0.5], [0.5], [0.5]]})
