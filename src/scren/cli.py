@@ -68,8 +68,8 @@ def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ensemble-size", type=int, default=None,
                         help="decomposition size L (default: rank of the state)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="master random seed (on a rank-2 qubit-qudit pair it "
-                             "seeds only the decomposition-independence probe)")
+                        help="non-negative master random seed (on a rank-2 qubit-qudit "
+                             "pair it seeds only the decomposition-independence probe)")
 
 
 def _config_from(args: argparse.Namespace) -> RoofConfig:

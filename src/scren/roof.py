@@ -12,6 +12,11 @@ and the remaining starts are Haar-random unitaries.  The winning start gets a
 high-precision polish pass.  All randomness derives from the config seed, so
 results are reproducible.
 
+Before searching, every roof probes ``PROBE_COUNT`` Haar-random mixing
+unitaries to detect decomposition-independent objectives.  Those unitaries
+depend only on the seed and L, so they are drawn once per process for each
+(seed, L) and shared by every later roof (:func:`_probe_unitaries`).
+
 A rank-2 state of a qubit and a qudit searched at L = 2 takes one start
 instead.  Its two-member decompositions are exactly the chords of its Bloch
 ball through the state's Bloch vector (Osterloh, Siewert & Uhlmann, PRA 77,
@@ -96,6 +101,8 @@ class RoofConfig:
             raise ValueError(
                 f"starts and iters must be at least 1, got {self.starts} and {self.iters}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -176,6 +183,19 @@ def _triu(n: int):
     return np.triu_indices(n, 1)
 
 
+@lru_cache(maxsize=64)
+def _probe_unitaries(seed: int, size: int) -> np.ndarray:
+    """Read-only (PROBE_COUNT, size, size) stack of the probe's Haar unitaries.
+
+    They depend only on ``(seed, size)``, so each pair is drawn once per
+    process, in order from one generator seeded by ``(seed, 0x9e3779b9)``.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9e3779b9)))
+    stack = np.stack([haar_unitary(size, rng) for _ in range(PROBE_COUNT)])
+    stack.flags.writeable = False
+    return stack
+
+
 def _unitary_from_params(theta: np.ndarray, size: int) -> np.ndarray:
     """exp(iH) for the Hermitian H packed as [diag, (re, im) upper triangle]."""
     h = np.zeros((size, size), dtype=np.complex128)
@@ -253,7 +273,9 @@ def roof_minimize(
     returned as-is (the roof value is sandwiched between it and zero); and if
     a seeded probe of random mixing unitaries shows a spread of at most
     ``PROBE_SPREAD_TOL`` the objective is treated as decomposition independent
-    and the eigendecomposition ensemble is returned.
+    and the eigendecomposition ensemble is returned.  The probe's unitaries
+    depend only on ``config.seed`` and L, and are drawn once per process for
+    each such pair (:func:`_probe_unitaries`).
 
     The search runs ``config.starts`` Powell starts (the identity, then
     Haar-random unitaries), except on a two-party rank-2 ``rho`` with a qubit
@@ -305,10 +327,8 @@ def roof_minimize(
     if r == 1 or eigen_average <= stop_below:
         return finish(eigen_rows, eigen_average, 0, True, (eigen_average,))
 
-    probe_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x9e3779b9)))
     probe_values = [eigen_average]
-    for _ in range(PROBE_COUNT):
-        u = haar_unitary(size, probe_rng)
+    for u in _probe_unitaries(config.seed, size):
         probe_values.append(objective(u[:, :r] @ base))
     spread = max(probe_values) - min(probe_values)
     if spread <= PROBE_SPREAD_TOL:

@@ -1,12 +1,15 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scren
 from scren import bell_state, dump_state, ghz_state, haar_random_state
 from scren.cli import (
     EXIT_CONJECTURE,
@@ -175,6 +178,20 @@ def test_compute_rejects_budgets_below_one(capsys, tmp_path, flag, value):
     assert "at least 1" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["compute", "negativity", "--cut", "0"],
+    ["verify", "wclass", "--n", "3", "--trials", "1"],
+    ["hunt", "--dims", "2,2,2", "--samples", "1"],
+])
+def test_negative_seed_is_an_input_error(capsys, state_files, command):
+    if command[0] == "compute":
+        command = command + ["--state", state_files["bell"]]
+    code, out, err = run_cli(capsys, *command, "--seed", "-1")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "seed" in err
+
+
 def test_tol_flag_is_an_input_error(capsys, state_files):
     # the convergence threshold is a fixed constant of the roof engine
     with pytest.raises(SystemExit) as exc:
@@ -279,6 +296,21 @@ def test_verify_wclass_workers_match_serial(capsys):
     _, serial, _ = run_cli(capsys, *base)
     _, pooled, _ = run_cli(capsys, *base, "--workers", "2")
     assert serial == pooled
+
+
+def test_verify_wclass_warm_probe_cache_matches_a_cold_process(capsys):
+    # the probe unitaries are cached per (seed, L); a warm cache must not move a byte
+    args = ["verify", "wclass", "--n", "5", "--d", "3", "--trials", "2", "--seed", "7"]
+    src = str(Path(scren.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    cold = subprocess.run(
+        [sys.executable, "-m", "scren.cli", *args], capture_output=True, text=True, env=env
+    )
+    assert cold.returncode == EXIT_OK
+    run_cli(capsys, *args)
+    code, warm, _ = run_cli(capsys, *args)
+    assert code == EXIT_OK
+    assert warm == cold.stdout
 
 
 def test_verify_wclass_guard(capsys):

@@ -27,7 +27,7 @@ from scren import (
     wootters_tangle,
 )
 from scren.monogamy import NESTED_CONFIG
-from scren.roof import _support
+from scren.roof import PROBE_COUNT, _probe_unitaries, _support
 from scren.wclass import build_state, random_spec
 
 from util import random_mixed_state, random_rank2_two_qubit
@@ -59,6 +59,11 @@ def test_mixing_unitary_rejects_non_unitary():
 def test_config_rejects_budgets_below_one(budget):
     with pytest.raises(ValueError, match="at least 1"):
         RoofConfig(**budget)
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        RoofConfig(seed=-1)
 
 
 def test_hjw_identity_returns_eigendecomposition():
@@ -357,3 +362,37 @@ def test_support_rows_rebuild_the_matrix():
     _, base = _support(rho)
     rebuilt = base.T @ base.conj()
     assert np.abs(rebuilt - rho.matrix).max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# decomposition-independence probe
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed, size", [(0, 2), (7, 3), (12345, 6)])
+def test_probe_unitaries_match_a_fresh_seeded_draw(seed, size):
+    _probe_unitaries.cache_clear()
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9e3779b9)))
+    expected = np.stack([haar_unitary(size, rng) for _ in range(PROBE_COUNT)])
+    stack = _probe_unitaries(seed, size)
+    assert stack.shape == (PROBE_COUNT, size, size)
+    assert np.array_equal(stack, expected)
+    assert not stack.flags.writeable
+
+
+def test_probe_unitaries_are_drawn_once_per_seed_and_size(monkeypatch):
+    _probe_unitaries.cache_clear()
+    calls = []
+
+    def counted(n, rng):
+        calls.append(n)
+        return haar_unitary(n, rng)
+
+    monkeypatch.setattr("scren.roof.haar_unitary", counted)
+    rho = reduced_density(build_state(random_spec(np.random.default_rng(21), 4, 3)), (0, 1))
+    config = RoofConfig(seed=3)
+    first = scren2(rho, PART2, config, full_output=True)
+    second = scren2(rho, PART2, config, full_output=True)
+    assert len(calls) == PROBE_COUNT
+    assert first[1].starts == 0
+    assert first[0] == second[0]
+    assert np.array_equal(first[1].rows, second[1].rows)
