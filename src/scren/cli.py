@@ -315,6 +315,8 @@ def _run_hunt(args) -> dict:
     dims = _parse_indices(args.dims, "--dims")
     if not dims or any(d < 2 for d in dims):
         raise InputError("--dims needs local dimensions >= 2, e.g. 3,2,2")
+    if len(dims) < 2:
+        raise InputError(f"--dims needs at least two parties, e.g. 3,2,2, got {len(dims)}")
     dims = tuple(dims)
     check_cost(dims)
     _check_measure(dims, args.measure)

@@ -18,18 +18,21 @@ depend only on the seed and L, so they are drawn once per process for each
 (seed, L) and shared by every later roof (:func:`_probe_unitaries`).
 
 A rank-2 state of a qubit and a qudit searched at L = 2 takes one start
-instead.  Its two-member decompositions are exactly the chords of its Bloch
-ball through the state's Bloch vector (Osterloh, Siewert & Uhlmann, PRA 77,
-032310 (2008)), a two-parameter family, so a fixed grid of ``CHORD_COUNT``
-chord directions plus the eigendecomposition is scanned and Powell runs from
-the best of them.  That start is deterministic, so ``starts`` and ``seed``
-do not change its value.  On 3 x 3 pairs the same single start missed the
-multi-start value on some states, so every other input keeps multi-start
-search.
+instead, and not over U(2).  Its two-member decompositions are exactly the
+chords of its Bloch ball through the state's Bloch vector (Osterloh, Siewert
+& Uhlmann, PRA 77, 032310 (2008)), a two-parameter family: the other two
+parameters of U(2) are per-member phases no objective depends on.  So a
+fixed grid of ``CHORD_COUNT`` chord directions plus the eigendecomposition
+is scanned, and Powell searches a two-parameter chart of chord directions
+around the best of them (:func:`_chord_unitary`, :func:`_chord_chart`).
+That start is deterministic, so ``starts`` and ``seed`` do not change its
+value.  On 3 x 3 pairs the same single start missed the multi-start value on
+some states, so every other input keeps multi-start search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -55,7 +58,9 @@ SQRT_ROOF_FLOOR = 1e-5
 PROBE_COUNT = 8
 PROBE_SPREAD_TOL = 1e-9
 
-# Chord directions scanned for the single start of a rank-2 pair roof.
+# Chord directions scanned for the single start of a rank-2 pair roof: the
+# upper half of a Fibonacci sphere, since a chord and its reverse are the same
+# decomposition.  The z-axis, the eigendecomposition, is scanned besides.
 CHORD_COUNT = 64
 
 # A search is reported unconverged when its winning start still improved by
@@ -85,10 +90,11 @@ class RoofConfig:
     """Settings for the roof optimizer.
 
     ``ensemble_size`` (L) defaults to the rank of the input state and may be
-    raised up to rank*(rank+1).  ``iters`` is the per-start evaluation budget;
-    it and ``starts`` must be at least 1.  A rank-2 qubit-qudit pair at
-    L = 2 runs one start from a chord scan whatever ``starts`` says, and there
-    ``seed`` only seeds the decomposition-independence probe.
+    raised up to rank*(rank+1); it must be at least 1, and the roof checks it
+    against the rank.  ``iters`` is the per-start evaluation budget; it and
+    ``starts`` must be at least 1.  A rank-2 qubit-qudit pair at L = 2 runs
+    one search over the two chord parameters whatever ``starts`` says, and
+    there ``seed`` only seeds the decomposition-independence probe.
     """
 
     starts: int = 16
@@ -103,6 +109,8 @@ class RoofConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.ensemble_size is not None and self.ensemble_size < 1:
+            raise ValueError(f"ensemble_size must be at least 1, got {self.ensemble_size}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +118,10 @@ class RoofResult:
     """Outcome of a roof minimization: value, argmin decomposition and diagnostics.
 
     ``rows`` is the read-only (L, dim) array of the winning decomposition's
-    unnormalized member rows sqrt(p_h)|psi_h>.
+    unnormalized member rows sqrt(p_h)|psi_h>.  ``evals`` is the number of
+    objective calls the roof made: the eigendecomposition average, probe,
+    chord scan, search, polish and final call.  Unlike wall time it does not
+    depend on the machine.
     """
 
     value: float
@@ -118,6 +129,7 @@ class RoofResult:
     starts: int
     converged: bool
     history: tuple[float, ...]
+    evals: int
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -207,39 +219,81 @@ def _unitary_from_params(theta: np.ndarray, size: int) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def _chord_unitaries(lam: np.ndarray) -> np.ndarray:
-    """(CHORD_COUNT, 2, 2) mixing unitaries of the two-member chord decompositions.
+def _fibonacci_direction(k: int) -> tuple[float, float, float]:
+    z = 1.0 - (k + 0.5) / CHORD_COUNT
+    azimuth = k * math.pi * (3.0 - math.sqrt(5.0))
+    rad = math.sqrt(1.0 - z * z)
+    return (rad * math.cos(azimuth), rad * math.sin(azimuth), z)
 
-    In the eigenbasis of a rank-2 state, normalized to q = lam / sum(lam), the
-    Bloch vector is r0 = (0, 0, c) with c = q_1 - q_2.  The chord through r0
-    along u meets the sphere at n = r0 + t u with t = -b +- sqrt(b^2 + 1 - c^2),
-    b = c u_z, and its end points n+ and n- mix back to r0 at weights
-    p+ = -t- / (t+ - t-) and p- = 1 - p+.  The member psi(n) =
-    cos(theta/2) e_1 + e^{i phi} sin(theta/2) e_2 is the row
-    sqrt(p) (cos(theta/2) / sqrt(q_1), e^{i phi} sin(theta/2) / sqrt(q_2)) of
+
+_CHORD_DIRECTIONS = tuple(_fibonacci_direction(k) for k in range(CHORD_COUNT))
+
+
+def _chord_unitary(q: tuple[float, float], u: Sequence[float]) -> np.ndarray:
+    """2 x 2 mixing unitary of the two-member chord decomposition along ``u``.
+
+    In the eigenbasis of a rank-2 state with normalized eigenvalues
+    q = (q_1, q_2), q_1 >= q_2, the Bloch vector is r0 = (0, 0, c) with
+    c = q_1 - q_2.  The chord through r0 along the unit vector u meets the
+    sphere at n = r0 + t u, where t^2 + 2 b t - 4 q_1 q_2 = 0 with b = c u_z
+    (1 - c^2 = 4 q_1 q_2), and its end points n+ and n- mix back to r0 at
+    weights p+ = -t- / (t+ - t-) and p- = t+ / (t+ - t-).  The member psi(n)
+    of weight p is the row sqrt(p) (psi_1 / sqrt(q_1), psi_2 / sqrt(q_2)) of
     the unitary acting on the support rows sqrt(lam_i) e_i.
 
-    The directions u are the upper half of a Fibonacci sphere: a chord and its
-    reverse are the same decomposition.  The z-axis, the eigendecomposition,
-    is left to the caller.
+    When q_2 is small or a chord ends near a pole, one root t or one of
+    1 +- n_z is tiny, so none of them is formed as a difference: the small
+    root is -4 q_1 q_2 over the large one, 1 + n_z = 2 q_1 + t u_z and
+    1 - n_z = 2 q_2 - t u_z, and each member spinor comes from the hemisphere
+    chart whose denominator is at least sqrt(2),
+    (1 + n_z, n_x + i n_y) / sqrt(2 (1 + n_z)) or
+    (n_x - i n_y, 1 - n_z) / sqrt(2 (1 - n_z)).
     """
-    k = np.arange(CHORD_COUNT)
-    z = 1.0 - (k + 0.5) / CHORD_COUNT
-    azimuth = k * np.pi * (3.0 - np.sqrt(5.0))
-    rad = np.sqrt(1.0 - z**2)
-    u = np.column_stack([rad * np.cos(azimuth), rad * np.sin(azimuth), z])
-    q = lam / lam.sum()
-    c = q[0] - q[1]
-    b = c * u[:, 2]
-    root = np.sqrt(b**2 + 1.0 - c**2)
-    t = np.column_stack([-b + root, -b - root])
-    p_plus = -t[:, 1] / (t[:, 0] - t[:, 1])
-    p = np.column_stack([p_plus, 1.0 - p_plus])
-    n = np.array([0.0, 0.0, c]) + t[:, :, None] * u[:, None, :]
-    theta = np.arccos(np.clip(n[..., 2], -1.0, 1.0))
-    phase = np.exp(1j * np.arctan2(n[..., 1], n[..., 0]))
-    psi = np.stack([np.cos(theta / 2), phase * np.sin(theta / 2)], axis=-1)
-    return np.sqrt(p)[..., None] * psi / np.sqrt(q)
+    q1, q2 = q
+    ux, uy, uz = u
+    b = (q1 - q2) * uz
+    big = abs(b) + math.sqrt(b * b + 4.0 * q1 * q2)
+    small = 4.0 * q1 * q2 / big
+    t_plus, t_minus = (small, -big) if b >= 0 else (big, -small)
+    span = t_plus - t_minus
+    unitary = np.empty((2, 2), dtype=np.complex128)
+    for h, (t, p) in enumerate(((t_plus, -t_minus / span), (t_minus, t_plus / span))):
+        north, south = 2.0 * q1 + t * uz, 2.0 * q2 - t * uz
+        if north >= south:
+            scale = math.sqrt(p / (2.0 * north))
+            psi = (north, complex(t * ux, t * uy))
+        else:
+            scale = math.sqrt(p / (2.0 * south))
+            psi = (complex(t * ux, -t * uy), south)
+        unitary[h, 0] = scale * psi[0] / math.sqrt(q1)
+        unitary[h, 1] = scale * psi[1] / math.sqrt(q2)
+    return unitary
+
+
+def _chord_chart(q: tuple[float, float], u0: Sequence[float], base: np.ndarray):
+    """Rows of the chord along normalize(u0 + x_1 e_1 + x_2 e_2), as a map of x.
+
+    e_1 and e_2 complete the unit vector ``u0`` to an orthonormal basis, so
+    x = 0 is the chord along u0 and the chart covers the open hemisphere of
+    directions around it; a chord and its reverse are the same
+    decomposition, so that is every chord but one great circle of them.
+    """
+    # e_1 is the coordinate axis least aligned with u0, less its u0 part
+    k = min(range(3), key=lambda i: abs(u0[i]))
+    e1 = [-u0[k] * a for a in u0]
+    e1[k] += 1.0
+    norm = math.hypot(*e1)
+    e1 = [a / norm for a in e1]
+    e2 = [u0[1] * e1[2] - u0[2] * e1[1], u0[2] * e1[0] - u0[0] * e1[2],
+          u0[0] * e1[1] - u0[1] * e1[0]]
+
+    def rows_of(x: np.ndarray) -> np.ndarray:
+        x1, x2 = float(x[0]), float(x[1])
+        u = [a + x1 * b + x2 * c for a, b, c in zip(u0, e1, e2)]
+        norm = math.hypot(*u)
+        return _chord_unitary(q, [a / norm for a in u]) @ base
+
+    return rows_of
 
 
 def member_average(dims: Sequence[int], fn: Callable[[PureState], float]):
@@ -277,15 +331,17 @@ def roof_minimize(
     depend only on ``config.seed`` and L, and are drawn once per process for
     each such pair (:func:`_probe_unitaries`).
 
-    The search runs ``config.starts`` Powell starts (the identity, then
-    Haar-random unitaries), except on a two-party rank-2 ``rho`` with a qubit
-    party at L = 2: there one start runs, from the best chord decomposition
-    of a deterministic grid (see :func:`_chord_unitaries`), which includes
-    the eigendecomposition, and ``starts`` and ``seed`` do not change the
-    result unless the probe exits.
+    The search runs ``config.starts`` Powell starts over the parameters of
+    exp(iH) U0 (U0 the identity, then Haar-random unitaries), except on a
+    two-party rank-2 ``rho`` with a qubit party at L = 2.  There one start
+    runs, over the two parameters of a chart of chord directions (see
+    :func:`_chord_chart`) centred on the best chord of a deterministic grid
+    that includes the eigendecomposition, and ``starts`` and ``seed`` do not
+    change the result unless the probe exits.
 
     The ``converged`` flag is False when the winning start still improved by
     more than ``CONVERGED_TOL`` over the last quarter of its evaluation sequence.
+    ``evals`` counts every objective call, on every exit.
     """
     config = config or RoofConfig()
     lam, base = _support(rho)
@@ -295,6 +351,12 @@ def roof_minimize(
         raise ValueError(
             f"ensemble size {size} outside [rank, rank*(rank+1)] = [{r}, {r * (r + 1)}]"
         )
+    evals = 0
+
+    def counted(rows: np.ndarray) -> float:
+        nonlocal evals
+        evals += 1
+        return objective(rows)
 
     def finish(rows, value, starts, converged, history) -> RoofResult:
         return RoofResult(
@@ -303,13 +365,14 @@ def roof_minimize(
             starts=starts,
             converged=converged,
             history=tuple(history),
+            evals=evals,
         )
 
-    def powell(theta0, u0, maxfev, xtol, ftol) -> tuple[np.ndarray, list[float]]:
+    def powell(theta0, rows_of, maxfev, xtol, ftol) -> tuple[np.ndarray, list[float]]:
         trace: list[float] = []
 
         def tracked(theta):
-            val = objective((_unitary_from_params(theta, size) @ u0)[:, :r] @ base)
+            val = counted(rows_of(theta))
             trace.append(val)
             return val
 
@@ -323,47 +386,51 @@ def roof_minimize(
 
     identity = np.eye(size, dtype=np.complex128)
     eigen_rows = identity[:, :r] @ base
-    eigen_average = objective(base if size == r else eigen_rows)
+    eigen_average = counted(base if size == r else eigen_rows)
     if r == 1 or eigen_average <= stop_below:
         return finish(eigen_rows, eigen_average, 0, True, (eigen_average,))
 
     probe_values = [eigen_average]
     for u in _probe_unitaries(config.seed, size):
-        probe_values.append(objective(u[:, :r] @ base))
+        probe_values.append(counted(u[:, :r] @ base))
     spread = max(probe_values) - min(probe_values)
     if spread <= PROBE_SPREAD_TOL:
         return finish(eigen_rows, eigen_average, 0, True, probe_values)
 
     if len(rho.dims) == 2 and min(rho.dims) == 2 and r == size == 2:
-        # a chord scan finds the basin; the identity is the chord along z
-        chords = [(eigen_average, identity)]
-        chords += [(objective(u @ base), u) for u in _chord_unitaries(lam)]
-        start_unitaries = [min(chords, key=lambda vu: vu[0])[1]]
+        # a chord scan finds the basin; the eigendecomposition is the chord along z
+        q = tuple(float(v) for v in lam / lam.sum())
+        chords = [(eigen_average, (0.0, 0.0, 1.0))]
+        chords += [(counted(_chord_unitary(q, u) @ base), u) for u in _CHORD_DIRECTIONS]
+        u0 = min(chords, key=lambda vu: vu[0])[1]
+        starts = [(np.zeros(2), _chord_chart(q, u0, base))]
     else:
         seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
-        start_unitaries = (
-            identity if k == 0 else haar_unitary(size, np.random.default_rng(seeds[k]))
-            for k in range(config.starts)
-        )
+
+        def mixing(k: int):
+            u0 = identity if k == 0 else haar_unitary(size, np.random.default_rng(seeds[k]))
+            return lambda theta: (_unitary_from_params(theta, size) @ u0)[:, :r] @ base
+
+        starts = ((np.zeros(size * size), mixing(k)) for k in range(config.starts))
     best_value = np.inf
     best_theta: np.ndarray | None = None
-    best_u0: np.ndarray | None = None
+    best_rows_of = None
     best_trace: list[float] = []
     history: list[float] = []
 
-    for u0 in start_unitaries:
-        theta, trace = powell(np.zeros(size * size), u0, config.iters, 1e-7, 1e-11)
+    for theta0, rows_of in starts:
+        theta, trace = powell(theta0, rows_of, config.iters, 1e-7, 1e-11)
         start_best = min(trace)
         history.append(start_best)
         if start_best < best_value:
-            best_value, best_theta, best_u0, best_trace = start_best, theta, u0, trace
+            best_value, best_theta, best_rows_of, best_trace = start_best, theta, rows_of, trace
         if best_value <= stop_below:
             break
 
     if best_value > stop_below:
         # polish the winning start with tight line-search tolerances
         theta, polish_trace = powell(
-            best_theta, best_u0, max(100, config.iters // 2), 1e-10, 1e-14
+            best_theta, best_rows_of, max(100, config.iters // 2), 1e-10, 1e-14
         )
         if polish_trace and min(polish_trace) < best_value:
             best_value = min(polish_trace)
@@ -374,8 +441,8 @@ def roof_minimize(
     tail_gain = min(best_trace[:quarter]) - best_value if quarter > 0 else 0.0
     converged = bool(tail_gain <= CONVERGED_TOL)
 
-    best_rows = (_unitary_from_params(best_theta, size) @ best_u0)[:, :r] @ base
-    return finish(best_rows, objective(best_rows), len(history), converged, history)
+    best_rows = best_rows_of(best_theta)
+    return finish(best_rows, counted(best_rows), len(history), converged, history)
 
 
 def _negativity_row_objective(dims: Sequence[int], part: Bipartition):

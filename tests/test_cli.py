@@ -192,6 +192,21 @@ def test_negative_seed_is_an_input_error(capsys, state_files, command):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("size", ["0", "-2"])
+@pytest.mark.parametrize("command", [
+    ["compute", "negativity", "--cut", "0"],
+    ["verify", "wclass", "--n", "3", "--trials", "1"],
+    ["hunt", "--dims", "2,2,2", "--samples", "1"],
+])
+def test_ensemble_size_below_one_is_an_input_error(capsys, state_files, command, size):
+    if command[0] == "compute":
+        command = command + ["--state", state_files["bell"]]
+    code, out, err = run_cli(capsys, *command, "--ensemble-size", size)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "ensemble_size" in err
+
+
 def test_tol_flag_is_an_input_error(capsys, state_files):
     # the convergence threshold is a fixed constant of the roof engine
     with pytest.raises(SystemExit) as exc:
@@ -465,6 +480,14 @@ def test_hunt_rejects_workers_below_one(capsys, workers):
 def test_hunt_bad_dims(capsys):
     code, _, _ = run_cli(capsys, "hunt", "--dims", "2,1", "--samples", "1")
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("measure", ["scren", "tangle"])
+def test_hunt_rejects_a_single_party(capsys, measure):
+    code, out, err = run_cli(capsys, "hunt", "--dims", "2", "--samples", "1", "--measure", measure)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "--dims needs at least two parties" in err
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,14 @@ from scren import (
     wootters_tangle,
 )
 from scren.monogamy import NESTED_CONFIG
-from scren.roof import PROBE_COUNT, _probe_unitaries, _support
+from scren.roof import (
+    CHORD_COUNT,
+    PROBE_COUNT,
+    _CHORD_DIRECTIONS,
+    _chord_unitary,
+    _probe_unitaries,
+    _support,
+)
 from scren.wclass import build_state, random_spec
 
 from util import random_mixed_state, random_rank2_two_qubit
@@ -64,6 +71,12 @@ def test_config_rejects_budgets_below_one(budget):
 def test_config_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed"):
         RoofConfig(seed=-1)
+
+
+@pytest.mark.parametrize("size", [0, -2])
+def test_config_rejects_ensemble_size_below_one(size):
+    with pytest.raises(ValueError, match="ensemble_size"):
+        RoofConfig(ensemble_size=size)
 
 
 def test_hjw_identity_returns_eigendecomposition():
@@ -299,6 +312,90 @@ def test_other_rank2_roofs_keep_every_start(build, part):
     config = RoofConfig(starts=3, iters=100, seed=4)
     _, result = cren(rho, part, config, full_output=True)
     assert result.starts == config.starts
+
+
+def _near_pole_pair(rng, small):
+    """Two-qubit state with eigenvalues 1 - small and small."""
+    vecs = haar_unitary(4, rng)[:, :2]
+    mat = (1 - small) * np.outer(vecs[:, 0], vecs[:, 0].conj())
+    mat += small * np.outer(vecs[:, 1], vecs[:, 1].conj())
+    return DensityMatrix((2, 2), mat)
+
+
+@pytest.mark.parametrize("q2", [0.5, 0.3, 1e-3, 1e-9])
+def test_chord_unitaries_are_unitary_to_roundoff(q2):
+    # entries of the second column scale as 1 / sqrt(q2), so the defect is
+    # measured relative to that
+    q = (1.0 - q2, q2)
+    poles_and_equator = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    for u in poles_and_equator + list(_CHORD_DIRECTIONS):
+        w = _chord_unitary(q, u)
+        assert np.abs(w.conj().T @ w - np.eye(2)).max() * q2 <= 1e-15
+
+
+def test_chord_along_z_is_the_eigendecomposition():
+    for q2 in (0.5, 1e-3, 1e-9):
+        w = _chord_unitary((1.0 - q2, q2), (0.0, 0.0, 1.0))
+        assert np.abs(w - np.eye(2)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("small", [1e-3, 1e-6, 1e-9])
+def test_near_pole_pair_roof_matches_wootters(small):
+    rho = _near_pole_pair(np.random.default_rng(0), small)
+    value, result = scren2(rho, PART2, full_output=True)
+    assert result.starts == 1
+    assert abs(value - wootters_tangle(rho)) <= 1e-12
+    assert np.abs(result.rows.T @ result.rows.conj() - rho.matrix).max() <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# objective-evaluation counts
+# ---------------------------------------------------------------------------
+
+def _counting(objective):
+    calls = []
+
+    def counted(rows):
+        calls.append(1)
+        return objective(rows)
+
+    return counted, calls
+
+
+def test_rank_one_exit_makes_one_evaluation():
+    psi = bell_state()
+    res = roof_minimize(to_density(psi), member_average(psi.dims, lambda s: 1.0), FAST)
+    assert res.evals == 1
+
+
+def test_probe_exit_makes_one_evaluation_per_probe_plus_the_eigendecomposition():
+    rng = np.random.default_rng(6)
+    rho = random_mixed_state(rng, (2, 2), rank=3)
+    res = roof_minimize(rho, member_average(rho.dims, lambda s: 0.7), FAST)
+    assert res.starts == 0
+    assert res.evals == 1 + PROBE_COUNT
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: random_rank2_two_qubit(rng),
+    lambda rng: random_mixed_state(rng, (3, 3), rank=2),
+], ids=["chord", "multi_start"])
+def test_evals_counts_every_objective_call(build):
+    rho = build(np.random.default_rng(30))
+    counted, calls = _counting(member_average(rho.dims, lambda s: negativity_pure(s, PART2)))
+    res = roof_minimize(rho, counted, RoofConfig(starts=2, iters=300, seed=3))
+    assert res.starts >= 1
+    assert res.evals == len(calls)
+
+
+def test_chord_path_evaluation_count():
+    # eigendecomposition, probe, chord scan and final call, plus the search
+    # over the two chord parameters: 208 evaluations when this was written,
+    # against 434 for a search over all four parameters of U(2)
+    rho = random_rank2_two_qubit(np.random.default_rng(31))
+    _, result = scren2(rho, PART2, full_output=True)
+    assert result.starts == 1
+    assert 1 + PROBE_COUNT + CHORD_COUNT + 1 < result.evals <= 250
 
 
 # ---------------------------------------------------------------------------
