@@ -65,20 +65,13 @@ def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
                         help="optimizer multi-starts (a rank-2 qubit-qudit pair runs "
                              "one start from a chord scan instead)")
     parser.add_argument("--iters", type=int, default=2000, help="evaluation budget per start")
-    parser.add_argument("--ensemble-size", type=int, default=None,
-                        help="decomposition size L (default: rank of the state)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="non-negative master random seed (on a rank-2 qubit-qudit "
-                             "pair it seeds only the decomposition-independence probe)")
+                        help="non-negative master random seed (a rank-2 qubit-qudit "
+                             "pair roof does not use it)")
 
 
 def _config_from(args: argparse.Namespace) -> RoofConfig:
-    return RoofConfig(
-        starts=args.starts,
-        iters=args.iters,
-        ensemble_size=args.ensemble_size,
-        seed=args.seed,
-    )
+    return RoofConfig(starts=args.starts, iters=args.iters, seed=args.seed)
 
 
 def _parse_indices(text: str | None, what: str) -> list[int] | None:
@@ -211,7 +204,6 @@ def _run_compute(args) -> dict:
             raise InputError(f"'{measure}' is defined for pure states")
         focus = args.focus if args.focus is not None else kept[0]
         focus = _map_index(focus, kept, "--focus")
-        check_cost(state.dims)
         if measure == "ntangle":
             value = n_tangle_pure(state, focus=focus, config=config)
         else:
@@ -263,7 +255,6 @@ def _run_verify(args) -> tuple[dict, bool]:
             raise InputError(f"verify wclass needs --n >= 3, got {args.n}")
         check_cost((args.d,) * args.n)
         report = wclass_suite(
-            seed=args.seed,
             trials=trials,
             n=args.n,
             d=args.d,

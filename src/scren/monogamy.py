@@ -39,7 +39,7 @@ import numpy as np
 
 from .guards import check_cost
 from .negativity import negativity_pure
-from .roof import SQRT_ROOF_FLOOR, RoofConfig, roof_minimize, roof_sqrt_functional, scren2
+from .roof import RoofConfig, _squared_roof, roof_sqrt_functional, scren2
 from .states import Bipartition, PureState, reduced_density
 from .tangle import one_tangle, three_tangle_rows, wootters_tangle
 
@@ -206,13 +206,9 @@ def _mixed_value(
     if len(subset) == 1:
         value, result = scren2(rho, Bipartition((0,), 2), config, full_output=True)
     elif rho.dims == (2, 2, 2):
-        result = roof_minimize(
-            rho,
-            lambda rows: float(np.sqrt(three_tangle_rows(rows)).sum()),
-            config,
-            stop_below=SQRT_ROOF_FLOOR,
+        value, result = _squared_roof(
+            rho, lambda rows: float(np.sqrt(three_tangle_rows(rows)).sum()), config
         )
-        value = max(0.0, result.value) ** 2
     else:
         nested = replace(NESTED_CONFIG, seed=config.seed)
         value, result = roof_sqrt_functional(

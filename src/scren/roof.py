@@ -1,33 +1,35 @@
 """Convex-roof optimization over pure-state decompositions of a mixed state.
 
-Every decomposition of ``rho`` into at most L pure states arises from the
-eigendecomposition through an L x L unitary mixing matrix (unitary freedom of
-ensembles, with zero-padding when L exceeds the rank).  The roof engine
-minimizes an objective of the (L, dim) array of unnormalized member rows
-sqrt(p_h)|psi_h> -- the weighted ensemble average sum_h p_h f(psi_h) -- over
-that unitary, parametrized as U = exp(iH) U0 with H Hermitian, using derivative-free
-direction-set (Powell) search from multiple starts: start 0 is the identity
-(so the eigendecomposition average is always an upper bound on the result)
-and the remaining starts are Haar-random unitaries.  The winning start gets a
-high-precision polish pass.  All randomness derives from the config seed, so
-results are reproducible.
+Every decomposition of ``rho`` into r = rank(rho) pure states arises from the
+eigendecomposition through an r x r unitary mixing matrix (unitary freedom of
+ensembles).  The roof engine minimizes an objective of the (r, dim) array of
+unnormalized member rows sqrt(p_h)|psi_h> -- the weighted ensemble average
+sum_h p_h f(psi_h) -- over that unitary.  Which search runs depends only on
+the party dims and the rank of the input.
 
-Before searching, every roof probes ``PROBE_COUNT`` Haar-random mixing
+A rank-2 state of a qubit and a qudit takes one start, and not over U(2).
+Its two-member decompositions are exactly the chords of its Bloch ball
+through the state's Bloch vector (Osterloh, Siewert & Uhlmann, PRA 77,
+032310 (2008)), a two-parameter family: the other two parameters of U(2) are
+per-member phases no objective depends on.  So a fixed grid of
+``CHORD_COUNT`` chord directions plus the eigendecomposition is scanned, and
+Powell searches a two-parameter chart of chord directions around the best of
+them (:func:`_chord_unitary`, :func:`_chord_chart`).  That search is
+deterministic, so ``starts`` and ``seed`` do not change its value.  On 3 x 3
+pairs the same single start missed the multi-start value on some states, so
+every other input keeps multi-start search.
+
+The multi-start search first probes ``PROBE_COUNT`` Haar-random mixing
 unitaries to detect decomposition-independent objectives.  Those unitaries
-depend only on the seed and L, so they are drawn once per process for each
-(seed, L) and shared by every later roof (:func:`_probe_unitaries`).
-
-A rank-2 state of a qubit and a qudit searched at L = 2 takes one start
-instead, and not over U(2).  Its two-member decompositions are exactly the
-chords of its Bloch ball through the state's Bloch vector (Osterloh, Siewert
-& Uhlmann, PRA 77, 032310 (2008)), a two-parameter family: the other two
-parameters of U(2) are per-member phases no objective depends on.  So a
-fixed grid of ``CHORD_COUNT`` chord directions plus the eigendecomposition
-is scanned, and Powell searches a two-parameter chart of chord directions
-around the best of them (:func:`_chord_unitary`, :func:`_chord_chart`).
-That start is deterministic, so ``starts`` and ``seed`` do not change its
-value.  On 3 x 3 pairs the same single start missed the multi-start value on
-some states, so every other input keeps multi-start search.
+depend only on the seed and the rank, so they are drawn once per process for
+each (seed, rank) and shared by every later roof (:func:`_probe_unitaries`).
+Otherwise it parametrizes the unitary as U = exp(iH) U0 with H Hermitian and
+runs derivative-free direction-set (Powell) search from multiple starts:
+start 0 is the identity (so the eigendecomposition average is always an
+upper bound on the result) and the remaining starts are Haar-random
+unitaries.  The winning start of either search gets a high-precision polish
+pass.  All randomness derives from the config seed, so results are
+reproducible.
 """
 
 from __future__ import annotations
@@ -89,17 +91,15 @@ class ConjectureViolation(Exception):
 class RoofConfig:
     """Settings for the roof optimizer.
 
-    ``ensemble_size`` (L) defaults to the rank of the input state and may be
-    raised up to rank*(rank+1); it must be at least 1, and the roof checks it
-    against the rank.  ``iters`` is the per-start evaluation budget; it and
-    ``starts`` must be at least 1.  A rank-2 qubit-qudit pair at L = 2 runs
-    one search over the two chord parameters whatever ``starts`` says, and
-    there ``seed`` only seeds the decomposition-independence probe.
+    ``iters`` is the per-start evaluation budget; it and ``starts`` must be
+    at least 1.  Every roof decomposes its input into rank-many members.  A
+    rank-2 qubit-qudit pair runs one search over the two chord parameters
+    whatever ``starts`` says, and ``seed`` does not enter it; ``seed`` seeds
+    the probe and the random starts of every other multi-start search.
     """
 
     starts: int = 16
     iters: int = 2000
-    ensemble_size: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -109,18 +109,16 @@ class RoofConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.ensemble_size is not None and self.ensemble_size < 1:
-            raise ValueError(f"ensemble_size must be at least 1, got {self.ensemble_size}")
 
 
 @dataclass(frozen=True)
 class RoofResult:
     """Outcome of a roof minimization: value, argmin decomposition and diagnostics.
 
-    ``rows`` is the read-only (L, dim) array of the winning decomposition's
+    ``rows`` is the read-only (rank, dim) array of the winning decomposition's
     unnormalized member rows sqrt(p_h)|psi_h>.  ``evals`` is the number of
-    objective calls the roof made: the eigendecomposition average, probe,
-    chord scan, search, polish and final call.  Unlike wall time it does not
+    objective calls the roof made: the eigendecomposition average, chord scan
+    or probe, search, polish and final call.  Unlike wall time it does not
     depend on the machine.
     """
 
@@ -196,14 +194,14 @@ def _triu(n: int):
 
 
 @lru_cache(maxsize=64)
-def _probe_unitaries(seed: int, size: int) -> np.ndarray:
-    """Read-only (PROBE_COUNT, size, size) stack of the probe's Haar unitaries.
+def _probe_unitaries(seed: int, rank: int) -> np.ndarray:
+    """Read-only (PROBE_COUNT, rank, rank) stack of the probe's Haar unitaries.
 
-    They depend only on ``(seed, size)``, so each pair is drawn once per
+    They depend only on ``(seed, rank)``, so each pair is drawn once per
     process, in order from one generator seeded by ``(seed, 0x9e3779b9)``.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9e3779b9)))
-    stack = np.stack([haar_unitary(size, rng) for _ in range(PROBE_COUNT)])
+    stack = np.stack([haar_unitary(rank, rng) for _ in range(PROBE_COUNT)])
     stack.flags.writeable = False
     return stack
 
@@ -317,27 +315,30 @@ def roof_minimize(
 ) -> RoofResult:
     """Minimize ``objective`` over decompositions of ``rho``.
 
-    ``objective`` maps the (L, dim) array of *unnormalized* member rows
+    ``objective`` maps the (rank, dim) array of *unnormalized* member rows
     sqrt(p_h)|psi_h> to the weighted average sum_h p_h f(psi_h); wrap a
     pure-state functional with :func:`member_average`.
 
-    Three cheap exits precede the multi-start search, all reported with
-    ``starts=0``: a rank-one ``rho`` has a single decomposition; if the
-    eigendecomposition average is already at or below ``stop_below`` it is
-    returned as-is (the roof value is sandwiched between it and zero); and if
-    a seeded probe of random mixing unitaries shows a spread of at most
-    ``PROBE_SPREAD_TOL`` the objective is treated as decomposition independent
-    and the eigendecomposition ensemble is returned.  The probe's unitaries
-    depend only on ``config.seed`` and L, and are drawn once per process for
-    each such pair (:func:`_probe_unitaries`).
+    Two cheap exits come first, both reported with ``starts=0``: a rank-one
+    ``rho`` has a single decomposition, and an eigendecomposition average
+    already at or below ``stop_below`` is returned as-is (the roof value is
+    sandwiched between it and zero).
 
-    The search runs ``config.starts`` Powell starts over the parameters of
-    exp(iH) U0 (U0 the identity, then Haar-random unitaries), except on a
-    two-party rank-2 ``rho`` with a qubit party at L = 2.  There one start
-    runs, over the two parameters of a chart of chord directions (see
+    On a two-party rank-2 ``rho`` with a qubit party one start then runs,
+    over the two parameters of a chart of chord directions (see
     :func:`_chord_chart`) centred on the best chord of a deterministic grid
-    that includes the eigendecomposition, and ``starts`` and ``seed`` do not
-    change the result unless the probe exits.
+    that includes the eigendecomposition; ``starts`` and ``seed`` do not
+    change its result.
+
+    Every other input is first probed: if the eigendecomposition average and
+    the values at a seeded stack of random mixing unitaries spread by at most
+    ``PROBE_SPREAD_TOL``, the objective is treated as decomposition
+    independent and the eigendecomposition ensemble is returned with
+    ``starts=0``.  The probe's unitaries depend only on ``config.seed`` and
+    the rank, and are drawn once per process for each such pair
+    (:func:`_probe_unitaries`).  Otherwise ``config.starts`` Powell starts
+    search the parameters of exp(iH) U0 (U0 the identity, then Haar-random
+    unitaries).
 
     The ``converged`` flag is False when the winning start still improved by
     more than ``CONVERGED_TOL`` over the last quarter of its evaluation sequence.
@@ -346,11 +347,6 @@ def roof_minimize(
     config = config or RoofConfig()
     lam, base = _support(rho)
     r = len(lam)
-    size = config.ensemble_size if config.ensemble_size is not None else r
-    if not r <= size <= r * (r + 1):
-        raise ValueError(
-            f"ensemble size {size} outside [rank, rank*(rank+1)] = [{r}, {r * (r + 1)}]"
-        )
     evals = 0
 
     def counted(rows: np.ndarray) -> float:
@@ -384,20 +380,11 @@ def roof_minimize(
         )
         return np.array(res.x, dtype=float), trace
 
-    identity = np.eye(size, dtype=np.complex128)
-    eigen_rows = identity[:, :r] @ base
-    eigen_average = counted(base if size == r else eigen_rows)
+    eigen_average = counted(base)
     if r == 1 or eigen_average <= stop_below:
-        return finish(eigen_rows, eigen_average, 0, True, (eigen_average,))
+        return finish(base, eigen_average, 0, True, (eigen_average,))
 
-    probe_values = [eigen_average]
-    for u in _probe_unitaries(config.seed, size):
-        probe_values.append(counted(u[:, :r] @ base))
-    spread = max(probe_values) - min(probe_values)
-    if spread <= PROBE_SPREAD_TOL:
-        return finish(eigen_rows, eigen_average, 0, True, probe_values)
-
-    if len(rho.dims) == 2 and min(rho.dims) == 2 and r == size == 2:
+    if len(rho.dims) == 2 and min(rho.dims) == 2 and r == 2:
         # a chord scan finds the basin; the eigendecomposition is the chord along z
         q = tuple(float(v) for v in lam / lam.sum())
         chords = [(eigen_average, (0.0, 0.0, 1.0))]
@@ -405,13 +392,20 @@ def roof_minimize(
         u0 = min(chords, key=lambda vu: vu[0])[1]
         starts = [(np.zeros(2), _chord_chart(q, u0, base))]
     else:
+        probe_values = [eigen_average]
+        for u in _probe_unitaries(config.seed, r):
+            probe_values.append(counted(u @ base))
+        if max(probe_values) - min(probe_values) <= PROBE_SPREAD_TOL:
+            return finish(base, eigen_average, 0, True, probe_values)
+
+        identity = np.eye(r, dtype=np.complex128)
         seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
 
         def mixing(k: int):
-            u0 = identity if k == 0 else haar_unitary(size, np.random.default_rng(seeds[k]))
-            return lambda theta: (_unitary_from_params(theta, size) @ u0)[:, :r] @ base
+            u0 = identity if k == 0 else haar_unitary(r, np.random.default_rng(seeds[k]))
+            return lambda theta: (_unitary_from_params(theta, r) @ u0) @ base
 
-        starts = ((np.zeros(size * size), mixing(k)) for k in range(config.starts))
+        starts = ((np.zeros(r * r), mixing(k)) for k in range(config.starts))
     best_value = np.inf
     best_theta: np.ndarray | None = None
     best_rows_of = None
@@ -464,6 +458,16 @@ def _negativity_row_objective(dims: Sequence[int], part: Bipartition):
     return value
 
 
+def _squared_roof(
+    rho: DensityMatrix,
+    row_objective: Callable[[np.ndarray], float],
+    config: RoofConfig | None,
+) -> tuple[float, RoofResult]:
+    """Square of the roof of ``row_objective``, stopped at ``SQRT_ROOF_FLOOR``."""
+    result = roof_minimize(rho, row_objective, config, stop_below=SQRT_ROOF_FLOOR)
+    return max(0.0, result.value) ** 2, result
+
+
 def cren(
     rho: DensityMatrix,
     part: Bipartition,
@@ -489,10 +493,7 @@ def scren2(
     every squared roof it stops at ``SQRT_ROOF_FLOOR``, so a near-separable
     pair may report any value up to 1e-10 in place of zero.
     """
-    result = roof_minimize(
-        rho, _negativity_row_objective(rho.dims, part), config, stop_below=SQRT_ROOF_FLOOR
-    )
-    value = max(0.0, result.value) ** 2
+    value, result = _squared_roof(rho, _negativity_row_objective(rho.dims, part), config)
     return (value, result) if full_output else value
 
 
@@ -515,8 +516,5 @@ def roof_sqrt_functional(
             raise ConjectureViolation(psi, v)
         return np.sqrt(max(0.0, v))
 
-    result = roof_minimize(
-        rho, member_average(rho.dims, sqrt_member), config, stop_below=SQRT_ROOF_FLOOR
-    )
-    value = max(0.0, result.value) ** 2
+    value, result = _squared_roof(rho, member_average(rho.dims, sqrt_member), config)
     return (value, result) if full_output else value

@@ -136,7 +136,6 @@ def _wclass_trial(task: tuple) -> dict:
 
 
 def wclass_suite(
-    seed: int = 7,
     trials: int = 20,
     n: int = 4,
     d: int = 3,
@@ -145,11 +144,11 @@ def wclass_suite(
 ) -> dict:
     """Theorem and lemma checks on ``trials`` random W-plus-vacuum specs.
 
-    Specs are drawn serially from the seed, then verified independently, so
-    the report is identical for any worker count.
+    Specs are drawn serially from ``config.seed``, then verified
+    independently, so the report is identical for any worker count.
     """
-    config = config or RoofConfig(seed=seed)
-    rng = np.random.default_rng(seed)
+    config = config or RoofConfig(seed=7)
+    rng = np.random.default_rng(config.seed)
     tasks = [(t, random_spec(rng, n, d), config) for t in range(trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -161,7 +160,7 @@ def wclass_suite(
     )
     return {
         "suite": "wclass",
-        "seed": seed,
+        "seed": config.seed,
         "n": n,
         "d": d,
         "trials": trials,

@@ -53,6 +53,7 @@ def test_compute_negativity_bell(capsys, state_files):
     assert code == EXIT_OK
     report = json.loads(out)
     assert abs(report["value"] - 1.0) <= 1e-9
+    assert list(report["config"]) == ["starts", "iters", "seed"]
     assert report["config"]["seed"] == 0
 
 
@@ -192,29 +193,26 @@ def test_negative_seed_is_an_input_error(capsys, state_files, command):
     assert "seed" in err
 
 
-@pytest.mark.parametrize("size", ["0", "-2"])
-@pytest.mark.parametrize("command", [
-    ["compute", "negativity", "--cut", "0"],
-    ["verify", "wclass", "--n", "3", "--trials", "1"],
-    ["hunt", "--dims", "2,2,2", "--samples", "1"],
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(["compute", "scren", "--cut", "0"], ["--tol", "1e-6"], id="compute-tol"),
+    pytest.param(["compute", "scren", "--cut", "0"], ["--ensemble-size", "2"],
+                 id="compute-ensemble-size"),
+    pytest.param(["verify", "wclass", "--n", "3", "--trials", "1"], ["--ensemble-size", "2"],
+                 id="verify-ensemble-size"),
+    pytest.param(["hunt", "--dims", "2,2,2", "--samples", "1"], ["--ensemble-size", "2"],
+                 id="hunt-ensemble-size"),
 ])
-def test_ensemble_size_below_one_is_an_input_error(capsys, state_files, command, size):
+def test_tol_flag_is_an_input_error(capsys, state_files, command, flag):
+    # the convergence threshold is a fixed constant of the roof engine, and
+    # every roof decomposes its input into rank-many members
     if command[0] == "compute":
         command = command + ["--state", state_files["bell"]]
-    code, out, err = run_cli(capsys, *command, "--ensemble-size", size)
-    assert code == EXIT_INPUT
-    assert out == ""
-    assert "ensemble_size" in err
-
-
-def test_tol_flag_is_an_input_error(capsys, state_files):
-    # the convergence threshold is a fixed constant of the roof engine
     with pytest.raises(SystemExit) as exc:
-        main(["compute", "scren", "--state", state_files["bell"], "--cut", "0", "--tol", "1e-6"])
+        main(command + flag)
     assert exc.value.code == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--tol" in captured.err
+    assert flag[0] in captured.err
 
 
 def test_missing_cut_exits_2(capsys, state_files):
@@ -236,8 +234,9 @@ def test_traced_out_cut_exits_2(capsys, state_files):
     assert "traced out" in err
 
 
-def test_cost_guard_exits_3(capsys, state_files):
-    code, _, err = run_cli(capsys, "compute", "nscren", "--state", state_files["big"], "--focus", "0")
+@pytest.mark.parametrize("measure", ["nscren", "ntangle"])
+def test_cost_guard_exits_3(capsys, state_files, measure):
+    code, _, err = run_cli(capsys, "compute", measure, "--state", state_files["big"], "--focus", "0")
     assert code == EXIT_COST_GUARD
     assert "parties" in err
 

@@ -73,12 +73,6 @@ def test_config_rejects_negative_seed():
         RoofConfig(seed=-1)
 
 
-@pytest.mark.parametrize("size", [0, -2])
-def test_config_rejects_ensemble_size_below_one(size):
-    with pytest.raises(ValueError, match="ensemble_size"):
-        RoofConfig(ensemble_size=size)
-
-
 def test_hjw_identity_returns_eigendecomposition():
     rng = np.random.default_rng(1)
     rho = random_mixed_state(rng, (2, 2), rank=2)
@@ -143,15 +137,6 @@ def test_constant_objective_returns_constant():
     assert res.starts == 0  # detected as decomposition independent
 
 
-def test_ensemble_size_bounds_enforced():
-    rng = np.random.default_rng(7)
-    rho = random_mixed_state(rng, (2, 2), rank=2)
-    with pytest.raises(ValueError, match="outside"):
-        roof_minimize(rho, member_average(rho.dims, lambda s: 1.0), RoofConfig(ensemble_size=1, seed=0))
-    with pytest.raises(ValueError, match="outside"):
-        roof_minimize(rho, member_average(rho.dims, lambda s: 1.0), RoofConfig(ensemble_size=7, seed=0))
-
-
 def test_value_matches_ensemble_average():
     rng = np.random.default_rng(8)
     rho = random_rank2_two_qubit(rng)
@@ -195,16 +180,6 @@ def test_seed_changes_explore_differently_but_agree():
     a = cren(rho, PART2, RoofConfig(seed=1))
     b = cren(rho, PART2, RoofConfig(seed=2))
     assert abs(a - b) <= 1e-5
-
-
-def test_enlarging_ensemble_never_raises_value():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        rho = random_rank2_two_qubit(rng)
-        r = rho.rank()
-        small = cren(rho, PART2, RoofConfig(starts=8, iters=800, ensemble_size=r, seed=5))
-        large = cren(rho, PART2, RoofConfig(starts=8, iters=800, ensemble_size=r + 2, seed=5))
-        assert large <= small + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +314,16 @@ def test_chord_along_z_is_the_eigendecomposition():
         assert np.abs(w - np.eye(2)).max() <= 1e-15
 
 
-@pytest.mark.parametrize("small", [1e-3, 1e-6, 1e-9])
-def test_near_pole_pair_roof_matches_wootters(small):
-    rho = _near_pole_pair(np.random.default_rng(0), small)
+@pytest.mark.parametrize("seed, small", [
+    pytest.param(0, 1e-3, id="0.001"),
+    pytest.param(0, 1e-6, id="1e-06"),
+    pytest.param(0, 1e-9, id="1e-09"),
+    # its probe values spread by less than PROBE_SPREAD_TOL only because the
+    # second member weighs 1e-9, so this pair must not take the probe exit
+    pytest.param(2, 1e-9, id="seed2-1e-09"),
+])
+def test_near_pole_pair_roof_matches_wootters(seed, small):
+    rho = _near_pole_pair(np.random.default_rng(seed), small)
     value, result = scren2(rho, PART2, full_output=True)
     assert result.starts == 1
     assert abs(value - wootters_tangle(rho)) <= 1e-12
@@ -389,13 +371,14 @@ def test_evals_counts_every_objective_call(build):
 
 
 def test_chord_path_evaluation_count():
-    # eigendecomposition, probe, chord scan and final call, plus the search
-    # over the two chord parameters: 208 evaluations when this was written,
-    # against 434 for a search over all four parameters of U(2)
+    # eigendecomposition, chord scan and final call, plus the search over the
+    # two chord parameters; the chord path runs no probe.  200 evaluations
+    # when this was written, against 434 for a search over all four
+    # parameters of U(2)
     rho = random_rank2_two_qubit(np.random.default_rng(31))
     _, result = scren2(rho, PART2, full_output=True)
     assert result.starts == 1
-    assert 1 + PROBE_COUNT + CHORD_COUNT + 1 < result.evals <= 250
+    assert 1 + CHORD_COUNT + 1 < result.evals <= 250 - PROBE_COUNT
 
 
 # ---------------------------------------------------------------------------
