@@ -56,36 +56,10 @@ MEASURES = ("scren", "tangle")
 
 
 @dataclass(frozen=True)
-class IndexVector:
-    """Ascending non-focus party labels from {2..n}; order m is length + 1."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        entries = tuple(int(j) for j in self.entries)
-        if not entries:
-            raise ValueError("index vector must be non-empty")
-        if any(j < 2 for j in entries):
-            raise ValueError("labels start at 2 (the focus party is label 1)")
-        if list(entries) != sorted(set(entries)):
-            raise ValueError("labels must be strictly ascending")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def order(self) -> int:
-        return len(self.entries) + 1
-
-
-def enumerate_subsets(n: int, m: int) -> list[IndexVector]:
-    """All C(n-1, m-1) ascending label subsets of {2..n} at level m."""
-    if not 2 <= m <= n - 1:
-        raise ValueError(f"level m={m} outside [2, n-1] for n={n}")
-    return [IndexVector(c) for c in combinations(range(2, n + 1), m - 1)]
-
-
-@dataclass(frozen=True)
 class SMTerm:
-    subset: IndexVector
+    """One term of the SM sum; ``subset`` holds its ascending 1-based labels."""
+
+    subset: tuple[int, ...]
     value: float
     contribution: float
     converged: bool
@@ -93,11 +67,11 @@ class SMTerm:
 
     @property
     def order(self) -> int:
-        return self.subset.order
+        return len(self.subset) + 1
 
     def to_dict(self) -> dict:
         return {
-            "subset": list(self.subset.entries),
+            "subset": list(self.subset),
             "m": self.order,
             "value": self.value,
             "contribution": self.contribution,
@@ -237,14 +211,14 @@ def _report(
     terms: list[SMTerm] = []
     rhs = 0.0
     for m in range(2, 3 if pairs_only else n):
-        for entries in combinations(range(2, n + 1), m - 1):
-            subset = tuple(j - 1 for j in entries)  # labels 2..n -> positions 1..n-1
+        for labels in combinations(range(2, n + 1), m - 1):
+            subset = tuple(j - 1 for j in labels)  # labels 2..n -> positions 1..n-1
             value, converged, starts = _mixed_value(work, subset, config)
             contribution = value ** (m / 2)
             rhs += contribution
             terms.append(
                 SMTerm(
-                    subset=IndexVector(entries),
+                    subset=labels,
                     value=value,
                     contribution=contribution,
                     converged=converged,

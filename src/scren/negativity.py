@@ -1,4 +1,4 @@
-"""Negativity of pure and mixed states and the PPT separability check.
+"""Negativity of pure and mixed states.
 
 Pure-state negativity is 2 * sum_{i<j} sqrt(lambda_i lambda_j) over the
 Schmidt coefficients, equivalently (tr sqrt(rho_A))^2 - 1.  Mixed-state
@@ -27,14 +27,10 @@ def negativity_mixed(rho: DensityMatrix, part: Bipartition) -> float:
 
     Evaluated as twice the weight of the negative eigenvalues (equal to
     ||.||_1 - 1 since the trace is one), and exactly zero when no eigenvalue
-    lies below -1e-10, which is the test :func:`is_ppt` applies.
+    lies below -1e-10 (the state is PPT).
     """
     mu = np.linalg.eigvalsh(partial_transpose(rho, part))
     if mu[0] >= -PPT_ATOL:
         return 0.0
     return 2.0 * float(np.clip(-mu, 0.0, None).sum())
 
-
-def is_ppt(rho: DensityMatrix, part: Bipartition) -> bool:
-    """True iff the partial transpose has no eigenvalue below -1e-10."""
-    return negativity_mixed(rho, part) == 0.0

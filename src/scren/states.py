@@ -146,63 +146,6 @@ class Bipartition:
         return tuple(i for i in range(self.n_parties) if i not in in_a)
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Schmidt data of a pure state across a bipartition.
-
-    ``coefficients`` are the probabilities lambda_i in descending order;
-    ``basis_a``/``basis_b`` hold the paired orthonormal vectors as rows, with
-    side-A (side-B) subsystems flattened in ascending index order.  ``part``
-    and ``dims`` record the cut so the state can be reassembled.
-    """
-
-    coefficients: np.ndarray
-    basis_a: np.ndarray
-    basis_b: np.ndarray
-    part: Bipartition
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        lam = np.asarray(self.coefficients, dtype=float)
-        if np.any(lam < -NORM_ATOL):
-            raise ValueError("Schmidt coefficients must be nonnegative")
-        if np.any(np.diff(lam) > NORM_ATOL):
-            raise ValueError("Schmidt coefficients must be descending")
-        if abs(lam.sum() - 1.0) > 1e-9:
-            raise ValueError(f"Schmidt coefficients must sum to 1, got {lam.sum()!r}")
-        for basis in (self.basis_a, self.basis_b):
-            gram = basis @ basis.conj().T
-            if np.abs(gram - np.eye(len(lam))).max() > 1e-9:
-                raise ValueError("Schmidt basis vectors are not orthonormal")
-        object.__setattr__(self, "coefficients", _freeze(np.ascontiguousarray(lam)))
-        object.__setattr__(self, "basis_a", _freeze(np.ascontiguousarray(self.basis_a)))
-        object.__setattr__(self, "basis_b", _freeze(np.ascontiguousarray(self.basis_b)))
-
-    @property
-    def rank(self) -> int:
-        return int(np.sum(self.coefficients > RANK_TOL))
-
-    def reconstruct(self) -> PureState:
-        """Reassemble sum_i sqrt(lambda_i) |e_i>|f_i> in the original subsystem order."""
-        weights = np.sqrt(np.clip(self.coefficients, 0.0, None))
-        flat = np.einsum("i,ia,ib->ab", weights, self.basis_a, self.basis_b).reshape(-1)
-        order = list(self.part.side_a) + list(self.part.side_b)
-        permuted_dims = [self.dims[i] for i in order]
-        inverse = np.argsort(order)
-        amps = flat.reshape(permuted_dims).transpose(inverse).reshape(-1)
-        return PureState(self.dims, amps)
-
-
-def tensor(states: Sequence[PureState]) -> PureState:
-    """Kronecker product of pure states; dims are concatenated."""
-    if not states:
-        raise ValueError("tensor() needs at least one factor")
-    amps = states[0].amplitudes
-    for s in states[1:]:
-        amps = np.kron(amps, s.amplitudes)
-    return PureState(tuple(d for s in states for d in s.dims), amps)
-
-
 def to_density(psi: PureState) -> DensityMatrix:
     """Rank-one projector |psi><psi|."""
     mat = np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -271,7 +214,8 @@ def split_matrix(psi: PureState, part: Bipartition) -> np.ndarray:
     """Amplitudes as a (dim A) x (dim B) matrix for the given cut.
 
     Rows run over side-A subsystems in ascending index order, columns over
-    side B; Schmidt data and pure-state negativity both come from this matrix.
+    side B; its singular values are the square roots of the Schmidt
+    coefficients, from which pure-state negativity comes.
     """
     if part.n_parties != psi.n_parties:
         raise ValueError("bipartition does not match the state's party count")
@@ -280,37 +224,9 @@ def split_matrix(psi: PureState, part: Bipartition) -> np.ndarray:
     return psi.as_tensor().transpose(order).reshape(d_a, -1)
 
 
-def schmidt(psi: PureState, part: Bipartition) -> SchmidtDecomposition:
-    """Schmidt decomposition of ``psi`` across ``part``, coefficients descending."""
-    m = split_matrix(psi, part)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return SchmidtDecomposition(
-        coefficients=s**2,
-        basis_a=u.T,  # columns of u, stored as rows
-        basis_b=vh,
-        part=part,
-        dims=psi.dims,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Named states
 # ---------------------------------------------------------------------------
-
-def basis_state(dims: Sequence[int], digits: Sequence[int]) -> PureState:
-    """Computational basis ket |digits> for the given local dimensions."""
-    dims = tuple(int(d) for d in dims)
-    if len(digits) != len(dims):
-        raise ValueError("digits and dims must have the same length")
-    idx = 0
-    for d, k in zip(dims, digits):
-        if not 0 <= k < d:
-            raise ValueError(f"digit {k} out of range for dimension {d}")
-        idx = idx * d + k
-    amps = np.zeros(prod(dims), dtype=np.complex128)
-    amps[idx] = 1.0
-    return PureState(dims, amps)
-
 
 def bell_state() -> PureState:
     """|Phi+> = (|00> + |11>)/sqrt(2)."""
@@ -344,9 +260,13 @@ def haar_random_state(dims: Sequence[int], rng: np.random.Generator) -> PureStat
 # ---------------------------------------------------------------------------
 
 def _pairs_to_complex(pairs, what: str) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
+    message = f"{what} must be nested [re, im] pairs"
+    try:
+        arr = np.asarray(pairs, dtype=float)
+    except TypeError as exc:  # a JSON object where numbers belong
+        raise ValueError(message) from exc
     if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise ValueError(f"{what} must be nested [re, im] pairs")
+        raise ValueError(message)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -359,8 +279,15 @@ def state_to_dict(psi: PureState) -> dict:
     return {"dims": list(psi.dims), "amplitudes": _complex_to_pairs(psi.amplitudes)}
 
 
+def _dims_from_dict(data: dict) -> tuple[int, ...]:
+    dims = data["dims"]
+    if not isinstance(dims, (list, tuple)) or not all(isinstance(d, int) for d in dims):
+        raise ValueError(f"dims must be a list of integers, got {dims!r}")
+    return tuple(dims)
+
+
 def state_from_dict(data: dict) -> PureState:
-    dims = tuple(int(d) for d in data["dims"])
+    dims = _dims_from_dict(data)
     amps = _pairs_to_complex(data["amplitudes"], "amplitudes").reshape(-1)
     norm = float(np.linalg.norm(amps))
     if not abs(norm - 1.0) <= LOADER_NORM_ATOL:
@@ -373,7 +300,7 @@ def density_to_dict(rho: DensityMatrix) -> dict:
 
 
 def density_from_dict(data: dict) -> DensityMatrix:
-    dims = tuple(int(d) for d in data["dims"])
+    dims = _dims_from_dict(data)
     mat = _pairs_to_complex(data["matrix"], "matrix")
     if mat.ndim != 2:
         raise ValueError("matrix must be a nested list of [re, im] pairs")
@@ -387,6 +314,8 @@ def load_state(path) -> PureState | DensityMatrix:
     """Load a pure state or density matrix from a JSON file, keyed by content."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"state file must hold a JSON object, got {type(data).__name__}")
     if "amplitudes" in data:
         return state_from_dict(data)
     if "matrix" in data:

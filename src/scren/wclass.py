@@ -111,20 +111,6 @@ def two_scren_closed(spec: WClassSpec, s: int) -> float:
     return 4.0 * spec.p**2 * (1.0 - spec.omega) * spec.party_weight(s)
 
 
-def marginal_focus_matrix(spec: WClassSpec) -> np.ndarray:
-    """Explicit d x d marginal of party 1, assembled from the closed form."""
-    d, p = spec.d, spec.p
-    omega = spec.omega
-    a1 = spec.a[0]
-    out = np.zeros((d, d), dtype=np.complex128)
-    out[1:, 1:] = p * np.outer(a1, a1.conj())
-    out[0, 0] = p * omega + (1.0 - p)
-    cross = np.sqrt(p * (1.0 - p))
-    out[1:, 0] = cross * a1
-    out[0, 1:] = cross * a1.conj()
-    return out
-
-
 def reduced_xy(spec: WClassSpec, keep: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized vectors (x~, y~) with rho_keep = |x~><x~| + |y~><y~|.
 

@@ -169,6 +169,29 @@ def test_nan_state_file_exits_2(capsys, tmp_path, key):
     assert "cannot load state file" in err
 
 
+BELL_PAIRS = [[2**-0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [2**-0.5, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        5,
+        "amplitudes",
+        {"dims": 3, "amplitudes": BELL_PAIRS},
+        {"dims": [2.9, 2.2], "amplitudes": BELL_PAIRS},
+        {"dims": [2.9, 2.2], "matrix": np.stack([np.eye(4) / 4, np.zeros((4, 4))], axis=-1).tolist()},
+        {"dims": [2, 2], "amplitudes": {"re": 1}},
+    ],
+    ids=["number", "string", "scalar-dims", "float-dims", "float-dims-matrix", "object-amplitudes"],
+)
+def test_malformed_state_file_exits_2(capsys, tmp_path, body):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(body))
+    code, _, err = run_cli(capsys, "compute", "negativity", "--state", str(bad), "--cut", "0")
+    assert code == EXIT_INPUT
+    assert "cannot load state file" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--iters", "0"), ("--starts", "-2")])
 def test_compute_rejects_budgets_below_one(capsys, tmp_path, flag, value):
     path = tmp_path / "pair.json"

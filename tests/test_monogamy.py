@@ -11,11 +11,9 @@ from scren import (
     CKW_COUNTEREXAMPLE_322,
     Bipartition,
     CostGuardError,
-    IndexVector,
     RoofConfig,
     bell_state,
     ckw_report,
-    enumerate_subsets,
     ghz_state,
     haar_random_state,
     n_scren_pure,
@@ -41,39 +39,17 @@ FAST = RoofConfig(starts=8, iters=600, seed=7)
 # index subsets
 # ---------------------------------------------------------------------------
 
-def test_enumerate_three_parties():
-    assert [v.entries for v in enumerate_subsets(3, 2)] == [(2,), (3,)]
-
-
-def test_enumerate_four_parties_level_three():
-    assert [v.entries for v in enumerate_subsets(4, 3)] == [(2, 3), (2, 4), (3, 4)]
-
-
-def test_enumerate_five_party_count():
-    total = sum(len(enumerate_subsets(5, m)) for m in range(2, 5))
-    assert total == 14  # C(4,1) + C(4,2) + C(4,3)
-
-
-def test_enumerate_lexicographic_and_unique():
-    vectors = enumerate_subsets(5, 3)
-    entries = [v.entries for v in vectors]
-    assert entries == sorted(entries)
-    assert len(set(entries)) == len(entries)
-
-
-def test_enumerate_level_out_of_range():
-    with pytest.raises(ValueError):
-        enumerate_subsets(3, 1)
-    with pytest.raises(ValueError):
-        enumerate_subsets(3, 3)
-
-
-def test_index_vector_validation():
-    with pytest.raises(ValueError):
-        IndexVector((1,))
-    with pytest.raises(ValueError):
-        IndexVector((3, 2))
-    assert IndexVector((2, 4)).order == 3
+def test_report_subsets_run_level_by_level_in_lexicographic_order():
+    report = sm_report(ghz_state(5))
+    expected = [
+        (2,), (3,), (4,), (5,),
+        (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5),
+        (2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5),
+    ]
+    assert [t.subset for t in report.terms] == expected
+    terms = report.to_dict()["terms"]
+    assert [t["subset"] for t in terms] == [list(labels) for labels in expected]
+    assert [t["m"] for t in terms] == [2] * 4 + [3] * 6 + [4] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +161,7 @@ def test_sm_three_parties_reduces_to_ckw():
     psi = haar_random_state((2, 2, 2), rng)
     sm = sm_report(psi, 0, "scren", cfg)
     ckw = ckw_report(psi, 0, "scren", cfg)
-    assert [t.subset.entries for t in sm.terms] == [(2,), (3,)]
+    assert [t.subset for t in sm.terms] == [(2,), (3,)]
     for sm_term, ckw_term in zip(sm.terms, ckw.terms):
         assert abs(sm_term.value - ckw_term.value) <= 1e-12
         assert abs(sm_term.contribution - sm_term.value) <= 1e-15  # exponent 1
@@ -238,8 +214,8 @@ def test_sm_permutation_covariance():
     assert abs(base.rhs_total - swapped.rhs_total) <= 1e-6
     assert abs(base.residual - swapped.residual) <= 1e-6
     # pairwise terms swap with the relabeling
-    base_pairs = {t.subset.entries: t.value for t in base.terms if t.order == 2}
-    swapped_pairs = {t.subset.entries: t.value for t in swapped.terms if t.order == 2}
+    base_pairs = {t.subset: t.value for t in base.terms if t.order == 2}
+    swapped_pairs = {t.subset: t.value for t in swapped.terms if t.order == 2}
     assert abs(base_pairs[(2,)] - swapped_pairs[(3,)]) <= 1e-6
     assert abs(base_pairs[(3,)] - swapped_pairs[(2,)]) <= 1e-6
 
@@ -278,12 +254,12 @@ def test_qubit_pairs_are_wootters_and_qudit_pairs_scren2():
     rng = np.random.default_rng(14)
     psi = haar_random_state((2, 2, 2), rng)
     for term in sm_report(psi, 0, "scren", cfg).terms:
-        (j,) = term.subset.entries
+        (j,) = term.subset
         assert term.value == wootters_tangle(reduced_density(psi, (0, j - 1)))
         assert term.starts == 0
         assert term.converged
     psi = haar_random_state((2, 3, 2), rng)
-    pairs = {t.subset.entries: t for t in sm_report(psi, 0, "scren", cfg).terms}
+    pairs = {t.subset: t for t in sm_report(psi, 0, "scren", cfg).terms}
     qutrit = reduced_density(psi, (0, 1))
     assert qutrit.dims == (2, 3)
     assert pairs[(2,)].value == scren2(qutrit, Bipartition((0,), 2), cfg)
@@ -308,13 +284,13 @@ def test_nested_term_is_the_members_own_report_residual():
     nested = replace(NESTED_CONFIG, seed=FAST.seed)
     for psi in (ghz_state(4), w_state(4)):
         rep = sm_report(psi, 0, "scren", FAST)
-        (term,) = [t for t in rep.terms if t.subset.entries == (2, 3)]
+        (term,) = [t for t in rep.terms if t.subset == (2, 3)]
         direct, _ = _three_tangle_roof(reduced_density(psi, (0, 1, 2)), FAST)
         assert term.value == direct
     rng = np.random.default_rng(3)
     for psi in [build_state(random_spec(rng, 4, 3)) for _ in range(4)]:
         rep = sm_report(psi, 0, "scren", FAST)
-        (term,) = [t for t in rep.terms if t.subset.entries == (2, 3)]
+        (term,) = [t for t in rep.terms if t.subset == (2, 3)]
         direct = roof_sqrt_functional(
             reduced_density(psi, (0, 1, 2)), lambda s: n_scren_pure(s, 0, nested), nested
         )
@@ -328,7 +304,7 @@ def test_all_qubit_m3_terms_run_at_the_report_budget():
         triples = [t for t in sm_report(psi, 0, "scren", cfg).terms if t.order == 3]
         assert len(triples) == 3
         for term in triples:
-            subset = tuple(j - 1 for j in term.subset.entries)
+            subset = tuple(j - 1 for j in term.subset)
             direct, result = _three_tangle_roof(reduced_density(psi, (0,) + subset), cfg)
             assert term.value == direct
             assert term.converged == result.converged
@@ -356,7 +332,7 @@ def test_ckw_report_is_the_pair_level_of_sm_report():
         assert ckw.residual == ckw.one_value - sum(t.value for t in pairs)
     # two parties: one pair term against none in the SM report
     rep = ckw_report(bell_state(), 0, "scren", FAST)
-    assert [t.subset.entries for t in rep.terms] == [(2,)]
+    assert [t.subset for t in rep.terms] == [(2,)]
     assert abs(rep.residual) <= 1e-12
     assert sm_report(bell_state(), 0, "scren", FAST).terms == ()
 
@@ -418,5 +394,5 @@ def test_scren2_consistency_between_report_and_direct():
     from scren import reduced_density
 
     direct = scren2(reduced_density(psi, (0, 1)), Bipartition((0,), 2), cfg)
-    pair = {t.subset.entries: t.value for t in rep.terms}[(2,)]
+    pair = {t.subset: t.value for t in rep.terms}[(2,)]
     assert abs(direct - pair) <= 1e-12

@@ -9,7 +9,6 @@ from scren import (
     Bipartition,
     DensityMatrix,
     PureState,
-    basis_state,
     bell_state,
     dump_state,
     haar_random_state,
@@ -17,16 +16,14 @@ from scren import (
     partial_trace,
     partial_transpose,
     reduced_density,
-    schmidt,
-    tensor,
     to_density,
     w_state,
 )
 from scren.monogamy import CKW_COUNTEREXAMPLE_322
-from scren.states import density_from_dict, state_from_dict, state_to_dict
-from scren.wclass import WClassSpec, build_state, marginal_focus_matrix, random_spec
+from scren.states import density_from_dict, split_matrix, state_from_dict, state_to_dict
+from scren.wclass import WClassSpec, build_state, random_spec
 
-from util import random_mixed_state
+from util import basis_state, marginal_focus_matrix, random_mixed_state, tensor
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +218,7 @@ def test_partial_transpose_negative_eigenvalues_are_schmidt_products():
     rng = np.random.default_rng(6)
     psi = haar_random_state((3, 3), rng)
     part = Bipartition((0,), 2)
-    lam = schmidt(psi, part).coefficients
+    lam = np.linalg.svd(split_matrix(psi, part), compute_uv=False) ** 2
     expected = sorted(
         -np.sqrt(lam[i] * lam[j]) for i in range(3) for j in range(i + 1, 3)
     )
@@ -244,53 +241,6 @@ def test_partial_transpose_preserves_trace():
     rho = random_mixed_state(rng, (2, 2, 2), rank=3)
     pt = partial_transpose(rho, Bipartition((0, 2), 3))
     assert abs(np.trace(pt) - np.trace(rho.matrix)) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Schmidt decomposition
-# ---------------------------------------------------------------------------
-
-def test_schmidt_product_state_rank_one():
-    sd = schmidt(basis_state((2, 2), (0, 0)), Bipartition((0,), 2))
-    assert sd.rank == 1
-    np.testing.assert_allclose(sd.coefficients[0], 1.0)
-
-
-def test_schmidt_bell():
-    sd = schmidt(bell_state(), Bipartition((0,), 2))
-    np.testing.assert_allclose(sd.coefficients, [0.5, 0.5], atol=1e-12)
-
-
-def test_schmidt_counterexample_cut():
-    # conditional states |10>, |01>, (|00>+|11>)/sqrt(2) are orthonormal
-    sd = schmidt(CKW_COUNTEREXAMPLE_322, Bipartition((0,), 3))
-    np.testing.assert_allclose(sd.coefficients, [1 / 3] * 3, atol=1e-12)
-    assert sd.rank == 3
-
-
-def test_schmidt_descending_and_normalized():
-    rng = np.random.default_rng(9)
-    psi = haar_random_state((4, 3), rng)
-    sd = schmidt(psi, Bipartition((0,), 2))
-    assert np.all(np.diff(sd.coefficients) <= 1e-12)
-    assert abs(sd.coefficients.sum() - 1.0) <= 1e-9
-
-
-@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 4), (2, 2, 2), (3, 3, 3), (4, 4, 4)])
-def test_schmidt_reconstruction_haar(dims):
-    rng = np.random.default_rng(hash(dims) % 2**32)
-    n = len(dims)
-    per_case = 167  # six dim sets x 167 > 1000 states in all
-    for _ in range(per_case):
-        psi = haar_random_state(dims, rng)
-        size = int(rng.integers(1, n)) if n > 1 else 1
-        side_a = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-        sd = schmidt(psi, Bipartition(side_a, n))
-        rebuilt = sd.reconstruct().amplitudes
-        # align global phase on the largest amplitude
-        k = int(np.argmax(np.abs(psi.amplitudes)))
-        phase = psi.amplitudes[k] / rebuilt[k]
-        assert np.abs(rebuilt * phase - psi.amplitudes).max() <= 1e-8
 
 
 def test_permute_roundtrip():

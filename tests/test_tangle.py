@@ -16,7 +16,6 @@ from scren import (
     one_tangle,
     reduced_density,
     scren2,
-    tensor,
     three_tangle_rows,
     to_density,
     two_tangle,
@@ -25,7 +24,7 @@ from scren import (
 )
 from scren.monogamy import CKW_COUNTEREXAMPLE_322
 
-from util import random_local_unitaries, random_mixed_state, random_rank2_two_qubit
+from util import random_local_unitaries, random_mixed_state, random_rank2_two_qubit, tensor
 
 PART2 = Bipartition((0,), 2)
 FAST = RoofConfig(starts=8, iters=600, seed=7)

@@ -8,7 +8,6 @@ from scren import (
     DensityMatrix,
     RoofConfig,
     WClassSpec,
-    basis_state,
     build_state,
     haar_unitary,
     hjw_ensemble,
@@ -24,7 +23,9 @@ from scren import (
     w_state,
     wootters_tangle,
 )
-from scren.wclass import HAMMING_SUPPORT_ATOL, marginal_focus_matrix, outside_amplitude
+from scren.wclass import HAMMING_SUPPORT_ATOL, outside_amplitude
+
+from util import basis_state, marginal_focus_matrix
 
 FAST = RoofConfig(starts=8, iters=600, seed=7)
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from math import prod
+from typing import Sequence
+
 import numpy as np
 
-from scren import DensityMatrix, PureState, haar_random_state, haar_unitary
+from scren import DensityMatrix, PureState, WClassSpec, haar_random_state, haar_unitary
 from scren.suites import random_rank2_two_qubit  # noqa: F401  (re-exported for the tests)
 
 
@@ -32,3 +35,42 @@ def random_local_unitaries(psi: PureState, rng: np.random.Generator) -> PureStat
     return apply_local_unitaries(
         psi, {k: haar_unitary(d, rng) for k, d in enumerate(psi.dims)}
     )
+
+
+def tensor(states: Sequence[PureState]) -> PureState:
+    """Kronecker product of pure states; dims are concatenated."""
+    if not states:
+        raise ValueError("tensor() needs at least one factor")
+    amps = states[0].amplitudes
+    for s in states[1:]:
+        amps = np.kron(amps, s.amplitudes)
+    return PureState(tuple(d for s in states for d in s.dims), amps)
+
+
+def basis_state(dims: Sequence[int], digits: Sequence[int]) -> PureState:
+    """Computational basis ket |digits> for the given local dimensions."""
+    dims = tuple(int(d) for d in dims)
+    if len(digits) != len(dims):
+        raise ValueError("digits and dims must have the same length")
+    idx = 0
+    for d, k in zip(dims, digits):
+        if not 0 <= k < d:
+            raise ValueError(f"digit {k} out of range for dimension {d}")
+        idx = idx * d + k
+    amps = np.zeros(prod(dims), dtype=np.complex128)
+    amps[idx] = 1.0
+    return PureState(dims, amps)
+
+
+def marginal_focus_matrix(spec: WClassSpec) -> np.ndarray:
+    """Explicit d x d marginal of party 1, assembled from the closed form."""
+    d, p = spec.d, spec.p
+    omega = spec.omega
+    a1 = spec.a[0]
+    out = np.zeros((d, d), dtype=np.complex128)
+    out[1:, 1:] = p * np.outer(a1, a1.conj())
+    out[0, 0] = p * omega + (1.0 - p)
+    cross = np.sqrt(p * (1.0 - p))
+    out[1:, 0] = cross * a1
+    out[0, 1:] = cross * a1.conj()
+    return out
