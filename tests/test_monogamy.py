@@ -39,7 +39,20 @@ FAST = RoofConfig(starts=8, iters=600, seed=7)
 # index subsets
 # ---------------------------------------------------------------------------
 
-def test_report_subsets_run_level_by_level_in_lexicographic_order():
+def test_enumerate_three_parties():
+    assert [t.subset for t in sm_report(ghz_state(3)).terms] == [(2,), (3,)]
+
+
+def test_enumerate_four_parties_level_three():
+    terms = sm_report(ghz_state(4)).terms
+    assert [t.subset for t in terms if t.order == 3] == [(2, 3), (2, 4), (3, 4)]
+
+
+def test_enumerate_five_party_count():
+    assert len(sm_report(ghz_state(5)).terms) == 14  # C(4,1) + C(4,2) + C(4,3)
+
+
+def test_enumerate_lexicographic_and_unique():
     report = sm_report(ghz_state(5))
     expected = [
         (2,), (3,), (4,), (5,),
