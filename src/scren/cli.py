@@ -1,4 +1,5 @@
-"""Command-line interface.
+"""Command-line interface: argument parsing, input checks, output and exit
+codes.  The batch runs themselves live in :mod:`scren.suites`.
 
 Subcommands
 -----------
@@ -18,31 +19,21 @@ import dataclasses
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
 
 from .guards import CostGuardError, check_cost
-from .monogamy import (
-    ANTISYMMETRIC_333,
-    CKW_COUNTEREXAMPLE_322,
-    _check_measure,
-    n_tangle_pure,
-    sm_report,
-)
+from .monogamy import _check_measure, n_tangle_pure, sm_report
 from .negativity import negativity_mixed, negativity_pure
 from .roof import ConjectureViolation, RoofConfig, cren, scren2
 from .states import (
     Bipartition,
     PureState,
-    haar_random_state,
     load_state,
     partial_trace,
     reduced_density,
     state_to_dict,
     to_density,
 )
-from .suites import paper_suite, wclass_suite
+from .suites import hunt_suite, paper_suite, wclass_suite
 from .tangle import one_tangle, two_tangle
 
 EXIT_OK = 0
@@ -50,8 +41,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_COST_GUARD = 3
 EXIT_CONJECTURE = 4
-
-HUNT_FLAG_THRESHOLD = -1e-4
 
 COMPUTE_MEASURES = ("negativity", "cren", "scren", "tangle", "ntangle", "nscren")
 
@@ -177,6 +166,14 @@ def _run_compute(args) -> dict:
     diagnostics: dict = {}
 
     measure = args.measure
+    reads_cut = measure in ("negativity", "cren", "scren") or (
+        measure == "tangle" and isinstance(state, PureState)
+    )
+    if args.cut is not None and not reads_cut:
+        kind = "mixed-state " if measure == "tangle" else ""
+        raise InputError(f"{kind}'{measure}' does not read --cut")
+    if args.focus is not None and measure not in ("ntangle", "nscren"):
+        raise InputError(f"'{measure}' does not read --focus")
     if measure == "negativity":
         part = _cut_from(args, kept, n)
         if isinstance(state, PureState):
@@ -268,40 +265,6 @@ def _run_verify(args) -> tuple[dict, bool]:
 # hunt
 # ---------------------------------------------------------------------------
 
-def _hunt_one(task: tuple) -> dict:
-    """Residual of one sample; top-level so a process pool can run it."""
-    dims, label, sample_seed, measure, config, amplitudes = task
-    if amplitudes is not None:
-        psi = PureState(tuple(dims), np.asarray(amplitudes))
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(sample_seed))
-        psi = haar_random_state(dims, rng)
-    record: dict = {"label": label}
-    try:
-        report = sm_report(psi, focus=0, measure=measure, config=config)
-        record["residual"] = report.residual
-        record["satisfied"] = report.satisfied
-    except ConjectureViolation as exc:
-        record["residual"] = None
-        record["satisfied"] = False
-        record["conjecture_violation"] = {
-            "value": exc.value,
-            "state": state_to_dict(exc.state),
-        }
-    if record.get("residual") is not None and record["residual"] < HUNT_FLAG_THRESHOLD:
-        record["state"] = state_to_dict(psi)
-    return record
-
-
-def _fixtures_for(dims: tuple[int, ...]) -> list[tuple[str, PureState]]:
-    out = []
-    if dims == CKW_COUNTEREXAMPLE_322.dims:
-        out.append(("fixture_322", CKW_COUNTEREXAMPLE_322))
-    if dims == ANTISYMMETRIC_333.dims:
-        out.append(("fixture_333", ANTISYMMETRIC_333))
-    return out
-
-
 def _run_hunt(args) -> dict:
     dims = _parse_indices(args.dims, "--dims")
     if not dims or any(d < 2 for d in dims):
@@ -315,37 +278,8 @@ def _run_hunt(args) -> dict:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
     _check_workers(args.workers)
     config = _config_from(args)
-
-    tasks = []
-    for label, fixture in _fixtures_for(dims):
-        tasks.append((dims, label, 0, args.measure, config, fixture.amplitudes.tolist()))
-    for i in range(args.samples):
-        tasks.append((dims, f"sample_{i:04d}", (args.seed, i), args.measure, config, None))
-
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(_hunt_one, tasks))
-    else:
-        records = [_hunt_one(t) for t in tasks]
-
-    residuals = [r["residual"] for r in records if r["residual"] is not None]
-    candidates = [
-        r
-        for r in records
-        if ("conjecture_violation" in r)
-        or (r["residual"] is not None and r["residual"] < HUNT_FLAG_THRESHOLD)
-    ]
-    return {
-        "command": "hunt",
-        "dims": list(dims),
-        "samples": args.samples,
-        "seed": args.seed,
-        "measure": args.measure,
-        "min_residual": min(residuals) if residuals else None,
-        "results": records,
-        "candidates": candidates,
-        "config": dataclasses.asdict(config),
-    }
+    report = hunt_suite(dims, args.samples, args.seed, args.measure, config, args.workers)
+    return {"command": "hunt", **report, "config": dataclasses.asdict(config)}
 
 
 def _hunt_csv(report: dict) -> str:

@@ -148,15 +148,6 @@ def _support(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return lam, (evecs[:, :r] * np.sqrt(lam)).T
 
 
-def _members(dims: Sequence[int], rows: np.ndarray):
-    """(w, row / sqrt(w)) for each unnormalized row of weight w >= WEIGHT_TOL."""
-    weights = np.einsum("hd,hd->h", rows, rows.conj()).real
-    for w, row in zip(weights, rows):
-        if w < WEIGHT_TOL:
-            continue
-        yield float(w), PureState(dims, row / np.sqrt(w))
-
-
 def _checked_rows(rho: DensityMatrix, rows: np.ndarray) -> np.ndarray:
     """``rows`` made read-only, checked to rebuild ``rho`` to 1e-8."""
     defect = np.abs(rows.T @ rows.conj() - rho.matrix).max()
@@ -302,7 +293,12 @@ def member_average(dims: Sequence[int], fn: Callable[[PureState], float]):
     """
 
     def average(rows: np.ndarray) -> float:
-        return float(sum(w * fn(psi) for w, psi in _members(dims, rows)))
+        weights = np.einsum("hd,hd->h", rows, rows.conj()).real
+        return float(sum(
+            float(w) * fn(PureState(dims, row / np.sqrt(w)))
+            for w, row in zip(weights, rows)
+            if not w < WEIGHT_TOL
+        ))
 
     return average
 

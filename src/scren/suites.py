@@ -1,25 +1,50 @@
-"""Bundled verification suites behind ``scren verify``.
+"""Bundled batch runs behind ``scren verify`` and ``scren hunt``.
 
-The paper suite replays the built-in fixture values (the 3x2x2 tangle
-violation and its SCREN repair, the antisymmetric qutrit values, and the
-two-qubit closed-form oracle comparison).  The wclass suite draws random
-W-plus-vacuum specs and runs the saturation and support checks on each.
-Reports are plain dicts of JSON-safe values; with a fixed seed the whole
-report is reproduced byte for byte.
+Three suites: the paper suite replays the built-in fixture values (the 3x2x2
+tangle violation and its SCREN repair, the antisymmetric qutrit values, and
+the two-qubit closed-form oracle comparison); the wclass suite draws random
+W-plus-vacuum specs and runs the saturation and support checks on each; the
+hunt suite scans random pure states for strong-monogamy violations.
+
+The batched suites draw their frozen tasks serially from the seed and map
+them through one pool path, so their report is the same for any worker
+count.  Reports are plain dicts of JSON-safe values; with a fixed seed the
+whole report is reproduced byte for byte.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
+from functools import partial
 
 import numpy as np
 
-from .monogamy import ANTISYMMETRIC_333, CKW_COUNTEREXAMPLE_322, ckw_report
-from .roof import RoofConfig, scren2
-from .states import Bipartition, DensityMatrix, haar_random_state
+from .monogamy import ANTISYMMETRIC_333, CKW_COUNTEREXAMPLE_322, ckw_report, sm_report
+from .roof import ConjectureViolation, RoofConfig, scren2
+from .states import Bipartition, DensityMatrix, PureState, haar_random_state, state_to_dict
 from .tangle import wootters_tangle
-from .wclass import random_spec, verify_lemma1, verify_theorem1, verify_theorem2
+from .wclass import WClassSpec, random_spec, verify_lemma1, verify_theorem1, verify_theorem2
+
+HUNT_FLAG_THRESHOLD = -1e-4
+
+HUNT_FIXTURES = (("fixture_322", CKW_COUNTEREXAMPLE_322), ("fixture_333", ANTISYMMETRIC_333))
+
+# (name, state, measure, one value, pair value, residual, satisfied) with
+# party 1 in focus; one value to 1e-9, each pair to 1e-3, residual to 2e-3
+FIXTURE_CHECKS = (
+    ("counterexample_322_tangle", CKW_COUNTEREXAMPLE_322, "tangle",
+     4.0 / 3.0, 8.0 / 9.0, -4.0 / 9.0, False),
+    ("counterexample_322_scren", CKW_COUNTEREXAMPLE_322, "scren", 4.0, 8.0 / 9.0, 20.0 / 9.0, True),
+    ("antisymmetric_333_scren", ANTISYMMETRIC_333, "scren", 4.0, 1.0, 2.0, True),
+)
+
+
+def _pool_map(fn, tasks: list, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, on a process pool when ``workers > 1``."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
 
 
 def random_rank2_two_qubit(rng: np.random.Generator) -> DensityMatrix:
@@ -55,45 +80,17 @@ def paper_suite(config: RoofConfig | None = None, oracle_trials: int = 50) -> di
     """The four fixture checks, one entry per acceptance criterion 1-4."""
     config = config or RoofConfig(seed=7)
     checks = []
+    for name, state, measure, one, pair, residual, satisfied in FIXTURE_CHECKS:
+        rep = ckw_report(state, focus=0, measure=measure, config=config)
+        passed = (
+            _close(rep.one_value, one, 1e-9)
+            and all(_close(t.value, pair, 1e-3) for t in rep.terms)
+            and _close(rep.residual, residual, 2e-3)
+            and rep.satisfied == satisfied
+        )
+        checks.append({"name": name, "passed": bool(passed), "details": rep.to_dict()})
 
-    # 1: tangle values of the 3x2x2 counterexample, including the violation
-    rep = ckw_report(CKW_COUNTEREXAMPLE_322, focus=0, measure="tangle", config=config)
-    one_ok = _close(rep.one_value, 4.0 / 3.0, 1e-9)
-    pair_ok = all(_close(t.value, 8.0 / 9.0, 1e-3) for t in rep.terms)
-    residual_ok = _close(rep.residual, -4.0 / 9.0, 2e-3)
-    checks.append(
-        {
-            "name": "counterexample_322_tangle",
-            "passed": bool(one_ok and pair_ok and residual_ok and not rep.satisfied),
-            "details": rep.to_dict(),
-        }
-    )
-
-    # 2: the same state under SCREN satisfies the pairwise inequality
-    rep = ckw_report(CKW_COUNTEREXAMPLE_322, focus=0, measure="scren", config=config)
-    one_ok = _close(rep.one_value, 4.0, 1e-9)
-    pair_ok = all(_close(t.value, 8.0 / 9.0, 1e-3) for t in rep.terms)
-    checks.append(
-        {
-            "name": "counterexample_322_scren",
-            "passed": bool(one_ok and pair_ok and rep.satisfied),
-            "details": rep.to_dict(),
-        }
-    )
-
-    # 3: antisymmetric qutrit fixture
-    rep = ckw_report(ANTISYMMETRIC_333, focus=0, measure="scren", config=config)
-    one_ok = _close(rep.one_value, 4.0, 1e-9)
-    pair_ok = all(_close(t.value, 1.0, 1e-3) for t in rep.terms)
-    checks.append(
-        {
-            "name": "antisymmetric_333_scren",
-            "passed": bool(one_ok and pair_ok and rep.satisfied),
-            "details": rep.to_dict(),
-        }
-    )
-
-    # 4: optimizer against the Wootters closed form
+    # optimizer against the Wootters closed form
     cmp = oracle_comparison(config, trials=oracle_trials)
     checks.append(
         {
@@ -111,16 +108,15 @@ def paper_suite(config: RoofConfig | None = None, oracle_trials: int = 50) -> di
     }
 
 
-def _wclass_trial(task: tuple) -> dict:
-    """One spec's theorem and lemma checks; top-level so a pool can run it."""
-    t, spec, config = task
+def _wclass_trial(task: tuple[int, WClassSpec], config: RoofConfig) -> dict:
+    """One spec's theorem checks, and Lemma 1 on each reduced state its SM
+    report measured; top-level so a pool can run it."""
+    t, spec = task
     thm1 = verify_theorem1(spec, config)
     thm2 = verify_theorem2(spec, config)
-    n = spec.n
     lemma = [
-        verify_lemma1(spec, (0,) + rest)
-        for size in range(2, n)
-        for rest in combinations(range(1, n), size - 1)
+        verify_lemma1(spec, (0,) + tuple(j - 1 for j in term.subset))
+        for term in thm2.report.terms
     ]
     return {
         "trial": t,
@@ -142,19 +138,11 @@ def wclass_suite(
     config: RoofConfig | None = None,
     workers: int = 1,
 ) -> dict:
-    """Theorem and lemma checks on ``trials`` random W-plus-vacuum specs.
-
-    Specs are drawn serially from ``config.seed``, then verified
-    independently, so the report is identical for any worker count.
-    """
+    """Theorem and lemma checks on ``trials`` random W-plus-vacuum specs."""
     config = config or RoofConfig(seed=7)
     rng = np.random.default_rng(config.seed)
-    tasks = [(t, random_spec(rng, n, d), config) for t in range(trials)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_wclass_trial, tasks))
-    else:
-        results = [_wclass_trial(task) for task in tasks]
+    tasks = [(t, random_spec(rng, n, d)) for t in range(trials)]
+    results = _pool_map(partial(_wclass_trial, config=config), tasks, workers)
     all_passed = all(
         r["theorem1_passed"] and r["theorem2_passed"] and r["lemma1_passed"] for r in results
     )
@@ -166,4 +154,53 @@ def wclass_suite(
         "trials": trials,
         "results": results,
         "all_passed": bool(all_passed),
+    }
+
+
+def _hunt_one(task: tuple[str, PureState], measure: str, config: RoofConfig) -> dict:
+    """SM residual of one labelled state; a residual below
+    ``HUNT_FLAG_THRESHOLD`` flags the record with the state's dump."""
+    label, psi = task
+    record: dict = {"label": label}
+    try:
+        report = sm_report(psi, focus=0, measure=measure, config=config)
+        record["residual"] = report.residual
+        record["satisfied"] = report.satisfied
+    except ConjectureViolation as exc:
+        record["residual"] = None
+        record["satisfied"] = False
+        record["conjecture_violation"] = {
+            "value": exc.value,
+            "state": state_to_dict(exc.state),
+        }
+    if record["residual"] is not None and record["residual"] < HUNT_FLAG_THRESHOLD:
+        record["state"] = state_to_dict(psi)
+    return record
+
+
+def hunt_suite(
+    dims: tuple[int, ...],
+    samples: int,
+    seed: int,
+    measure: str,
+    config: RoofConfig,
+    workers: int = 1,
+) -> dict:
+    """SM residuals of the built-in fixtures of shape ``dims``, then of
+    ``samples`` Haar-random states; sample i is drawn from
+    ``SeedSequence((seed, i))``."""
+    tasks = [(label, psi) for label, psi in HUNT_FIXTURES if psi.dims == dims]
+    for i in range(samples):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        tasks.append((f"sample_{i:04d}", haar_random_state(dims, rng)))
+    records = _pool_map(partial(_hunt_one, measure=measure, config=config), tasks, workers)
+    residuals = [r["residual"] for r in records if r["residual"] is not None]
+    return {
+        "dims": list(dims),
+        "samples": samples,
+        "seed": seed,
+        "measure": measure,
+        "min_residual": min(residuals) if residuals else None,
+        "results": records,
+        "candidates": [r for r in records if "state" in r or "conjecture_violation" in r],
     }

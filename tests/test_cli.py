@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import scren
-from scren import bell_state, dump_state, ghz_state, haar_random_state
+from scren import DensityMatrix, bell_state, dump_state, ghz_state, haar_random_state
 from scren.cli import (
     EXIT_CONJECTURE,
     EXIT_COST_GUARD,
@@ -21,7 +22,7 @@ from scren.cli import (
 )
 from scren.monogamy import CKW_COUNTEREXAMPLE_322
 from scren.roof import ConjectureViolation
-from scren.suites import random_rank2_two_qubit
+from scren.suites import FIXTURE_CHECKS, random_rank2_two_qubit
 
 
 @pytest.fixture()
@@ -32,6 +33,7 @@ def state_files(tmp_path):
         "ghz3": ghz_state(3),
         "eq24": CKW_COUNTEREXAMPLE_322,
         "big": haar_random_state((2,) * 6, np.random.default_rng(0)),
+        "mixed2": DensityMatrix((2, 2), np.eye(4) / 4),
     }.items():
         paths[name] = str(tmp_path / f"{name}.json")
         dump_state(psi, paths[name])
@@ -109,8 +111,6 @@ def test_compute_on_density_matrix_file(capsys, tmp_path):
     # Werner state at p = 0.9: negativity (3p-1)/2, tangle ((3p-1)/2)^2
     phi = bell_state()
     mat = 0.9 * np.outer(phi.amplitudes, phi.amplitudes.conj()) + 0.1 * np.eye(4) / 4
-    from scren import DensityMatrix
-
     path = str(tmp_path / "werner.json")
     dump_state(DensityMatrix((2, 2), mat), path)
 
@@ -125,6 +125,22 @@ def test_compute_on_density_matrix_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "compute", "cren", "--state", path, "--cut", "0", "--seed", "7")
     assert code == EXIT_OK
     assert abs(json.loads(out)["value"] - 0.85) <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "measure, state, flags, flag",
+    [
+        ("tangle", "mixed2", ["--cut", "5"], "--cut"),
+        ("negativity", "ghz3", ["--cut", "0", "--trace-out", "1", "--focus", "1"], "--focus"),
+        ("nscren", "ghz3", ["--cut", "7"], "--cut"),
+    ],
+    ids=["tangle-mixed-cut", "negativity-focus", "nscren-cut"],
+)
+def test_compute_rejects_flags_its_measure_does_not_read(capsys, state_files, measure, state, flags, flag):
+    code, out, err = run_cli(capsys, "compute", measure, "--state", state_files[state], *flags)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert flag in err
 
 
 def test_compute_writes_out_file(capsys, state_files, tmp_path):
@@ -402,6 +418,25 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert code == EXIT_VERIFY_FAILED
 
 
+@pytest.mark.parametrize("check", FIXTURE_CHECKS, ids=[c[0] for c in FIXTURE_CHECKS])
+def test_verify_paper_fails_only_the_shifted_fixture_row(capsys, monkeypatch, check):
+    name, state, measure = check[:3]
+    real = scren.suites.ckw_report
+
+    def shifted(psi, **kwargs):
+        rep = real(psi, **kwargs)
+        if psi is state and kwargs["measure"] == measure:
+            term = dataclasses.replace(rep.terms[0], value=rep.terms[0].value + 2e-3)
+            rep = dataclasses.replace(rep, terms=(term,) + rep.terms[1:])
+        return rep
+
+    monkeypatch.setattr("scren.suites.ckw_report", shifted)
+    code, out, _ = run_cli(capsys, "verify", "paper", "--trials", "1")
+    assert code == EXIT_VERIFY_FAILED
+    passed = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert passed == {c[0]: c[0] != name for c in FIXTURE_CHECKS} | {"two_qubit_oracle": True}
+
+
 # ---------------------------------------------------------------------------
 # hunt
 # ---------------------------------------------------------------------------
@@ -462,12 +497,15 @@ def test_hunt_deterministic_across_runs(capsys):
     assert out1 == out2
 
 
-def test_hunt_worker_pool_matches_serial(capsys):
-    base = ["hunt", "--dims", "2,2,2", "--samples", "4", "--seed", "3",
+@pytest.mark.parametrize("dims", ["2,2,2", "3,2,2"])
+def test_hunt_worker_pool_matches_serial(capsys, dims):
+    # 3,2,2 also sends fixture_322 through the pool as a PureState
+    base = ["hunt", "--dims", dims, "--samples", "4", "--seed", "3",
             "--starts", "4", "--iters", "300"]
     _, serial, _ = run_cli(capsys, *base)
     _, pooled, _ = run_cli(capsys, *base, "--workers", "2")
     assert serial == pooled
+    assert json.loads(serial)["results"][0]["label"] == ("fixture_322" if dims == "3,2,2" else "sample_0000")
 
 
 def test_hunt_tangle_guard_beyond_three_parties(capsys):

@@ -1,5 +1,7 @@
 """Generalized W-class plus vacuum family: closed forms and theorem checks."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from scren import (
     w_state,
     wootters_tangle,
 )
+from scren.suites import _wclass_trial
 from scren.wclass import HAMMING_SUPPORT_ATOL, outside_amplitude
 
 from util import basis_state, marginal_focus_matrix
@@ -308,3 +311,20 @@ def test_theorem2_vacuum_all_zero():
     rep = verify_theorem2(WClassSpec(spec.n, spec.d, spec.a, 0.0), FAST)
     assert rep.passed
     assert abs(rep.residual) <= 1e-12 and rep.max_higher_term <= 1e-12
+
+
+def test_wclass_trial_runs_lemma1_on_its_report_states(monkeypatch):
+    # Lemma 1 covers exactly the reduced states the SM report measured
+    keeps = []
+
+    def recording(spec, keep):
+        keeps.append(keep)
+        return verify_lemma1(spec, keep)
+
+    monkeypatch.setattr("scren.suites.verify_lemma1", recording)
+    spec = random_spec(np.random.default_rng(3), 5, 3)
+    result = _wclass_trial((0, spec), RoofConfig(seed=7))
+    expected = [(0,) + rest for size in (1, 2, 3) for rest in combinations(range(1, 5), size)]
+    assert len(expected) == 14
+    assert keeps == expected
+    assert result["lemma1_passed"]
