@@ -66,8 +66,11 @@ def _config_from(args: argparse.Namespace) -> RoofConfig:
 def _parse_indices(text: str | None, what: str) -> list[int] | None:
     if text is None:
         return None
+    fields = text.split(",")
+    if any(tok.strip() == "" for tok in fields):
+        raise InputError(f"{what} has an empty field in {text!r}")
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in fields]
     except ValueError as exc:
         raise InputError(f"{what} must be a comma-separated list of integers") from exc
 

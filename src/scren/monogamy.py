@@ -168,11 +168,12 @@ def _mixed_value(
     pairs ``_check_measure`` admits.  Terms of order three and above are the
     squared roof of the square root of each member's SCREN residual.  On a
     3-qubit reduced state that residual is the three-tangle, so the term is
-    the squared roof of sum_h sqrt(4|Det row_h|) over the member rows, at the
-    given config.  Any other member's residual is its own ``sm_report``
-    residual; that nests a full report inside every objective evaluation, so
-    both that outer roof and the members' reports run at ``NESTED_CONFIG``
-    with the report's seed, whatever the report's own budget.
+    the squared roof of the row objective sqrt(4|Det row_h|), each member's
+    weight times its root three-tangle, at the given config.  Any other
+    member's residual is its own ``sm_report`` residual; that nests a full
+    report inside every objective evaluation, so both that outer roof and the
+    members' reports run at ``NESTED_CONFIG`` with the report's seed,
+    whatever the report's own budget.
     """
     rho = reduced_density(psi, (0,) + subset)
     if rho.dims == (2, 2):
@@ -180,9 +181,7 @@ def _mixed_value(
     if len(subset) == 1:
         value, result = scren2(rho, Bipartition((0,), 2), config, full_output=True)
     elif rho.dims == (2, 2, 2):
-        value, result = _squared_roof(
-            rho, lambda rows: float(np.sqrt(three_tangle_rows(rows)).sum()), config
-        )
+        value, result = _squared_roof(rho, lambda rows: np.sqrt(three_tangle_rows(rows)), config)
     else:
         nested = replace(NESTED_CONFIG, seed=config.seed)
         value, result = roof_sqrt_functional(

@@ -2,10 +2,13 @@
 
 Every decomposition of ``rho`` into r = rank(rho) pure states arises from the
 eigendecomposition through an r x r unitary mixing matrix (unitary freedom of
-ensembles).  The roof engine minimizes an objective of the (r, dim) array of
-unnormalized member rows sqrt(p_h)|psi_h> -- the weighted ensemble average
-sum_h p_h f(psi_h) -- over that unitary.  Which search runs depends only on
-the party dims and the rank of the input.
+ensembles).  The roof engine minimizes the weighted ensemble average
+sum_h p_h f(psi_h) over that unitary.  Its objective maps an (N, dim) array of
+unnormalized member rows sqrt(p_h)|psi_h> to the (N,) array of weighted member
+values p_h f(psi_h), and the engine sums each decomposition's r values.  So a
+whole stack of decompositions is scored in one objective call: the probe and
+the chord scan below are one call each, and a Powell step is a stack of one.
+Which search runs depends only on the party dims and the rank of the input.
 
 A rank-2 state of a qubit and a qudit takes one start, and not over U(2).
 Its two-member decompositions are exactly the chords of its Bloch ball
@@ -117,8 +120,9 @@ class RoofResult:
 
     ``rows`` is the read-only (rank, dim) array of the winning decomposition's
     unnormalized member rows sqrt(p_h)|psi_h>.  ``evals`` is the number of
-    objective calls the roof made: the eigendecomposition average, chord scan
-    or probe, search, polish and final call.  Unlike wall time it does not
+    decompositions the roof scored: the eigendecomposition, the chord scan's
+    ``CHORD_COUNT`` or the probe's ``PROBE_COUNT`` (each one objective call),
+    then one per search, polish and final call.  Unlike wall time it does not
     depend on the machine.
     """
 
@@ -163,7 +167,7 @@ def hjw_ensemble(rho: DensityMatrix, u: np.ndarray) -> np.ndarray:
     ``u`` must be a square unitary (to 1e-9) of size L at least the rank of
     ``rho``.  Columns beyond the rank mix in zero vectors, so an L x L unitary
     yields L rows; rows of negligible weight stay in the array, and
-    :func:`member_average` skips them.  The rows rebuild ``rho`` exactly
+    :func:`member_average` scores them 0.0.  The rows rebuild ``rho`` exactly
     (unitarity of the columns), which is asserted to 1e-8.
     """
     mat = np.ascontiguousarray(u, dtype=np.complex128)
@@ -286,34 +290,43 @@ def _chord_chart(q: tuple[float, float], u0: Sequence[float], base: np.ndarray):
 
 
 def member_average(dims: Sequence[int], fn: Callable[[PureState], float]):
-    """Row objective sum_h w_h fn(row_h / sqrt(w_h)) from a pure-state functional.
+    """Row objective (w_h fn(row_h / sqrt(w_h)))_h from a pure-state functional.
 
-    The weight w_h of a row is its squared norm; rows below ``WEIGHT_TOL``
-    are skipped.
+    The weight w_h of a row is its squared norm; a row below ``WEIGHT_TOL``
+    scores 0.0 without calling ``fn``.  :func:`roof_minimize` sums each
+    decomposition's values into its weighted ensemble average.
     """
 
-    def average(rows: np.ndarray) -> float:
-        weights = np.einsum("hd,hd->h", rows, rows.conj()).real
-        return float(sum(
-            float(w) * fn(PureState(dims, row / np.sqrt(w)))
+    def values(rows: np.ndarray) -> np.ndarray:
+        weights = np.einsum("hd,hd->h", rows, rows.conj()).real.tolist()
+        return np.array([
+            0.0 if w < WEIGHT_TOL else w * fn(PureState(dims, row / math.sqrt(w)))
             for w, row in zip(weights, rows)
-            if not w < WEIGHT_TOL
-        ))
+        ])
 
-    return average
+    return values
+
+
+def _stack_scores(objective: Callable[[np.ndarray], np.ndarray], stack: np.ndarray):
+    """The (K,) objective sums of a (K, r, dim) stack of decompositions, in one call."""
+    k, r, dim = stack.shape
+    return np.add.reduce(objective(stack.reshape(k * r, dim)).reshape(k, r), axis=1)
 
 
 def roof_minimize(
     rho: DensityMatrix,
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     config: RoofConfig | None = None,
     stop_below: float = 0.0,
 ) -> RoofResult:
-    """Minimize ``objective`` over decompositions of ``rho``.
+    """Minimize the summed ``objective`` over decompositions of ``rho``.
 
-    ``objective`` maps the (rank, dim) array of *unnormalized* member rows
-    sqrt(p_h)|psi_h> to the weighted average sum_h p_h f(psi_h); wrap a
-    pure-state functional with :func:`member_average`.
+    ``objective`` maps an (N, dim) array of *unnormalized* member rows
+    sqrt(p_h)|psi_h> to the (N,) array of weighted member values
+    p_h f(psi_h); the roof sums each decomposition's values into its average.
+    The rows of several decompositions may arrive in one call, so a value
+    must depend on its own row only.  Wrap a pure-state functional with
+    :func:`member_average`.
 
     Two cheap exits come first, both reported with ``starts=0``: a rank-one
     ``rho`` has a single decomposition, and an eigendecomposition average
@@ -324,31 +337,34 @@ def roof_minimize(
     over the two parameters of a chart of chord directions (see
     :func:`_chord_chart`) centred on the best chord of a deterministic grid
     that includes the eigendecomposition; ``starts`` and ``seed`` do not
-    change its result.
+    change its result.  The grid is scored in one objective call.
 
     Every other input is first probed: if the eigendecomposition average and
-    the values at a seeded stack of random mixing unitaries spread by at most
-    ``PROBE_SPREAD_TOL``, the objective is treated as decomposition
-    independent and the eigendecomposition ensemble is returned with
-    ``starts=0``.  The probe's unitaries depend only on ``config.seed`` and
-    the rank, and are drawn once per process for each such pair
-    (:func:`_probe_unitaries`).  Otherwise ``config.starts`` Powell starts
-    search the parameters of exp(iH) U0 (U0 the identity, then Haar-random
-    unitaries).
+    the values at a seeded stack of random mixing unitaries, scored in one
+    objective call, spread by at most ``PROBE_SPREAD_TOL``, the objective is
+    treated as decomposition independent and the eigendecomposition ensemble
+    is returned with ``starts=0``.  The probe's unitaries depend only on
+    ``config.seed`` and the rank, and are drawn once per process for each
+    such pair (:func:`_probe_unitaries`).  Otherwise ``config.starts`` Powell
+    starts search the parameters of exp(iH) U0 (U0 the identity, then
+    Haar-random unitaries).
 
     The ``converged`` flag is False when the winning start still improved by
     more than ``CONVERGED_TOL`` over the last quarter of its evaluation sequence.
-    ``evals`` counts every objective call, on every exit.
+    ``evals`` counts every decomposition scored, on every exit.
     """
     config = config or RoofConfig()
     lam, base = _support(rho)
     r = len(lam)
     evals = 0
 
-    def counted(rows: np.ndarray) -> float:
+    def scores(stack: np.ndarray) -> list[float]:
         nonlocal evals
-        evals += 1
-        return objective(rows)
+        evals += len(stack)
+        return _stack_scores(objective, stack).tolist()
+
+    def score(rows: np.ndarray) -> float:
+        return scores(rows[None])[0]
 
     def finish(rows, value, starts, converged, history) -> RoofResult:
         return RoofResult(
@@ -364,7 +380,7 @@ def roof_minimize(
         trace: list[float] = []
 
         def tracked(theta):
-            val = counted(rows_of(theta))
+            val = score(rows_of(theta))
             trace.append(val)
             return val
 
@@ -376,21 +392,19 @@ def roof_minimize(
         )
         return np.array(res.x, dtype=float), trace
 
-    eigen_average = counted(base)
+    eigen_average = score(base)
     if r == 1 or eigen_average <= stop_below:
         return finish(base, eigen_average, 0, True, (eigen_average,))
 
     if len(rho.dims) == 2 and min(rho.dims) == 2 and r == 2:
         # a chord scan finds the basin; the eigendecomposition is the chord along z
         q = tuple(float(v) for v in lam / lam.sum())
-        chords = [(eigen_average, (0.0, 0.0, 1.0))]
-        chords += [(counted(_chord_unitary(q, u) @ base), u) for u in _CHORD_DIRECTIONS]
+        scan = scores(np.stack([_chord_unitary(q, u) for u in _CHORD_DIRECTIONS]) @ base)
+        chords = [(eigen_average, (0.0, 0.0, 1.0)), *zip(scan, _CHORD_DIRECTIONS)]
         u0 = min(chords, key=lambda vu: vu[0])[1]
         starts = [(np.zeros(2), _chord_chart(q, u0, base))]
     else:
-        probe_values = [eigen_average]
-        for u in _probe_unitaries(config.seed, r):
-            probe_values.append(counted(u @ base))
+        probe_values = [eigen_average, *scores(_probe_unitaries(config.seed, r) @ base)]
         if max(probe_values) - min(probe_values) <= PROBE_SPREAD_TOL:
             return finish(base, eigen_average, 0, True, probe_values)
 
@@ -432,31 +446,31 @@ def roof_minimize(
     converged = bool(tail_gain <= CONVERGED_TOL)
 
     best_rows = best_rows_of(best_theta)
-    return finish(best_rows, counted(best_rows), len(history), converged, history)
+    return finish(best_rows, score(best_rows), len(history), converged, history)
 
 
 def _negativity_row_objective(dims: Sequence[int], part: Bipartition):
-    """Weighted-average negativity of unnormalized member rows, batched.
+    """Weighted negativity of each unnormalized member row, batched.
 
     For an unnormalized row with singular values s_i the weight is sum s_i^2
-    and weight * negativity is (sum s_i)^2 - sum s_i^2, so the ensemble
-    average needs no explicit normalization.
+    and weight * negativity is (sum s_i)^2 - sum s_i^2, so the rows need no
+    explicit normalization.
     """
     order = [0] + [1 + i for i in part.side_a] + [1 + i for i in part.side_b]
     d_a = prod(dims[i] for i in part.side_a)
 
-    def value(rows: np.ndarray) -> float:
+    def values(rows: np.ndarray) -> np.ndarray:
         stack = rows.reshape((rows.shape[0],) + tuple(dims)).transpose(order)
         stack = stack.reshape(rows.shape[0], d_a, -1)
         s = np.linalg.svd(stack, compute_uv=False)
-        return float((s.sum(axis=1) ** 2 - (s**2).sum(axis=1)).sum())
+        return s.sum(axis=1) ** 2 - (s**2).sum(axis=1)
 
-    return value
+    return values
 
 
 def _squared_roof(
     rho: DensityMatrix,
-    row_objective: Callable[[np.ndarray], float],
+    row_objective: Callable[[np.ndarray], np.ndarray],
     config: RoofConfig | None,
 ) -> tuple[float, RoofResult]:
     """Square of the roof of ``row_objective``, stopped at ``SQRT_ROOF_FLOOR``."""

@@ -203,8 +203,13 @@ def verify_theorem1(spec: WClassSpec, config: RoofConfig | None = None) -> Theor
     focus (the m = 2 terms of its SM report), so qubit pairs take the Wootters
     closed form and qudit pairs the ``scren2`` roof.
     """
-    rep = ckw_report(build_state(spec), 0, "scren", config)
-    pair_numeric = tuple(t.value for t in rep.terms)
+    return _theorem1_from(spec, ckw_report(build_state(spec), 0, "scren", config))
+
+
+def _theorem1_from(spec: WClassSpec, rep: SMReport) -> Theorem1Report:
+    """Theorem 1 read off the one value and m = 2 terms of a SCREN report of
+    the state with party 1 in focus (a CKW or a full SM report)."""
+    pair_numeric = tuple(t.value for t in rep.terms if t.order == 2)
     pair_closed = tuple(two_scren_closed(spec, s) for s in range(2, spec.n + 1))
     errors = tuple(abs(a - b) for a, b in zip(pair_numeric, pair_closed))
     sum_error = abs(rep.one_value - sum(pair_closed))

@@ -180,7 +180,7 @@ def test_criterion_7_property_suites():
         rho = random_mixed_state(rng, (2, 2), rank=int(rng.integers(2, 4)))
         eigen_avg = member_average(rho.dims, lambda s: negativity_pure(s, PART2))(
             hjw_ensemble(rho, np.eye(rho.rank()))
-        )
+        ).sum()
         if cren(rho, PART2, CONFIG) > eigen_avg + 1e-9:
             failures.append("roof above eigendecomposition average")
             break
@@ -202,7 +202,7 @@ def test_criterion_7_property_suites():
             rho = reduced_density(build_state(spec), (0, s))
             rank = rho.rank()
             average = member_average(rho.dims, lambda st: negativity_pure(st, PART2))
-            avgs = [average(hjw_ensemble(rho, haar_unitary(rank, rng))) for _ in range(50)]
+            avgs = [average(hjw_ensemble(rho, haar_unitary(rank, rng))).sum() for _ in range(50)]
             worst_spread = max(worst_spread, max(avgs) - min(avgs))
     if worst_spread > 1e-8:
         failures.append(f"decomposition-independence spread {worst_spread:.2e}")

@@ -265,6 +265,16 @@ def test_cut_out_of_range_exits_2(capsys, state_files):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("flag, value", [("--cut", "0,"), ("--trace-out", ",1")])
+def test_empty_index_field_exits_2(capsys, state_files, flag, value):
+    # an empty field is an error, not a skipped entry: "0," is not the cut "0"
+    argv = ["compute", "negativity", "--state", state_files["ghz3"], "--cut", "0", flag, value]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert f"{flag} has an empty field" in err
+
+
 def test_traced_out_cut_exits_2(capsys, state_files):
     code, _, err = run_cli(
         capsys, "compute", "scren", "--state", state_files["eq24"], "--cut", "2", "--trace-out", "2",
@@ -540,6 +550,15 @@ def test_hunt_rejects_workers_below_one(capsys, workers):
 def test_hunt_bad_dims(capsys):
     code, _, _ = run_cli(capsys, "hunt", "--dims", "2,1", "--samples", "1")
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("dims", ["2,,2", "2,2,", ",2,2"])
+def test_hunt_rejects_an_empty_dims_field(capsys, dims):
+    # "2,,2" once ran a two-qubit hunt
+    code, out, err = run_cli(capsys, "hunt", "--dims", dims, "--samples", "1", "--csv")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "--dims has an empty field" in err
 
 
 @pytest.mark.parametrize("measure", ["scren", "tangle"])

@@ -281,10 +281,10 @@ def test_qubit_pairs_are_wootters_and_qudit_pairs_scren2():
 
 
 def _three_tangle_roof(rho, config):
-    """Squared roof of the summed sqrt(4|Det row|) over the member rows."""
+    """Squared roof whose row objective is sqrt(4|Det row|) of each member row."""
     result = roof_minimize(
         rho,
-        lambda rows: float(np.sqrt(three_tangle_rows(rows)).sum()),
+        lambda rows: np.sqrt(three_tangle_rows(rows)),
         config,
         stop_below=SQRT_ROOF_FLOOR,
     )

@@ -23,6 +23,7 @@ from scren import (
     roof_minimize,
     roof_sqrt_functional,
     scren2,
+    three_tangle_rows,
     to_density,
     wootters_tangle,
 )
@@ -32,7 +33,9 @@ from scren.roof import (
     PROBE_COUNT,
     _CHORD_DIRECTIONS,
     _chord_unitary,
+    _negativity_row_objective,
     _probe_unitaries,
+    _stack_scores,
     _support,
 )
 from scren.wclass import build_state, random_spec
@@ -142,7 +145,7 @@ def test_value_matches_ensemble_average():
     rho = random_rank2_two_qubit(rng)
     objective = lambda s: negativity_pure(s, PART2)
     res = roof_minimize(rho, member_average(rho.dims, objective), FAST)
-    assert abs(res.value - member_average(rho.dims, objective)(res.rows)) <= 1e-9
+    assert abs(res.value - member_average(rho.dims, objective)(res.rows).sum()) <= 1e-9
     assert np.abs(res.rows.T @ res.rows.conj() - rho.matrix).max() <= 1e-10
     assert not res.rows.flags.writeable
 
@@ -153,7 +156,7 @@ def test_value_upper_bounded_by_eigendecomposition_average():
         rho = random_mixed_state(rng, (2, 2), rank=int(rng.integers(2, 4)))
         eigen_avg = member_average(rho.dims, lambda s: negativity_pure(s, PART2))(
             hjw_ensemble(rho, np.eye(rho.rank()))
-        )
+        ).sum()
         assert cren(rho, PART2, FAST) <= eigen_avg + 1e-9
 
 
@@ -272,7 +275,7 @@ def test_rank2_pair_roof_is_free_of_seed_and_starts():
         assert np.array_equal(result.rows, results[0].rows)
     eigen_avg = member_average(rho.dims, lambda s: negativity_pure(s, PART2))(
         hjw_ensemble(rho, np.eye(2))
-    )
+    ).sum()
     assert results[0].value <= eigen_avg
 
 
@@ -334,14 +337,15 @@ def test_near_pole_pair_roof_matches_wootters(seed, small):
 # objective-evaluation counts
 # ---------------------------------------------------------------------------
 
-def _counting(objective):
+def _recording(objective):
+    """``objective`` that also records the number of rows of each call."""
     calls = []
 
-    def counted(rows):
-        calls.append(1)
+    def recorded(rows):
+        calls.append(len(rows))
         return objective(rows)
 
-    return counted, calls
+    return recorded, calls
 
 
 def test_rank_one_exit_makes_one_evaluation():
@@ -358,16 +362,64 @@ def test_probe_exit_makes_one_evaluation_per_probe_plus_the_eigendecomposition()
     assert res.evals == 1 + PROBE_COUNT
 
 
+def test_probe_scores_its_unitaries_in_one_objective_call():
+    rho = random_mixed_state(np.random.default_rng(6), (2, 2), rank=3)
+    recorded, calls = _recording(member_average(rho.dims, lambda s: 0.7))
+    res = roof_minimize(rho, recorded, FAST)
+    assert res.starts == 0
+    assert calls == [3, 3 * PROBE_COUNT]
+    assert res.evals == 1 + PROBE_COUNT
+
+
+def test_chord_scan_is_one_objective_call():
+    # eigendecomposition, the whole scan, then one decomposition per call
+    rho = random_rank2_two_qubit(np.random.default_rng(31))
+    recorded, calls = _recording(member_average(rho.dims, lambda s: negativity_pure(s, PART2)))
+    res = roof_minimize(rho, recorded)
+    assert res.starts == 1
+    assert calls[:2] == [2, 2 * CHORD_COUNT]
+    assert calls[2:] == [2] * (len(calls) - 2)
+    assert len(calls) == res.evals - CHORD_COUNT + 1
+
+
 @pytest.mark.parametrize("build", [
     lambda rng: random_rank2_two_qubit(rng),
     lambda rng: random_mixed_state(rng, (3, 3), rank=2),
 ], ids=["chord", "multi_start"])
 def test_evals_counts_every_objective_call(build):
+    # evals counts decompositions scored: the rows passed over the rank
     rho = build(np.random.default_rng(30))
-    counted, calls = _counting(member_average(rho.dims, lambda s: negativity_pure(s, PART2)))
-    res = roof_minimize(rho, counted, RoofConfig(starts=2, iters=300, seed=3))
+    objective = member_average(rho.dims, lambda s: negativity_pure(s, PART2))
+    recorded, calls = _recording(objective)
+    res = roof_minimize(rho, recorded, RoofConfig(starts=2, iters=300, seed=3))
     assert res.starts >= 1
-    assert res.evals == len(calls)
+    assert all(rows % rho.rank() == 0 for rows in calls)
+    assert res.evals == sum(calls) // rho.rank()
+
+
+_ROW_OBJECTIVES = {
+    "negativity": lambda dims: _negativity_row_objective(dims, Bipartition((0,), 3)),
+    "three_tangle": lambda dims: lambda rows: np.sqrt(three_tangle_rows(rows)),
+    "member_average": lambda dims: member_average(
+        dims, lambda s: negativity_pure(s, Bipartition((1,), 3))
+    ),
+}
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("name", sorted(_ROW_OBJECTIVES))
+def test_stacked_scores_equal_one_at_a_time_scores(name, rank):
+    # one call on a stack scores each decomposition to the same bits as a
+    # call on it alone, and as the left-to-right sum of its member values
+    rng = np.random.default_rng(40 + rank)
+    rho = random_mixed_state(rng, (2, 2, 2), rank=rank)
+    objective = _ROW_OBJECTIVES[name](rho.dims)
+    stack = np.stack([hjw_ensemble(rho, haar_unitary(rank, rng)) for _ in range(PROBE_COUNT)])
+    batched = _stack_scores(objective, stack)
+    assert batched.shape == (PROBE_COUNT,)
+    for rows, score in zip(stack, batched):
+        assert score == _stack_scores(objective, rows[None])[0]
+        assert score == sum(objective(rows).tolist())
 
 
 def test_chord_path_evaluation_count():
@@ -431,7 +483,7 @@ def test_decomposition_independence_of_wclass_pair_reduction():
     rho = reduced_density(build_state(spec), (0, 1))
     rank = rho.rank()
     average = member_average(rho.dims, lambda s: negativity_pure(s, PART2))
-    averages = [average(hjw_ensemble(rho, haar_unitary(rank, rng))) for _ in range(50)]
+    averages = [average(hjw_ensemble(rho, haar_unitary(rank, rng))).sum() for _ in range(50)]
     assert max(averages) - min(averages) <= 1e-8
 
 

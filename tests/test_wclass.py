@@ -18,6 +18,7 @@ from scren import (
     random_spec,
     reduced_density,
     reduced_xy,
+    sm_report,
     two_scren_closed,
     verify_lemma1,
     verify_theorem1,
@@ -328,3 +329,22 @@ def test_wclass_trial_runs_lemma1_on_its_report_states(monkeypatch):
     assert len(expected) == 14
     assert keeps == expected
     assert result["lemma1_passed"]
+
+
+def test_wclass_trial_reads_theorem1_off_its_sm_report(monkeypatch):
+    # one SM report per trial: no second CKW report, and the same Theorem 1
+    spec = random_spec(np.random.default_rng(4), 5, 3)
+    config = RoofConfig(seed=7)
+    alone = verify_theorem1(spec, config)
+    reports = []
+
+    def recording(psi, focus, measure, config):
+        reports.append(psi.dims)
+        return sm_report(psi, focus, measure, config)
+
+    monkeypatch.setattr("scren.wclass.sm_report", recording)
+    monkeypatch.setattr("scren.wclass.ckw_report", None)
+    result = _wclass_trial((0, spec), config)
+    assert reports == [(3,) * 5]
+    assert result["theorem1_passed"] == alone.passed
+    assert result["theorem1_max_error"] == max(max(alone.pair_errors), alone.sum_error)
