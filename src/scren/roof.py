@@ -2,12 +2,14 @@
 
 Every decomposition of ``rho`` into r = rank(rho) pure states arises from the
 eigendecomposition through an r x r unitary mixing matrix (unitary freedom of
-ensembles).  The roof engine minimizes the weighted ensemble average
-sum_h p_h f(psi_h) over that unitary.  Its objective maps an (N, dim) array of
-unnormalized member rows sqrt(p_h)|psi_h> to the (N,) array of weighted member
-values p_h f(psi_h), and the engine sums each decomposition's r values.  So a
-whole stack of decompositions is scored in one objective call: the probe and
-the chord scan below are one call each, and a Powell step is a stack of one.
+ensembles).  The eigendecomposition is the state's cached ``support``, which
+a reduced pure state takes from the thin SVD of its split matrix.  The roof
+engine minimizes the weighted ensemble average sum_h p_h f(psi_h) over that
+unitary.  Its objective maps an (N, dim) array of unnormalized member rows
+sqrt(p_h)|psi_h> to the (N,) array of weighted member values p_h f(psi_h),
+and the engine sums each decomposition's r values.  So a whole stack of
+decompositions is scored in one objective call: the probe and the chord scan
+below are one call each, and a Powell step is a stack of one.
 Which search runs depends only on the party dims and the rank of the input.
 
 A rank-2 state of a qubit and a qudit takes one start, and not over U(2).
@@ -46,7 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .states import RANK_TOL, Bipartition, DensityMatrix, PureState
+from .states import Bipartition, DensityMatrix, PureState
 
 WEIGHT_TOL = 1e-14
 CONJECTURE_ATOL = 1e-7
@@ -142,16 +144,6 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _support(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Subnormalized eigenvectors sqrt(lam_i)|e_i> spanning the support, as rows."""
-    evals, evecs = np.linalg.eigh(rho.matrix)
-    order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
-    r = int(np.sum(evals > RANK_TOL))
-    lam = np.clip(evals[:r], 0.0, None)
-    return lam, (evecs[:, :r] * np.sqrt(lam)).T
-
-
 def _checked_rows(rho: DensityMatrix, rows: np.ndarray) -> np.ndarray:
     """``rows`` made read-only, checked to rebuild ``rho`` to 1e-8."""
     defect = np.abs(rows.T @ rows.conj() - rho.matrix).max()
@@ -176,7 +168,7 @@ def hjw_ensemble(rho: DensityMatrix, u: np.ndarray) -> np.ndarray:
     defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
     if not defect <= 1e-9:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
-    lam, base = _support(rho)
+    lam, base = rho.support
     r = len(lam)
     if mat.shape[0] < r:
         raise ValueError(f"mixing matrix size {mat.shape[0]} is below the rank {r}")
@@ -354,7 +346,7 @@ def roof_minimize(
     ``evals`` counts every decomposition scored, on every exit.
     """
     config = config or RoofConfig()
-    lam, base = _support(rho)
+    lam, base = rho.support
     r = len(lam)
     evals = 0
 

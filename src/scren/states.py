@@ -8,14 +8,29 @@ Conventions
 * Subsystem indices are 0-based everywhere in this module.
 * States and matrices are immutable after construction and validated at the
   boundary; operations are pure functions and may assume the invariants.
+
+Support of a density matrix
+---------------------------
+``DensityMatrix.support`` is the spectral data every roof and closed form
+reads: the eigenvalues lam_i > ``RANK_TOL`` in descending order and the rows
+sqrt(lam_i)|e_i>, which rebuild the matrix.  A reduction of a pure state
+(:func:`reduced_density`, and :func:`to_density` as the keep-everything case)
+keeps its keep|rest split matrix M as a square-root factor, rho = M M^dagger.
+By the Schmidt decomposition the rows are then U S from the thin SVD of M, a
+d_keep x d_rest problem in place of an eigendecomposition of the
+d_keep x d_keep matrix.  A matrix given by value (a density file,
+:func:`partial_trace`, a mixture built by hand) carries no factor, and its
+support comes from ``eigh`` of the matrix.  Either way the support is taken
+once per state and cached.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from math import prod
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -88,6 +103,9 @@ class DensityMatrix:
     matrix: np.ndarray
     validate: InitVar[bool] = True
 
+    # square-root factor F with matrix = F F^dagger, set only by _factored
+    _factor: ClassVar[np.ndarray | None] = None
+
     def __post_init__(self, validate: bool):
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 2 for d in dims):
@@ -117,8 +135,29 @@ class DensityMatrix:
     def total_dim(self) -> int:
         return prod(self.dims)
 
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(lam, rows)``: the eigenvalues above ``RANK_TOL`` in
+        descending order and the rows sqrt(lam_i)|e_i>, so that
+        ``rows.T @ rows.conj()`` rebuilds the matrix.
+
+        Taken once per state: from the thin SVD of the square-root factor
+        when the state carries one (lam = s^2, rows = (U s)^T), otherwise
+        from ``eigh`` of the matrix.
+        """
+        if self._factor is not None:
+            vecs, scale, _ = np.linalg.svd(self._factor, full_matrices=False)
+            lam = scale**2
+        else:
+            evals, evecs = np.linalg.eigh(self.matrix)
+            order = np.argsort(evals)[::-1]
+            lam, vecs = evals[order], evecs[:, order]
+            scale = np.sqrt(np.clip(lam, 0.0, None))
+        r = int(np.sum(lam > RANK_TOL))
+        return _freeze(lam[:r]), _freeze((vecs[:, :r] * scale[:r]).T)
+
     def rank(self) -> int:
-        return int(np.sum(np.linalg.eigvalsh(self.matrix) > RANK_TOL))
+        return len(self.support[0])
 
 
 @dataclass(frozen=True)
@@ -146,10 +185,20 @@ class Bipartition:
         return tuple(i for i in range(self.n_parties) if i not in in_a)
 
 
+def _factored(dims: tuple[int, ...], factor: np.ndarray) -> DensityMatrix:
+    """Density matrix F F^dagger that keeps F = ``factor`` for its support."""
+    rho = DensityMatrix(dims, factor @ factor.conj().T, validate=False)
+    object.__setattr__(rho, "_factor", _freeze(factor))
+    return rho
+
+
 def to_density(psi: PureState) -> DensityMatrix:
-    """Rank-one projector |psi><psi|."""
-    mat = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityMatrix(psi.dims, mat, validate=False)
+    """Rank-one projector |psi><psi|.
+
+    Its square-root factor is the amplitude column, so its support is that
+    column's thin SVD: one row, the state itself up to a phase.
+    """
+    return _factored(psi.dims, psi.amplitudes[:, None])
 
 
 def _check_keep(keep: Iterable[int], n: int) -> list[int]:
@@ -181,20 +230,19 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 
 def reduced_density(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced state of a pure state, contracted without forming |psi><psi|."""
+    """Reduced state M M^dagger of a pure state, without forming |psi><psi|.
+
+    M is the keep|rest split matrix of the amplitudes: rows over the kept
+    subsystems in ascending order, columns over the traced ones.  The state
+    keeps M as its square-root factor, so its ``support`` is the thin SVD of
+    M (keeping every subsystem leaves one column, the amplitudes).
+    """
     n = psi.n_parties
     kept = _check_keep(keep, n)
-    tensor_form = psi.as_tensor()
-    ket_subs = list(range(n))
-    bra_subs = [n + i if i in kept else i for i in range(n)]
-    out_subs = kept + [n + i for i in kept]
-    reduced = np.einsum(tensor_form, ket_subs, tensor_form.conj(), bra_subs, out_subs)
+    order = kept + [i for i in range(n) if i not in kept]
     d_keep = prod(psi.dims[i] for i in kept)
-    return DensityMatrix(
-        tuple(psi.dims[i] for i in kept),
-        reduced.reshape(d_keep, d_keep),
-        validate=False,
-    )
+    factor = psi.as_tensor().transpose(order).reshape(d_keep, -1)
+    return _factored(tuple(psi.dims[i] for i in kept), factor)
 
 
 def partial_transpose(rho: DensityMatrix, part: Bipartition) -> np.ndarray:

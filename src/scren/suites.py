@@ -23,7 +23,14 @@ from .monogamy import ANTISYMMETRIC_333, CKW_COUNTEREXAMPLE_322, ckw_report, sm_
 from .roof import ConjectureViolation, RoofConfig, scren2
 from .states import Bipartition, DensityMatrix, PureState, haar_random_state, state_to_dict
 from .tangle import wootters_tangle
-from .wclass import WClassSpec, _theorem1_from, random_spec, verify_lemma1, verify_theorem2
+from .wclass import (
+    WClassSpec,
+    _lemma1_on,
+    _theorem1_from,
+    _theorem2_on,
+    build_state,
+    random_spec,
+)
 
 HUNT_FLAG_THRESHOLD = -1e-4
 
@@ -110,13 +117,15 @@ def paper_suite(config: RoofConfig | None = None, oracle_trials: int = 50) -> di
 
 def _wclass_trial(task: tuple[int, WClassSpec], config: RoofConfig) -> dict:
     """One spec's theorem checks, and Lemma 1 on each reduced state its SM
-    report measured; top-level so a pool can run it.  Theorem 1 reads the one
-    value and pair terms of that same report."""
+    report measured; top-level so a pool can run it.  The state is built
+    once for all of them, and Theorem 1 reads the one value and pair terms
+    of that same report."""
     t, spec = task
-    thm2 = verify_theorem2(spec, config)
+    psi = build_state(spec)
+    thm2 = _theorem2_on(psi, config)
     thm1 = _theorem1_from(spec, thm2.report)
     lemma = [
-        verify_lemma1(spec, (0,) + tuple(j - 1 for j in term.subset))
+        _lemma1_on(psi, (0,) + tuple(j - 1 for j in term.subset))
         for term in thm2.report.terms
     ]
     return {

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .roof import RoofConfig, _support, scren2
+from .roof import RoofConfig, scren2
 from .states import Bipartition, DensityMatrix, PureState, reduced_density
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -50,7 +50,7 @@ def wootters_tangle(rho: DensityMatrix) -> float:
     """
     if rho.dims != (2, 2):
         raise ValueError(f"wootters_tangle needs a 2x2 qubit pair, got dims {rho.dims}")
-    _, base = _support(rho)
+    _, base = rho.support
     s = np.linalg.svd(base @ _YY @ base.T, compute_uv=False)
     return max(0.0, float(s[0] - s[1:].sum())) ** 2
 

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .monogamy import SMReport, ckw_report, sm_report
-from .roof import RoofConfig, _support
+from .roof import RoofConfig
 from .states import DensityMatrix, PureState, reduced_density
 
 HAMMING_SUPPORT_ATOL = 1e-10
@@ -169,7 +169,7 @@ def outside_amplitude(rho: DensityMatrix) -> float:
 
     That maximum at basis index j is sqrt(P_jj) for the range projector P.
     """
-    lam, rows = _support(rho)
+    lam, rows = rho.support
     weight = np.sum(np.abs(rows) ** 2 / lam[:, None], axis=0)
     weight[_weight_le_one_indices(len(rho.dims), rho.dims[0])] = 0.0
     return float(np.sqrt(weight.max()))
@@ -178,8 +178,13 @@ def outside_amplitude(rho: DensityMatrix) -> float:
 def verify_lemma1(spec: WClassSpec, keep: Iterable[int]) -> Lemma1Report:
     """Check Lemma 1 on the reduction of the state onto ``keep`` (0-based):
     every decomposition of it stays inside the W-plus-vacuum support."""
+    return _lemma1_on(build_state(spec), keep)
+
+
+def _lemma1_on(psi: PureState, keep: Iterable[int]) -> Lemma1Report:
+    """Lemma 1 on the reduction of the built state ``psi`` onto ``keep``."""
     kept = tuple(sorted({int(i) for i in keep}))
-    worst = outside_amplitude(reduced_density(build_state(spec), kept))
+    worst = outside_amplitude(reduced_density(psi, kept))
     return Lemma1Report(keep=kept, max_violation=worst, passed=bool(worst <= HAMMING_SUPPORT_ATOL))
 
 
@@ -237,7 +242,12 @@ class Theorem2Report:
 
 def verify_theorem2(spec: WClassSpec, config: RoofConfig | None = None) -> Theorem2Report:
     """Run the full SM report on the state and check saturation."""
-    report = sm_report(build_state(spec), focus=0, measure="scren", config=config)
+    return _theorem2_on(build_state(spec), config)
+
+
+def _theorem2_on(psi: PureState, config: RoofConfig | None) -> Theorem2Report:
+    """Theorem 2 on the full SM report of the built state ``psi``."""
+    report = sm_report(psi, focus=0, measure="scren", config=config)
     higher = [t.value for t in report.terms if t.order >= 3]
     max_higher = max(higher, default=0.0)
     passed = bool(abs(report.residual) <= THEOREM_ATOL and max_higher <= THEOREM_ATOL)

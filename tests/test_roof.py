@@ -36,7 +36,6 @@ from scren.roof import (
     _negativity_row_objective,
     _probe_unitaries,
     _stack_scores,
-    _support,
 )
 from scren.wclass import build_state, random_spec
 
@@ -79,7 +78,7 @@ def test_config_rejects_negative_seed():
 def test_hjw_identity_returns_eigendecomposition():
     rng = np.random.default_rng(1)
     rho = random_mixed_state(rng, (2, 2), rank=2)
-    lam, base = _support(rho)
+    lam, base = rho.support
     rows = hjw_ensemble(rho, np.eye(2))
     weights = sorted(np.linalg.norm(rows, axis=1) ** 2, reverse=True)
     np.testing.assert_allclose(weights, sorted(lam, reverse=True), atol=1e-12)
@@ -491,7 +490,7 @@ def test_support_rows_rebuild_the_matrix():
     # subnormalized eigenvector rows satisfy sum_i |b_i><b_i| = rho
     rng = np.random.default_rng(22)
     rho = random_mixed_state(rng, (2, 2), rank=3)
-    _, base = _support(rho)
+    _, base = rho.support
     rebuilt = base.T @ base.conj()
     assert np.abs(rebuilt - rho.matrix).max() <= 1e-10
 

@@ -197,6 +197,45 @@ def test_marginal_spectra_agree_across_cut():
 
 
 # ---------------------------------------------------------------------------
+# support: thin SVD of the split matrix against eigh of the matrix
+# ---------------------------------------------------------------------------
+
+def _factored_cases():
+    rng = np.random.default_rng(23)
+    psi = haar_random_state((2, 3, 2), rng)
+    for keep in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
+        yield reduced_density(psi, keep)
+    yield reduced_density(haar_random_state((3, 3, 3), rng), [0, 1])
+    yield reduced_density(build_state(random_spec(rng, 5, 3)), (0, 1, 2, 3))
+    yield to_density(haar_random_state((2, 3), rng))
+
+
+def test_factored_support_matches_eigh_support():
+    ranks = []
+    for rho in _factored_cases():
+        lam, rows = rho.support
+        plain_lam, plain_rows = DensityMatrix(rho.dims, rho.matrix, validate=False).support
+        ranks.append(len(lam))
+        np.testing.assert_allclose(lam, plain_lam, rtol=0, atol=1e-12)
+        units, plain_units = rows / np.sqrt(lam)[:, None], plain_rows / np.sqrt(plain_lam)[:, None]
+        projector = units.T @ units.conj()
+        assert np.abs(projector - plain_units.T @ plain_units.conj()).max() <= 1e-12
+        assert np.abs(rows.T @ rows.conj() - rho.matrix).max() <= 1e-12
+        assert np.abs(plain_rows.T @ plain_rows.conj() - rho.matrix).max() <= 1e-12
+    assert ranks == [2, 3, 2, 2, 3, 2, 3, 2, 1]
+
+
+def test_support_is_cached_and_read_only():
+    rng = np.random.default_rng(24)
+    psi = haar_random_state((2, 3, 2), rng)
+    for rho in (reduced_density(psi, [0, 1]), random_mixed_state(rng, (2, 2), rank=3)):
+        assert rho.support is rho.support
+        lam, rows = rho.support
+        assert not lam.flags.writeable and not rows.flags.writeable
+        assert rho.rank() == len(lam)
+
+
+# ---------------------------------------------------------------------------
 # partial transpose
 # ---------------------------------------------------------------------------
 

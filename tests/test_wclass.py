@@ -1,5 +1,6 @@
 """Generalized W-class plus vacuum family: closed forms and theorem checks."""
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -27,7 +28,7 @@ from scren import (
     wootters_tangle,
 )
 from scren.suites import _wclass_trial
-from scren.wclass import HAMMING_SUPPORT_ATOL, outside_amplitude
+from scren.wclass import HAMMING_SUPPORT_ATOL, _lemma1_on, _theorem1_from, outside_amplitude
 
 from util import basis_state, marginal_focus_matrix
 
@@ -318,11 +319,11 @@ def test_wclass_trial_runs_lemma1_on_its_report_states(monkeypatch):
     # Lemma 1 covers exactly the reduced states the SM report measured
     keeps = []
 
-    def recording(spec, keep):
+    def recording(psi, keep):
         keeps.append(keep)
-        return verify_lemma1(spec, keep)
+        return _lemma1_on(psi, keep)
 
-    monkeypatch.setattr("scren.suites.verify_lemma1", recording)
+    monkeypatch.setattr("scren.suites._lemma1_on", recording)
     spec = random_spec(np.random.default_rng(3), 5, 3)
     result = _wclass_trial((0, spec), RoofConfig(seed=7))
     expected = [(0,) + rest for size in (1, 2, 3) for rest in combinations(range(1, 5), size)]
@@ -348,3 +349,52 @@ def test_wclass_trial_reads_theorem1_off_its_sm_report(monkeypatch):
     assert reports == [(3,) * 5]
     assert result["theorem1_passed"] == alone.passed
     assert result["theorem1_max_error"] == max(max(alone.pair_errors), alone.sum_error)
+
+
+def test_wclass_trial_builds_its_state_once(monkeypatch):
+    # the SM report and all 14 Lemma 1 checks share one built state, and the
+    # record equals the one the public per-spec checks give
+    spec = random_spec(np.random.default_rng(5), 5, 3)
+    config = RoofConfig(seed=7)
+    thm2 = verify_theorem2(spec, config)
+    thm1 = _theorem1_from(spec, thm2.report)
+    lemma = [verify_lemma1(spec, (0,) + tuple(j - 1 for j in t.subset)) for t in thm2.report.terms]
+    expected = {
+        "trial": 0,
+        "p": spec.p,
+        "theorem1_passed": thm1.passed,
+        "theorem1_max_error": max(max(thm1.pair_errors), thm1.sum_error),
+        "theorem2_passed": thm2.passed,
+        "theorem2_residual": thm2.residual,
+        "theorem2_max_higher_term": thm2.max_higher_term,
+        "lemma1_max_violation": max(rep.max_violation for rep in lemma),
+        "lemma1_passed": all(rep.passed for rep in lemma),
+    }
+    builds = []
+
+    def counting(spec):
+        builds.append(spec)
+        return build_state(spec)
+
+    monkeypatch.setattr("scren.suites.build_state", counting)
+    monkeypatch.setattr("scren.wclass.build_state", counting)
+    result = _wclass_trial((0, spec), config)
+    assert len(builds) == 1
+    assert json.dumps(result) == json.dumps(expected)
+
+
+def test_wclass_trial_takes_no_eigh(monkeypatch):
+    # every reduced state of the trial is factored, so its support is a thin SVD
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    DensityMatrix((2,), np.eye(2) / 2).support  # the counter sees an unfactored support
+    assert calls == [(2, 2)]
+    result = _wclass_trial((0, random_spec(np.random.default_rng(6), 5, 3)), RoofConfig(seed=7))
+    assert calls == [(2, 2)]
+    assert result["theorem2_passed"] and result["lemma1_passed"]
