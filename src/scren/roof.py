@@ -12,6 +12,12 @@ decompositions is scored in one objective call: the probe and the chord scan
 below are one call each, and a Powell step is a stack of one.
 Which search runs depends only on the party dims and the rank of the input.
 
+``cren`` and ``scren2`` score rows with the one negativity kernel,
+:func:`scren.negativity.negativity_rows`.  On a cut with a qubit side (every
+2 x k pair, so every chord search below) it takes each row's 2 x 2 minors
+and calls no SVD; on any other cut it takes the SVD of each row's split
+matrix.
+
 A rank-2 state of a qubit and a qudit takes one start, and not over U(2).
 Its two-member decompositions are exactly the chords of its Bloch ball
 through the state's Bloch vector (Osterloh, Siewert & Uhlmann, PRA 77,
@@ -42,12 +48,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
+from .negativity import negativity_rows
 from .states import Bipartition, DensityMatrix, PureState
 
 WEIGHT_TOL = 1e-14
@@ -441,25 +447,6 @@ def roof_minimize(
     return finish(best_rows, score(best_rows), len(history), converged, history)
 
 
-def _negativity_row_objective(dims: Sequence[int], part: Bipartition):
-    """Weighted negativity of each unnormalized member row, batched.
-
-    For an unnormalized row with singular values s_i the weight is sum s_i^2
-    and weight * negativity is (sum s_i)^2 - sum s_i^2, so the rows need no
-    explicit normalization.
-    """
-    order = [0] + [1 + i for i in part.side_a] + [1 + i for i in part.side_b]
-    d_a = prod(dims[i] for i in part.side_a)
-
-    def values(rows: np.ndarray) -> np.ndarray:
-        stack = rows.reshape((rows.shape[0],) + tuple(dims)).transpose(order)
-        stack = stack.reshape(rows.shape[0], d_a, -1)
-        s = np.linalg.svd(stack, compute_uv=False)
-        return s.sum(axis=1) ** 2 - (s**2).sum(axis=1)
-
-    return values
-
-
 def _squared_roof(
     rho: DensityMatrix,
     row_objective: Callable[[np.ndarray], np.ndarray],
@@ -476,8 +463,12 @@ def cren(
     config: RoofConfig | None = None,
     full_output: bool = False,
 ):
-    """Convex-roof extended negativity: min ensemble-average negativity."""
-    result = roof_minimize(rho, _negativity_row_objective(rho.dims, part), config)
+    """Convex-roof extended negativity: min ensemble-average negativity.
+
+    Members are scored by :func:`scren.negativity.negativity_rows`: by their
+    2 x 2 minors when a side of ``part`` is a qubit, else by an SVD.
+    """
+    result = roof_minimize(rho, negativity_rows(rho.dims, part), config)
     value = max(0.0, result.value)
     return (value, result) if full_output else value
 
@@ -493,9 +484,11 @@ def scren2(
     On a 2 x k pair this is also the mixed two-tangle, which
     :func:`scren.tangle.two_tangle` computes by calling this function.  Like
     every squared roof it stops at ``SQRT_ROOF_FLOOR``, so a near-separable
-    pair may report any value up to 1e-10 in place of zero.
+    pair may report any value up to 1e-10 in place of zero.  Members are
+    scored as in :func:`cren`: by their 2 x 2 minors on a cut with a qubit
+    side, else by an SVD.
     """
-    value, result = _squared_roof(rho, _negativity_row_objective(rho.dims, part), config)
+    value, result = _squared_roof(rho, negativity_rows(rho.dims, part), config)
     return (value, result) if full_output else value
 
 

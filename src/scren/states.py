@@ -258,20 +258,6 @@ def partial_transpose(rho: DensityMatrix, part: Bipartition) -> np.ndarray:
     return np.ascontiguousarray(tensor_form.transpose(perm)).reshape(d, d)
 
 
-def split_matrix(psi: PureState, part: Bipartition) -> np.ndarray:
-    """Amplitudes as a (dim A) x (dim B) matrix for the given cut.
-
-    Rows run over side-A subsystems in ascending index order, columns over
-    side B; its singular values are the square roots of the Schmidt
-    coefficients, from which pure-state negativity comes.
-    """
-    if part.n_parties != psi.n_parties:
-        raise ValueError("bipartition does not match the state's party count")
-    order = list(part.side_a) + list(part.side_b)
-    d_a = prod(psi.dims[i] for i in part.side_a)
-    return psi.as_tensor().transpose(order).reshape(d_a, -1)
-
-
 # ---------------------------------------------------------------------------
 # Named states
 # ---------------------------------------------------------------------------

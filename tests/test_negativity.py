@@ -8,12 +8,14 @@ from scren import (
     DensityMatrix,
     bell_state,
     haar_random_state,
+    haar_unitary,
     negativity_mixed,
     negativity_pure,
     reduced_density,
     to_density,
 )
 from scren.monogamy import CKW_COUNTEREXAMPLE_322
+from scren.negativity import negativity_rows
 
 from util import random_mixed_state, tensor
 
@@ -122,3 +124,45 @@ def test_arbitrary_cut_matches_marginal_route():
 def test_bipartition_mismatch_rejected():
     with pytest.raises(ValueError, match="party count"):
         negativity_mixed(to_density(bell_state()), Bipartition((0,), 3))
+
+
+def _split_singular_values(row: np.ndarray, dims, side_a) -> np.ndarray:
+    """Schmidt singular values of one unnormalized row across side A | rest."""
+    order = list(side_a) + [i for i in range(len(dims)) if i not in side_a]
+    d_a = int(np.prod([dims[i] for i in side_a]))
+    return np.linalg.svd(row.reshape(dims).transpose(order).reshape(d_a, -1), compute_uv=False)
+
+
+@pytest.mark.parametrize("dims, side_a", [
+    ((2, 2), (0,)), ((2, 3), (0,)), ((3, 2), (0,)), ((2, 5), (0,)), ((2, 3), (1,)),
+    ((2, 2, 2), (1,)), ((2, 2, 2), (0, 1)), ((2, 3, 2), (0,)),
+    ((3, 3), (1,)), ((2, 3, 2), (1,)),
+])
+def test_kernel_matches_schmidt_svd(dims, side_a):
+    # qubit-side cuts take the 2 x 2 minors, the last two cuts the SVD; both
+    # must equal (sum s)^2 - sum s^2 of the row's own Schmidt spectrum
+    rng = np.random.default_rng(sum(dims) + 10 * len(side_a))
+    d = int(np.prod(dims))
+    rows = rng.standard_normal((40, d)) + 1j * rng.standard_normal((40, d))
+    values = negativity_rows(dims, Bipartition(side_a, len(dims)))(rows)
+    assert values.shape == (40,)
+    for row, value in zip(rows, values):
+        s = _split_singular_values(row, dims, side_a)
+        expected = s.sum() ** 2 - (s**2).sum()
+        assert abs(value - expected) <= 1e-14 * expected
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)])
+def test_kernel_is_accurate_on_near_product_rows(shape):
+    # s_2 ~ 1e-9: the minors keep 2 s_1 s_2 to roundoff, where
+    # 2 sqrt(det(M M^dagger)) cancels two O(1) products and is off by ~1e-8
+    rng = np.random.default_rng(60 + shape[0])
+    part = Bipartition((0,), 2)
+    kernel = negativity_rows(shape, part)
+    for _ in range(200):
+        u = haar_unitary(shape[0], rng)[:, :2]
+        v = haar_unitary(shape[1], rng)[:, :2]
+        mat = u @ np.diag([rng.uniform(0.5, 1.0), 1e-9 * rng.uniform(0.5, 2.0)]) @ v.T
+        s = _split_singular_values(mat.reshape(-1), shape, (0,))
+        value = kernel(mat.reshape(1, -1))[0]
+        assert abs(value - 2.0 * s[0] * s[1]) <= 1e-14

@@ -18,6 +18,7 @@ from scren import (
     hjw_ensemble,
     member_average,
     n_scren_pure,
+    negativity_mixed,
     negativity_pure,
     reduced_density,
     roof_minimize,
@@ -28,12 +29,12 @@ from scren import (
     wootters_tangle,
 )
 from scren.monogamy import NESTED_CONFIG
+from scren.negativity import negativity_rows
 from scren.roof import (
     CHORD_COUNT,
     PROBE_COUNT,
     _CHORD_DIRECTIONS,
     _chord_unitary,
-    _negativity_row_objective,
     _probe_unitaries,
     _stack_scores,
 )
@@ -189,16 +190,33 @@ def test_seed_changes_explore_differently_but_agree():
 # ---------------------------------------------------------------------------
 
 def test_cren_vector_path_matches_generic_objective():
-    # the batched negativity objective must agree with the per-member one,
-    # including on a cut whose side A is not the first subsystem
+    # the batched negativity objective must agree with a per-member one taken
+    # by the independent partial-transpose route, including on a cut whose
+    # side A is not the first subsystem
     rng = np.random.default_rng(23)
     for side_a in [(0,), (1,)]:
         rho = random_mixed_state(rng, (2, 3), rank=2)
         part = Bipartition(side_a, 2)
         cfg = RoofConfig(starts=5, iters=400, seed=13)
         fast = cren(rho, part, cfg)
-        generic = roof_minimize(rho, member_average(rho.dims, lambda s: negativity_pure(s, part)), cfg)
+        generic = roof_minimize(
+            rho, member_average(rho.dims, lambda s: negativity_mixed(to_density(s), part)), cfg
+        )
         assert abs(fast - generic.value) <= 1e-7
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (2, 3)])
+def test_qubit_side_pair_roofs_take_no_svd(dims, monkeypatch):
+    # a pair given by value takes its support from eigh; after that neither
+    # orientation of a qubit-side cut may call the SVD
+    rho = random_mixed_state(np.random.default_rng(24), dims, rank=2)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    part = Bipartition((0,), 2)
+    assert scren2(rho, part, FAST) > 0.0
+    assert cren(rho, part, FAST) > 0.0
+    assert calls == []
 
 
 def test_cren_separable_mixture_is_zero():
@@ -397,7 +415,7 @@ def test_evals_counts_every_objective_call(build):
 
 
 _ROW_OBJECTIVES = {
-    "negativity": lambda dims: _negativity_row_objective(dims, Bipartition((0,), 3)),
+    "negativity": lambda dims: negativity_rows(dims, Bipartition((0,), 3)),
     "three_tangle": lambda dims: lambda rows: np.sqrt(three_tangle_rows(rows)),
     "member_average": lambda dims: member_average(
         dims, lambda s: negativity_pure(s, Bipartition((1,), 3))

@@ -20,7 +20,7 @@ from scren import (
     w_state,
 )
 from scren.monogamy import CKW_COUNTEREXAMPLE_322
-from scren.states import density_from_dict, split_matrix, state_from_dict, state_to_dict
+from scren.states import density_from_dict, state_from_dict, state_to_dict
 from scren.wclass import WClassSpec, build_state, random_spec
 
 from util import basis_state, marginal_focus_matrix, random_mixed_state, tensor
@@ -257,7 +257,7 @@ def test_partial_transpose_negative_eigenvalues_are_schmidt_products():
     rng = np.random.default_rng(6)
     psi = haar_random_state((3, 3), rng)
     part = Bipartition((0,), 2)
-    lam = np.linalg.svd(split_matrix(psi, part), compute_uv=False) ** 2
+    lam = np.linalg.svd(psi.amplitudes.reshape(3, 3), compute_uv=False) ** 2
     expected = sorted(
         -np.sqrt(lam[i] * lam[j]) for i in range(3) for j in range(i + 1, 3)
     )
