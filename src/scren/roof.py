@@ -13,10 +13,10 @@ below are one call each, and a Powell step is a stack of one.
 Which search runs depends only on the party dims and the rank of the input.
 
 ``cren`` and ``scren2`` score rows with the one negativity kernel,
-:func:`scren.negativity.negativity_rows`.  On a cut with a qubit side (every
-2 x k pair, so every chord search below) it takes each row's 2 x 2 minors
-and calls no SVD; on any other cut it takes the SVD of each row's split
-matrix.
+:func:`scren.negativity.negativity_rows`.  On a 2 x k cut with k at most
+``MINORS_MAX_K`` = 8 (every 2 x 2 and 3 x 2 pair, so every chord search on
+them) it takes each row's 2 x 2 minors and calls no SVD; on any other cut it
+takes the SVD of each row's split matrix.
 
 A rank-2 state of a qubit and a qudit takes one start, and not over U(2).
 Its two-member decompositions are exactly the chords of its Bloch ball
@@ -466,7 +466,8 @@ def cren(
     """Convex-roof extended negativity: min ensemble-average negativity.
 
     Members are scored by :func:`scren.negativity.negativity_rows`: by their
-    2 x 2 minors when a side of ``part`` is a qubit, else by an SVD.
+    2 x 2 minors when a side of ``part`` is a qubit and the other has
+    dimension at most ``MINORS_MAX_K`` = 8, else by an SVD.
     """
     result = roof_minimize(rho, negativity_rows(rho.dims, part), config)
     value = max(0.0, result.value)
@@ -485,8 +486,8 @@ def scren2(
     :func:`scren.tangle.two_tangle` computes by calling this function.  Like
     every squared roof it stops at ``SQRT_ROOF_FLOOR``, so a near-separable
     pair may report any value up to 1e-10 in place of zero.  Members are
-    scored as in :func:`cren`: by their 2 x 2 minors on a cut with a qubit
-    side, else by an SVD.
+    scored as in :func:`cren`: by their 2 x 2 minors on a 2 x k cut with
+    k <= 8, else by an SVD.
     """
     value, result = _squared_roof(rho, negativity_rows(rho.dims, part), config)
     return (value, result) if full_output else value

@@ -135,12 +135,12 @@ def _split_singular_values(row: np.ndarray, dims, side_a) -> np.ndarray:
 
 @pytest.mark.parametrize("dims, side_a", [
     ((2, 2), (0,)), ((2, 3), (0,)), ((3, 2), (0,)), ((2, 5), (0,)), ((2, 3), (1,)),
-    ((2, 2, 2), (1,)), ((2, 2, 2), (0, 1)), ((2, 3, 2), (0,)),
-    ((3, 3), (1,)), ((2, 3, 2), (1,)),
+    ((2, 2, 2), (1,)), ((2, 2, 2), (0, 1)), ((2, 3, 2), (0,)), ((2, 8), (0,)),
+    ((3, 3), (1,)), ((2, 3, 2), (1,)), ((2, 9), (0,)), ((3, 3, 2), (2,)),
 ])
 def test_kernel_matches_schmidt_svd(dims, side_a):
-    # qubit-side cuts take the 2 x 2 minors, the last two cuts the SVD; both
-    # must equal (sum s)^2 - sum s^2 of the row's own Schmidt spectrum
+    # 2 x k cuts up to k = 8 take the 2 x 2 minors, the last four cuts the
+    # SVD; both must equal (sum s)^2 - sum s^2 of the row's own spectrum
     rng = np.random.default_rng(sum(dims) + 10 * len(side_a))
     d = int(np.prod(dims))
     rows = rng.standard_normal((40, d)) + 1j * rng.standard_normal((40, d))
@@ -152,9 +152,9 @@ def test_kernel_matches_schmidt_svd(dims, side_a):
         assert abs(value - expected) <= 1e-14 * expected
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (2, 8), (2, 9)])
 def test_kernel_is_accurate_on_near_product_rows(shape):
-    # s_2 ~ 1e-9: the minors keep 2 s_1 s_2 to roundoff, where
+    # s_2 ~ 1e-9: the minors (the SVD at 2 x 9) keep 2 s_1 s_2 to roundoff, where
     # 2 sqrt(det(M M^dagger)) cancels two O(1) products and is off by ~1e-8
     rng = np.random.default_rng(60 + shape[0])
     part = Bipartition((0,), 2)
@@ -166,3 +166,20 @@ def test_kernel_is_accurate_on_near_product_rows(shape):
         s = _split_singular_values(mat.reshape(-1), shape, (0,))
         value = kernel(mat.reshape(1, -1))[0]
         assert abs(value - 2.0 * s[0] * s[1]) <= 1e-14
+
+
+@pytest.mark.parametrize("dims, side_a, svd_calls", [
+    ((2, 8), (0,), 0), ((8, 2), (0,), 0), ((2, 9), (0,), 1), ((9, 2), (0,), 1),
+    ((2, 1024), (0,), 1), ((2, 1024), (1,), 1),
+], ids=["2x8", "8x2", "2x9", "9x2", "2x1024-qubit-A", "2x1024-qubit-B"])
+def test_large_qubit_side_cuts_take_the_svd(dims, side_a, svd_calls, monkeypatch):
+    # the minors grow as k^2, so a 2 x k cut past MINORS_MAX_K = 8 is scored
+    # by one SVD of its split matrix, which grows as k
+    psi = haar_random_state(dims, np.random.default_rng(70 + dims[0]))
+    s = _split_singular_values(psi.amplitudes, dims, side_a)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    value = negativity_pure(psi, Bipartition(side_a, 2))
+    assert len(calls) == svd_calls
+    assert abs(value - 2.0 * s[0] * s[1]) <= 1e-14 * value
