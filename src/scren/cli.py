@@ -281,7 +281,7 @@ def _run_hunt(args) -> dict:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
     _check_workers(args.workers)
     config = _config_from(args)
-    report = hunt_suite(dims, args.samples, args.seed, args.measure, config, args.workers)
+    report = hunt_suite(dims, args.samples, args.measure, config, args.workers)
     return {"command": "hunt", **report, "config": dataclasses.asdict(config)}
 
 

@@ -159,28 +159,6 @@ def _checked_rows(rho: DensityMatrix, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def hjw_ensemble(rho: DensityMatrix, u: np.ndarray) -> np.ndarray:
-    """Member rows sqrt(p_h)|psi_h> = sum_i u_hi sqrt(lam_i)|e_i> induced by ``u``.
-
-    ``u`` must be a square unitary (to 1e-9) of size L at least the rank of
-    ``rho``.  Columns beyond the rank mix in zero vectors, so an L x L unitary
-    yields L rows; rows of negligible weight stay in the array, and
-    :func:`member_average` scores them 0.0.  The rows rebuild ``rho`` exactly
-    (unitarity of the columns), which is asserted to 1e-8.
-    """
-    mat = np.ascontiguousarray(u, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("mixing matrix must be square")
-    defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
-    if not defect <= 1e-9:
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
-    lam, base = rho.support
-    r = len(lam)
-    if mat.shape[0] < r:
-        raise ValueError(f"mixing matrix size {mat.shape[0]} is below the rank {r}")
-    return _checked_rows(rho, mat[:, :r] @ base)
-
-
 @lru_cache(maxsize=32)
 def _triu(n: int):
     return np.triu_indices(n, 1)

@@ -156,9 +156,6 @@ class DensityMatrix:
         r = int(np.sum(lam > RANK_TOL))
         return _freeze(lam[:r]), _freeze((vecs[:, :r] * scale[:r]).T)
 
-    def rank(self) -> int:
-        return len(self.support[0])
-
 
 @dataclass(frozen=True)
 class Bipartition:

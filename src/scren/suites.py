@@ -25,11 +25,11 @@ from .states import Bipartition, DensityMatrix, PureState, haar_random_state, st
 from .tangle import wootters_tangle
 from .wclass import (
     WClassSpec,
-    _lemma1_on,
-    _theorem1_from,
-    _theorem2_on,
     build_state,
     random_spec,
+    verify_lemma1,
+    verify_theorem1,
+    verify_theorem2,
 )
 
 HUNT_FLAG_THRESHOLD = -1e-4
@@ -69,14 +69,11 @@ def oracle_comparison(config: RoofConfig, trials: int = 50) -> dict:
     ``config.seed``."""
     rng = np.random.default_rng(config.seed)
     part = Bipartition((0,), 2)
-    worst = 0.0
     errors = []
     for _ in range(trials):
         rho = random_rank2_two_qubit(rng)
-        gap = abs(scren2(rho, part, config) - wootters_tangle(rho))
-        errors.append(gap)
-        worst = max(worst, gap)
-    return {"trials": trials, "max_error": worst, "mean_error": float(np.mean(errors))}
+        errors.append(abs(scren2(rho, part, config) - wootters_tangle(rho)))
+    return {"trials": trials, "max_error": max(errors), "mean_error": float(np.mean(errors))}
 
 
 def _close(value: float, target: float, atol: float) -> bool:
@@ -122,10 +119,10 @@ def _wclass_trial(task: tuple[int, WClassSpec], config: RoofConfig) -> dict:
     of that same report."""
     t, spec = task
     psi = build_state(spec)
-    thm2 = _theorem2_on(psi, config)
-    thm1 = _theorem1_from(spec, thm2.report)
+    thm2 = verify_theorem2(psi, config)
+    thm1 = verify_theorem1(spec, thm2.report)
     lemma = [
-        _lemma1_on(psi, (0,) + tuple(j - 1 for j in term.subset))
+        verify_lemma1(psi, (0,) + tuple(j - 1 for j in term.subset))
         for term in thm2.report.terms
     ]
     return {
@@ -191,24 +188,23 @@ def _hunt_one(task: tuple[str, PureState], measure: str, config: RoofConfig) -> 
 def hunt_suite(
     dims: tuple[int, ...],
     samples: int,
-    seed: int,
     measure: str,
     config: RoofConfig,
     workers: int = 1,
 ) -> dict:
     """SM residuals of the built-in fixtures of shape ``dims``, then of
     ``samples`` Haar-random states; sample i is drawn from
-    ``SeedSequence((seed, i))``."""
+    ``SeedSequence((config.seed, i))``."""
     tasks = [(label, psi) for label, psi in HUNT_FIXTURES if psi.dims == dims]
     for i in range(samples):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, i)))
         tasks.append((f"sample_{i:04d}", haar_random_state(dims, rng)))
     records = _pool_map(partial(_hunt_one, measure=measure, config=config), tasks, workers)
     residuals = [r["residual"] for r in records if r["residual"] is not None]
     return {
         "dims": list(dims),
         "samples": samples,
-        "seed": seed,
+        "seed": config.seed,
         "measure": measure,
         "min_residual": min(residuals) if residuals else None,
         "results": records,

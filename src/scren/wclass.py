@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .monogamy import SMReport, ckw_report, sm_report
+from .monogamy import SMReport, sm_report
 from .roof import RoofConfig
 from .states import DensityMatrix, PureState, reduced_density
 
@@ -175,14 +175,10 @@ def outside_amplitude(rho: DensityMatrix) -> float:
     return float(np.sqrt(weight.max()))
 
 
-def verify_lemma1(spec: WClassSpec, keep: Iterable[int]) -> Lemma1Report:
-    """Check Lemma 1 on the reduction of the state onto ``keep`` (0-based):
-    every decomposition of it stays inside the W-plus-vacuum support."""
-    return _lemma1_on(build_state(spec), keep)
-
-
-def _lemma1_on(psi: PureState, keep: Iterable[int]) -> Lemma1Report:
-    """Lemma 1 on the reduction of the built state ``psi`` onto ``keep``."""
+def verify_lemma1(psi: PureState, keep: Iterable[int]) -> Lemma1Report:
+    """Check Lemma 1 on the reduction of the W-class state ``psi`` (from
+    :func:`build_state`) onto ``keep`` (0-based): every decomposition of it
+    stays inside the W-plus-vacuum support."""
     kept = tuple(sorted({int(i) for i in keep}))
     worst = outside_amplitude(reduced_density(psi, kept))
     return Lemma1Report(keep=kept, max_violation=worst, passed=bool(worst <= HAMMING_SUPPORT_ATOL))
@@ -201,19 +197,20 @@ class Theorem1Report:
     passed: bool
 
 
-def verify_theorem1(spec: WClassSpec, config: RoofConfig | None = None) -> Theorem1Report:
+def verify_theorem1(spec: WClassSpec, rep: SMReport) -> Theorem1Report:
     """Check one-SCREN == sum of pairwise SCRENs, numeric against closed form.
 
-    The numeric side is the SCREN ``ckw_report`` of the state with party 1 in
-    focus (the m = 2 terms of its SM report), so qubit pairs take the Wootters
-    closed form and qudit pairs the ``scren2`` roof.
+    The numeric side is read off ``rep``, a SCREN report of the state of
+    ``spec`` with party 1 in focus: its one value and m = 2 terms, so a CKW
+    and a full SM report give the same verdict and no roof runs here.  Qubit
+    pairs in the report take the Wootters closed form, qudit pairs the
+    ``scren2`` roof.
     """
-    return _theorem1_from(spec, ckw_report(build_state(spec), 0, "scren", config))
-
-
-def _theorem1_from(spec: WClassSpec, rep: SMReport) -> Theorem1Report:
-    """Theorem 1 read off the one value and m = 2 terms of a SCREN report of
-    the state with party 1 in focus (a CKW or a full SM report)."""
+    if rep.measure != "scren" or rep.focus != 0:
+        raise ValueError(
+            f"Theorem 1 needs a SCREN report with focus 0, got measure {rep.measure!r}, "
+            f"focus {rep.focus}"
+        )
     pair_numeric = tuple(t.value for t in rep.terms if t.order == 2)
     pair_closed = tuple(two_scren_closed(spec, s) for s in range(2, spec.n + 1))
     errors = tuple(abs(a - b) for a, b in zip(pair_numeric, pair_closed))
@@ -240,13 +237,9 @@ class Theorem2Report:
     passed: bool
 
 
-def verify_theorem2(spec: WClassSpec, config: RoofConfig | None = None) -> Theorem2Report:
-    """Run the full SM report on the state and check saturation."""
-    return _theorem2_on(build_state(spec), config)
-
-
-def _theorem2_on(psi: PureState, config: RoofConfig | None) -> Theorem2Report:
-    """Theorem 2 on the full SM report of the built state ``psi``."""
+def verify_theorem2(psi: PureState, config: RoofConfig | None = None) -> Theorem2Report:
+    """Run the full SCREN SM report of the W-class state ``psi`` (from
+    :func:`build_state`) with party 1 in focus and check saturation."""
     report = sm_report(psi, focus=0, measure="scren", config=config)
     higher = [t.value for t in report.terms if t.order >= 3]
     max_higher = max(higher, default=0.0)

@@ -21,7 +21,6 @@ from scren import (
     ckw_report,
     cren,
     haar_unitary,
-    hjw_ensemble,
     member_average,
     negativity_pure,
     random_spec,
@@ -33,7 +32,7 @@ from scren import (
     wootters_tangle,
 )
 
-from util import random_mixed_state, random_rank2_two_qubit
+from util import hjw_rows, random_mixed_state, random_rank2_two_qubit
 
 PART2 = Bipartition((0,), 2)
 SEED = 7
@@ -123,7 +122,7 @@ def test_criterion_5_pairwise_saturation():
     worst_sum = 0.0
     for n, d in cases:
         spec = random_spec(rng, n, d)
-        rep = verify_theorem1(spec, CONFIG)
+        rep = verify_theorem1(spec, ckw_report(build_state(spec), 0, "scren", CONFIG))
         worst_pair = max(worst_pair, max(rep.pair_errors))
         worst_sum = max(worst_sum, abs(rep.one_numeric - sum(rep.pair_numeric)))
     elapsed = time.time() - t0
@@ -144,7 +143,7 @@ def test_criterion_6_strong_monogamy_saturation():
     worst_term = 0.0
     for _ in range(10):
         spec = random_spec(rng, 4, 3)
-        rep = verify_theorem2(spec, CONFIG)
+        rep = verify_theorem2(build_state(spec), CONFIG)
         worst_residual = max(worst_residual, abs(rep.residual))
         worst_term = max(worst_term, rep.max_higher_term)
     elapsed = time.time() - t0
@@ -169,8 +168,8 @@ def test_criterion_7_property_suites():
         dims = [(2, 2), (2, 3), (3, 2)][int(rng.integers(3))]
         rank = int(rng.integers(1, 4))
         rho = random_mixed_state(rng, dims, rank=rank)
-        size = rho.rank() + int(rng.integers(0, 3))
-        rows = hjw_ensemble(rho, haar_unitary(size, rng))
+        size = len(rho.support[0]) + int(rng.integers(0, 3))
+        rows = hjw_rows(rho, haar_unitary(size, rng))
         worst_rebuild = max(worst_rebuild, float(np.abs(rows.T @ rows.conj() - rho.matrix).max()))
     if worst_rebuild > 1e-10:
         failures.append(f"ensemble rebuild error {worst_rebuild:.2e}")
@@ -179,7 +178,7 @@ def test_criterion_7_property_suites():
     for _ in range(20):
         rho = random_mixed_state(rng, (2, 2), rank=int(rng.integers(2, 4)))
         eigen_avg = member_average(rho.dims, lambda s: negativity_pure(s, PART2))(
-            hjw_ensemble(rho, np.eye(rho.rank()))
+            hjw_rows(rho, np.eye(len(rho.support[0])))
         ).sum()
         if cren(rho, PART2, CONFIG) > eigen_avg + 1e-9:
             failures.append("roof above eigendecomposition average")
@@ -200,9 +199,9 @@ def test_criterion_7_property_suites():
         spec = random_spec(rng, 4, 3)
         for s in (1, 2, 3):
             rho = reduced_density(build_state(spec), (0, s))
-            rank = rho.rank()
+            rank = len(rho.support[0])
             average = member_average(rho.dims, lambda st: negativity_pure(st, PART2))
-            avgs = [average(hjw_ensemble(rho, haar_unitary(rank, rng))).sum() for _ in range(50)]
+            avgs = [average(hjw_rows(rho, haar_unitary(rank, rng))).sum() for _ in range(50)]
             worst_spread = max(worst_spread, max(avgs) - min(avgs))
     if worst_spread > 1e-8:
         failures.append(f"decomposition-independence spread {worst_spread:.2e}")
@@ -211,10 +210,10 @@ def test_criterion_7_property_suites():
     # state) stays in the W-plus-vacuum support
     worst_support = 0.0
     for _ in range(20):
-        spec = random_spec(rng, 4, 3)
+        psi = build_state(random_spec(rng, 4, 3))
         for size in (2, 3):
             for rest in combinations(range(1, 4), size - 1):
-                rep = verify_lemma1(spec, (0,) + rest)
+                rep = verify_lemma1(psi, (0,) + rest)
                 worst_support = max(worst_support, rep.max_violation)
     if worst_support > 1e-10:
         failures.append(f"support violation {worst_support:.2e}")

@@ -232,7 +232,6 @@ def test_support_is_cached_and_read_only():
         assert rho.support is rho.support
         lam, rows = rho.support
         assert not lam.flags.writeable and not rows.flags.writeable
-        assert rho.rank() == len(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from scren import (
     RoofConfig,
     WClassSpec,
     build_state,
+    ckw_report,
     haar_unitary,
-    hjw_ensemble,
     negativity_pure,
     one_scren_closed,
     random_spec,
@@ -28,15 +28,20 @@ from scren import (
     wootters_tangle,
 )
 from scren.suites import _wclass_trial
-from scren.wclass import HAMMING_SUPPORT_ATOL, _lemma1_on, _theorem1_from, outside_amplitude
+from scren.wclass import HAMMING_SUPPORT_ATOL, outside_amplitude
 
-from util import basis_state, marginal_focus_matrix
+from util import basis_state, hjw_rows, marginal_focus_matrix
 
 FAST = RoofConfig(starts=8, iters=600, seed=7)
 
 
 def equal_w3() -> WClassSpec:
     return WClassSpec(3, 2, np.full((3, 1), 1 / np.sqrt(3), dtype=complex), 1.0)
+
+
+def theorem1(spec: WClassSpec, config: RoofConfig = FAST):
+    """Theorem 1 on the SCREN CKW report of the spec's state, party 1 in focus."""
+    return verify_theorem1(spec, ckw_report(build_state(spec), 0, "scren", config))
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +210,14 @@ def test_lemma1_rank_one_reduction():
     rng = np.random.default_rng(10)
     spec = random_spec(rng, 3, 3)
     pure = WClassSpec(spec.n, spec.d, spec.a, 1.0)
-    rep = verify_lemma1(pure, range(3))
+    rep = verify_lemma1(build_state(pure), range(3))
     assert rep.passed
 
 
 def test_lemma1_two_party_reduction():
     rng = np.random.default_rng(11)
     spec = random_spec(rng, 4, 3)
-    rep = verify_lemma1(spec, (0, 2))
+    rep = verify_lemma1(build_state(spec), (0, 2))
     assert rep.passed and rep.max_violation <= 1e-10
 
 
@@ -221,10 +226,10 @@ def test_lemma1_all_subsets_of_random_specs():
     from itertools import combinations
 
     for _ in range(5):
-        spec = random_spec(rng, 4, 3)
+        psi = build_state(random_spec(rng, 4, 3))
         for size in (2, 3):
             for rest in combinations(range(1, 4), size - 1):
-                rep = verify_lemma1(spec, (0,) + rest)
+                rep = verify_lemma1(psi, (0,) + rest)
                 assert rep.passed
 
 
@@ -257,13 +262,13 @@ def test_outside_amplitude_bounds_every_hjw_member():
     assert abs(bound - eps / np.sqrt(1.0 - abs(psi[0]) ** 2)) <= 1e-12
     rng = np.random.default_rng(21)
     for size in (2, 4, 6):
-        rows = hjw_ensemble(rho, haar_unitary(size, rng))
+        rows = hjw_rows(rho, haar_unitary(size, rng))
         members = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         assert np.abs(members[:, 6]).max() <= bound + 1e-12
 
 
 def test_theorem1_qubit_w():
-    rep = verify_theorem1(equal_w3(), FAST)
+    rep = theorem1(equal_w3())
     assert rep.passed
     assert abs(rep.one_numeric - 8 / 9) <= 1e-9
     np.testing.assert_allclose(rep.pair_closed, [4 / 9, 4 / 9], atol=1e-12)
@@ -272,7 +277,7 @@ def test_theorem1_qubit_w():
 def test_theorem1_vacuum():
     rng = np.random.default_rng(13)
     spec = random_spec(rng, 3, 3)
-    rep = verify_theorem1(WClassSpec(spec.n, spec.d, spec.a, 0.0), FAST)
+    rep = theorem1(WClassSpec(spec.n, spec.d, spec.a, 0.0))
     assert rep.passed
     assert rep.one_numeric <= 1e-12
     assert max(rep.pair_numeric) <= 1e-12
@@ -280,7 +285,7 @@ def test_theorem1_vacuum():
 
 def test_theorem1_random_qudit_spec():
     rng = np.random.default_rng(14)
-    rep = verify_theorem1(random_spec(rng, 4, 3), FAST)
+    rep = theorem1(random_spec(rng, 4, 3))
     assert rep.passed
     assert max(rep.pair_errors) <= 1e-3 and rep.sum_error <= 1e-3
 
@@ -291,18 +296,52 @@ def test_theorem1_qubit_pairs_are_wootters():
         spec = random_spec(rng, 4, 2)
         psi = build_state(spec)
         expected = tuple(wootters_tangle(reduced_density(psi, (0, s))) for s in (1, 2, 3))
-        assert verify_theorem1(spec, FAST).pair_numeric == expected
+        assert theorem1(spec).pair_numeric == expected
+
+
+def test_theorem1_reads_a_ckw_and_an_sm_report_alike(monkeypatch):
+    # the verdict is read off the one value and the pair terms, which a CKW
+    # report shares with the pair level of the SM report; no roof runs
+    spec = random_spec(np.random.default_rng(18), 4, 3)
+    psi = build_state(spec)
+    ckw = ckw_report(psi, 0, "scren", FAST)
+    sm = sm_report(psi, 0, "scren", FAST)
+
+    def no_roof(*args, **kwargs):
+        raise AssertionError("verify_theorem1 ran a roof")
+
+    monkeypatch.setattr("scren.roof.roof_minimize", no_roof)
+    from_ckw = verify_theorem1(spec, ckw)
+    from_sm = verify_theorem1(spec, sm)
+    assert repr(from_ckw) == repr(from_sm)  # float reprs round-trip, so bitwise
+    assert from_ckw.passed
+
+
+def test_theorem1_rejects_a_tangle_report():
+    # on qubits the tangle values equal the SCREN ones, so this would pass silently
+    spec = equal_w3()
+    rep = ckw_report(build_state(spec), 0, "tangle", FAST)
+    with pytest.raises(ValueError, match="measure 'tangle'"):
+        verify_theorem1(spec, rep)
+
+
+def test_theorem1_rejects_another_focus():
+    # the equal-weight W state is symmetric, so this would pass silently too
+    spec = equal_w3()
+    rep = ckw_report(build_state(spec), 1, "scren", FAST)
+    with pytest.raises(ValueError, match="focus 1"):
+        verify_theorem1(spec, rep)
 
 
 def test_theorem2_three_parties():
     rng = np.random.default_rng(15)
-    rep = verify_theorem2(random_spec(rng, 3, 3), FAST)
+    rep = verify_theorem2(build_state(random_spec(rng, 3, 3)), FAST)
     assert rep.passed and abs(rep.residual) <= 1e-3
 
 
 def test_theorem2_four_parties():
     rng = np.random.default_rng(16)
-    rep = verify_theorem2(random_spec(rng, 4, 3), FAST)
+    rep = verify_theorem2(build_state(random_spec(rng, 4, 3)), FAST)
     assert rep.passed
     assert rep.max_higher_term <= 1e-3
 
@@ -310,7 +349,7 @@ def test_theorem2_four_parties():
 def test_theorem2_vacuum_all_zero():
     rng = np.random.default_rng(17)
     spec = random_spec(rng, 4, 3)
-    rep = verify_theorem2(WClassSpec(spec.n, spec.d, spec.a, 0.0), FAST)
+    rep = verify_theorem2(build_state(WClassSpec(spec.n, spec.d, spec.a, 0.0)), FAST)
     assert rep.passed
     assert abs(rep.residual) <= 1e-12 and rep.max_higher_term <= 1e-12
 
@@ -321,9 +360,9 @@ def test_wclass_trial_runs_lemma1_on_its_report_states(monkeypatch):
 
     def recording(psi, keep):
         keeps.append(keep)
-        return _lemma1_on(psi, keep)
+        return verify_lemma1(psi, keep)
 
-    monkeypatch.setattr("scren.suites._lemma1_on", recording)
+    monkeypatch.setattr("scren.suites.verify_lemma1", recording)
     spec = random_spec(np.random.default_rng(3), 5, 3)
     result = _wclass_trial((0, spec), RoofConfig(seed=7))
     expected = [(0,) + rest for size in (1, 2, 3) for rest in combinations(range(1, 5), size)]
@@ -336,7 +375,7 @@ def test_wclass_trial_reads_theorem1_off_its_sm_report(monkeypatch):
     # one SM report per trial: no second CKW report, and the same Theorem 1
     spec = random_spec(np.random.default_rng(4), 5, 3)
     config = RoofConfig(seed=7)
-    alone = verify_theorem1(spec, config)
+    alone = theorem1(spec, config)
     reports = []
 
     def recording(psi, focus, measure, config):
@@ -344,7 +383,7 @@ def test_wclass_trial_reads_theorem1_off_its_sm_report(monkeypatch):
         return sm_report(psi, focus, measure, config)
 
     monkeypatch.setattr("scren.wclass.sm_report", recording)
-    monkeypatch.setattr("scren.wclass.ckw_report", None)
+    monkeypatch.setattr("scren.suites.ckw_report", None)
     result = _wclass_trial((0, spec), config)
     assert reports == [(3,) * 5]
     assert result["theorem1_passed"] == alone.passed
@@ -353,12 +392,13 @@ def test_wclass_trial_reads_theorem1_off_its_sm_report(monkeypatch):
 
 def test_wclass_trial_builds_its_state_once(monkeypatch):
     # the SM report and all 14 Lemma 1 checks share one built state, and the
-    # record equals the one the public per-spec checks give
+    # record equals the one the public checks give
     spec = random_spec(np.random.default_rng(5), 5, 3)
     config = RoofConfig(seed=7)
-    thm2 = verify_theorem2(spec, config)
-    thm1 = _theorem1_from(spec, thm2.report)
-    lemma = [verify_lemma1(spec, (0,) + tuple(j - 1 for j in t.subset)) for t in thm2.report.terms]
+    psi = build_state(spec)
+    thm2 = verify_theorem2(psi, config)
+    thm1 = verify_theorem1(spec, thm2.report)
+    lemma = [verify_lemma1(psi, (0,) + tuple(j - 1 for j in t.subset)) for t in thm2.report.terms]
     expected = {
         "trial": 0,
         "p": spec.p,

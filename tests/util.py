@@ -8,7 +8,15 @@ from typing import Sequence
 import numpy as np
 
 from scren import DensityMatrix, PureState, WClassSpec, haar_random_state, haar_unitary
+from scren.roof import _checked_rows
 from scren.suites import random_rank2_two_qubit  # noqa: F401  (re-exported for the tests)
+
+
+def hjw_rows(rho: DensityMatrix, u: np.ndarray) -> np.ndarray:
+    """Member rows sqrt(p_h)|psi_h> = sum_i u_hi sqrt(lam_i)|e_i> of the L x L
+    unitary ``u`` (L >= rank; columns beyond the rank mix in zero vectors),
+    read-only and checked to rebuild ``rho`` to 1e-8."""
+    return _checked_rows(rho, u[:, : len(rho.support[0])] @ rho.support[1])
 
 
 def random_mixed_state(rng: np.random.Generator, dims, rank: int) -> DensityMatrix:
