@@ -8,8 +8,9 @@ engine minimizes the weighted ensemble average sum_h p_h f(psi_h) over that
 unitary.  Its objective maps an (N, dim) array of unnormalized member rows
 sqrt(p_h)|psi_h> to the (N,) array of weighted member values p_h f(psi_h),
 and the engine sums each decomposition's r values.  So a whole stack of
-decompositions is scored in one objective call: the probe and the chord scan
-below are one call each, and a Powell step is a stack of one.
+decompositions is scored in one objective call: the probe, the chord scan and
+each step of the chord search below are one call each, and a Powell step is a
+stack of one.
 Which search runs depends only on the party dims and the rank of the input.
 
 ``cren`` and ``scren2`` score rows with the one negativity kernel,
@@ -23,12 +24,15 @@ Its two-member decompositions are exactly the chords of its Bloch ball
 through the state's Bloch vector (Osterloh, Siewert & Uhlmann, PRA 77,
 032310 (2008)), a two-parameter family: the other two parameters of U(2) are
 per-member phases no objective depends on.  So a fixed grid of
-``CHORD_COUNT`` chord directions plus the eigendecomposition is scanned, and
-Powell searches a two-parameter chart of chord directions around the best of
-them (:func:`_chord_unitary`, :func:`_chord_chart`).  That search is
-deterministic, so ``starts`` and ``seed`` do not change its value.  On 3 x 3
-pairs the same single start missed the multi-start value on some states, so
-every other input keeps multi-start search.
+``CHORD_COUNT`` chord directions plus the eigendecomposition is scanned, and a
+stencil search (:func:`_stencil_search`) minimizes over a two-parameter chart
+of chord directions around the best of them (:func:`_chord_unitaries`,
+:func:`_chord_chart`).  Each of its steps scores a 3 x 3 stencil of chart
+points in one objective call, and a quadratic model of the stencil takes it
+to the Newton point when that point is near.  That search is deterministic,
+so ``starts`` and ``seed`` do not change its value.  On 3 x 3 pairs the same
+single start missed the multi-start value on some states, so every other
+input keeps multi-start search.
 
 The multi-start search first probes ``PROBE_COUNT`` Haar-random mixing
 unitaries to detect decomposition-independent objectives.  Those unitaries
@@ -38,9 +42,8 @@ Otherwise it parametrizes the unitary as U = exp(iH) U0 with H Hermitian and
 runs derivative-free direction-set (Powell) search from multiple starts:
 start 0 is the identity (so the eigendecomposition average is always an
 upper bound on the result) and the remaining starts are Haar-random
-unitaries.  The winning start of either search gets a high-precision polish
-pass.  All randomness derives from the config seed, so results are
-reproducible.
+unitaries.  The winning start gets a high-precision polish pass.  All
+randomness derives from the config seed, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -76,6 +79,16 @@ PROBE_SPREAD_TOL = 1e-9
 # decomposition.  The z-axis, the eigendecomposition, is scanned besides.
 CHORD_COUNT = 64
 
+# The chord search from the best scanned chord (:func:`_stencil_search`): its
+# first stencil step in the chart, the step below which it stops, how far
+# (in steps) a Newton point may lie, and the factors a step changes by.
+STENCIL_STEP = 0.1
+STENCIL_FLOOR = 1e-8
+STENCIL_TRUST = 2.0
+NEWTON_SHRINK = 16.0
+STENCIL_GROW = 2.0
+STENCIL_SHRINK = 4.0
+
 # A search is reported unconverged when its winning start still improved by
 # more than this over the last quarter of its evaluations.
 CONVERGED_TOL = 1e-6
@@ -104,9 +117,12 @@ class RoofConfig:
 
     ``iters`` is the per-start evaluation budget; it and ``starts`` must be
     at least 1.  Every roof decomposes its input into rank-many members.  A
-    rank-2 qubit-qudit pair runs one search over the two chord parameters
-    whatever ``starts`` says, and ``seed`` does not enter it; ``seed`` seeds
-    the probe and the random starts of every other multi-start search.
+    rank-2 qubit-qudit pair runs one stencil search over the two chord
+    parameters whatever ``starts`` says, and ``seed`` does not enter it; that
+    search stops after ``iters + max(300, iters // 2)`` evaluations at most,
+    the Powell start and polish budget of the multi-start search plus 200.
+    ``seed`` seeds the probe and the random starts of every other
+    multi-start search.
     """
 
     starts: int = 16
@@ -130,8 +146,9 @@ class RoofResult:
     unnormalized member rows sqrt(p_h)|psi_h>.  ``evals`` is the number of
     decompositions the roof scored: the eigendecomposition, the chord scan's
     ``CHORD_COUNT`` or the probe's ``PROBE_COUNT`` (each one objective call),
-    then one per search, polish and final call.  Unlike wall time it does not
-    depend on the machine.
+    then 8 or 9 per step of the chord search (one call each), or one per
+    Powell and polish call, and one for the final call.  Unlike wall time it
+    does not depend on the machine.
     """
 
     value: float
@@ -195,11 +212,17 @@ def _fibonacci_direction(k: int) -> tuple[float, float, float]:
     return (rad * math.cos(azimuth), rad * math.sin(azimuth), z)
 
 
-_CHORD_DIRECTIONS = tuple(_fibonacci_direction(k) for k in range(CHORD_COUNT))
+_CHORD_DIRECTIONS = np.array([_fibonacci_direction(k) for k in range(CHORD_COUNT)])
+_CHORD_DIRECTIONS.flags.writeable = False
+
+# The chord search's stencil: the 8 neighbours of its centre on a square grid.
+_STENCIL = np.array(
+    [[-1, -1], [-1, 0], [-1, 1], [0, -1], [0, 1], [1, -1], [1, 0], [1, 1]], dtype=float
+)
 
 
-def _chord_unitary(q: tuple[float, float], u: Sequence[float]) -> np.ndarray:
-    """2 x 2 mixing unitary of the two-member chord decomposition along ``u``.
+def _chord_unitaries(q: tuple[float, float], u: np.ndarray) -> np.ndarray:
+    """(K, 2, 2) mixing unitaries of the chord decompositions along a (K, 3) stack ``u``.
 
     In the eigenbasis of a rank-2 state with normalized eigenvalues
     q = (q_1, q_2), q_1 >= q_2, the Bloch vector is r0 = (0, 0, c) with
@@ -219,50 +242,106 @@ def _chord_unitary(q: tuple[float, float], u: Sequence[float]) -> np.ndarray:
     (n_x - i n_y, 1 - n_z) / sqrt(2 (1 - n_z)).
     """
     q1, q2 = q
-    ux, uy, uz = u
+    ux, uy, uz = u.T
     b = (q1 - q2) * uz
-    big = abs(b) + math.sqrt(b * b + 4.0 * q1 * q2)
+    big = np.abs(b) + np.sqrt(b * b + 4.0 * q1 * q2)
     small = 4.0 * q1 * q2 / big
-    t_plus, t_minus = (small, -big) if b >= 0 else (big, -small)
-    span = t_plus - t_minus
-    unitary = np.empty((2, 2), dtype=np.complex128)
-    for h, (t, p) in enumerate(((t_plus, -t_minus / span), (t_minus, t_plus / span))):
-        north, south = 2.0 * q1 + t * uz, 2.0 * q2 - t * uz
-        if north >= south:
-            scale = math.sqrt(p / (2.0 * north))
-            psi = (north, complex(t * ux, t * uy))
-        else:
-            scale = math.sqrt(p / (2.0 * south))
-            psi = (complex(t * ux, -t * uy), south)
-        unitary[h, 0] = scale * psi[0] / math.sqrt(q1)
-        unitary[h, 1] = scale * psi[1] / math.sqrt(q2)
+    # column h = 0 is the end point n+, h = 1 the end point n-
+    t = np.where((b >= 0)[:, None], np.stack([small, -big], 1), np.stack([big, -small], 1))
+    p = np.stack([-t[:, 1], t[:, 0]], 1) / (big + small)[:, None]
+    north = 2.0 * q1 + t * uz[:, None]
+    south = 2.0 * q2 - t * uz[:, None]
+    up = north >= south
+    scale = np.sqrt(p / (2.0 * np.where(up, north, south)))
+    txy = t * (ux + 1j * uy)[:, None]
+    unitary = np.empty((len(u), 2, 2), dtype=np.complex128)
+    unitary[:, :, 0] = scale * np.where(up, north, txy.conj()) / math.sqrt(q1)
+    unitary[:, :, 1] = scale * np.where(up, txy, south) / math.sqrt(q2)
     return unitary
 
 
-def _chord_chart(q: tuple[float, float], u0: Sequence[float], base: np.ndarray):
-    """Rows of the chord along normalize(u0 + x_1 e_1 + x_2 e_2), as a map of x.
+def _chord_chart(u0: np.ndarray) -> np.ndarray:
+    """Frame (u0, e_1, e_2) of the chart x -> normalize(u0 + x_1 e_1 + x_2 e_2).
 
     e_1 and e_2 complete the unit vector ``u0`` to an orthonormal basis, so
     x = 0 is the chord along u0 and the chart covers the open hemisphere of
     directions around it; a chord and its reverse are the same
-    decomposition, so that is every chord but one great circle of them.
+    decomposition, so that is every chord but one great circle of them.  A
+    (K, 2) stack of chart points x maps to the directions ``u / |u|`` with
+    ``u = frame[0] + x @ frame[1:]``.
     """
     # e_1 is the coordinate axis least aligned with u0, less its u0 part
-    k = min(range(3), key=lambda i: abs(u0[i]))
-    e1 = [-u0[k] * a for a in u0]
+    k = int(np.argmin(np.abs(u0)))
+    e1 = -u0[k] * u0
     e1[k] += 1.0
-    norm = math.hypot(*e1)
-    e1 = [a / norm for a in e1]
-    e2 = [u0[1] * e1[2] - u0[2] * e1[1], u0[2] * e1[0] - u0[0] * e1[2],
-          u0[0] * e1[1] - u0[1] * e1[0]]
+    e1 /= np.linalg.norm(e1)
+    return np.stack([u0, e1, np.cross(u0, e1)])
 
-    def rows_of(x: np.ndarray) -> np.ndarray:
-        x1, x2 = float(x[0]), float(x[1])
-        u = [a + x1 * b + x2 * c for a, b, c in zip(u0, e1, e2)]
-        norm = math.hypot(*u)
-        return _chord_unitary(q, [a / norm for a in u]) @ base
 
-    return rows_of
+def _newton_step(centre: float, values: np.ndarray) -> np.ndarray | None:
+    """Newton step, in units of the stencil step, of the stencil's quadratic model.
+
+    ``values`` are the objective at the 8 ``_STENCIL`` points around a centre
+    of value ``centre``.  The model takes central differences for the
+    gradient and the Hessian; None when that Hessian is not positive definite.
+    """
+    gx = (values[6] - values[1]) / 2.0
+    gy = (values[4] - values[3]) / 2.0
+    hxx = values[6] - 2.0 * centre + values[1]
+    hyy = values[4] - 2.0 * centre + values[3]
+    hxy = (values[7] - values[5] - values[2] + values[0]) / 4.0
+    det = hxx * hyy - hxy * hxy
+    if not (hxx > 0.0 and det > 0.0):
+        return None
+    return np.array([hxy * gy - hyy * gx, hxy * gx - hxx * gy]) / det
+
+
+def _stencil_search(
+    scores: Callable[[np.ndarray], Sequence[float]], value0: float, budget: int
+) -> tuple[np.ndarray, float, bool]:
+    """Minimize ``scores`` over the chord chart from x = 0, where it is ``value0``.
+
+    ``scores`` maps a (K, 2) stack of chart points to their K values in one
+    objective call, and each step is one such call: the 8 ``_STENCIL`` points
+    around a centre at step h, plus the centre itself when it is not yet
+    scored.  If the stencil's quadratic model (:func:`_newton_step`) has a
+    positive definite Hessian and its Newton point lies within
+    ``STENCIL_TRUST`` steps of the centre, the next stencil is centred there
+    at h / ``NEWTON_SHRINK``.  Otherwise the next stencil is centred on the
+    best point scored so far, at h * ``STENCIL_GROW`` if a stencil point just
+    became that best, else at h / ``STENCIL_SHRINK``.  A Newton centre that
+    improved on nothing fits no model: the search goes back to the best
+    point.  It stops when h falls below ``STENCIL_FLOOR`` or ``budget``
+    evaluations are spent, and returns the best point, its value and whether
+    h reached the floor.
+    """
+    best, best_value = np.zeros(2), value0
+    centre, centre_value = best, value0
+    step, spent = STENCIL_STEP, 0
+    while step >= STENCIL_FLOOR and spent < budget:
+        points = centre + step * _STENCIL
+        jumped = centre_value is None
+        if jumped:
+            points = np.vstack([centre, points])
+        values = scores(points)
+        spent += len(points)
+        if jumped:
+            centre_value, values = values[0], values[1:]
+        k = int(np.argmin(values))
+        moved = values[k] < min(centre_value, best_value)
+        improved = moved or centre_value < best_value
+        if moved:
+            best, best_value = centre + step * _STENCIL[k], values[k]
+        elif improved:
+            best, best_value = centre, centre_value
+        newton = _newton_step(centre_value, values) if improved or not jumped else None
+        if newton is not None and math.hypot(*newton) <= STENCIL_TRUST:
+            centre, centre_value = centre + step * newton, None
+            step /= NEWTON_SHRINK
+            continue
+        step = step * STENCIL_GROW if moved else step / STENCIL_SHRINK
+        centre, centre_value = best, best_value
+    return best, float(best_value), step < STENCIL_FLOOR
 
 
 def member_average(dims: Sequence[int], fn: Callable[[PureState], float]):
@@ -309,11 +388,14 @@ def roof_minimize(
     already at or below ``stop_below`` is returned as-is (the roof value is
     sandwiched between it and zero).
 
-    On a two-party rank-2 ``rho`` with a qubit party one start then runs,
-    over the two parameters of a chart of chord directions (see
-    :func:`_chord_chart`) centred on the best chord of a deterministic grid
-    that includes the eigendecomposition; ``starts`` and ``seed`` do not
-    change its result.  The grid is scored in one objective call.
+    On a two-party rank-2 ``rho`` with a qubit party one start then runs, a
+    stencil search (:func:`_stencil_search`) over the two parameters of a
+    chart of chord directions (see :func:`_chord_chart`) centred on the best
+    chord of a deterministic grid that includes the eigendecomposition;
+    ``starts`` and ``seed`` do not change its result.  The grid and each
+    search step are scored in one objective call each.  That search is
+    ``converged`` when its step fell below ``STENCIL_FLOOR`` within
+    ``config.iters + max(300, config.iters // 2)`` evaluations.
 
     Every other input is first probed: if the eigendecomposition average and
     the values at a seeded stack of random mixing unitaries, scored in one
@@ -325,8 +407,9 @@ def roof_minimize(
     starts search the parameters of exp(iH) U0 (U0 the identity, then
     Haar-random unitaries).
 
-    The ``converged`` flag is False when the winning start still improved by
-    more than ``CONVERGED_TOL`` over the last quarter of its evaluation sequence.
+    The ``converged`` flag of the multi-start search is False when the
+    winning start still improved by more than ``CONVERGED_TOL`` over the last
+    quarter of its evaluation sequence.
     ``evals`` counts every decomposition scored, on every exit.
     """
     config = config or RoofConfig()
@@ -352,6 +435,33 @@ def roof_minimize(
             evals=evals,
         )
 
+    eigen_average = score(base)
+    if r == 1 or eigen_average <= stop_below:
+        return finish(base, eigen_average, 0, True, (eigen_average,))
+
+    if len(rho.dims) == 2 and min(rho.dims) == 2 and r == 2:
+        # a chord scan finds the basin; the eigendecomposition is the chord along z
+        q = tuple(float(v) for v in lam / lam.sum())
+        scan = scores(_chord_unitaries(q, _CHORD_DIRECTIONS) @ base)
+        chords = [(eigen_average, (0.0, 0.0, 1.0)), *zip(scan, _CHORD_DIRECTIONS)]
+        value0, u0 = min(chords, key=lambda vu: vu[0])
+        frame = _chord_chart(np.asarray(u0, dtype=float))
+
+        def chart_rows(x: np.ndarray) -> np.ndarray:
+            u = frame[0] + x @ frame[1:]
+            return _chord_unitaries(q, u / np.linalg.norm(u, axis=1, keepdims=True)) @ base
+
+        # Powell's start and polish budget plus 200: at that budget alone, a
+        # low ``iters`` left some stencil searches short of Powell's value
+        budget = config.iters + max(300, config.iters // 2)
+        x, value, converged = _stencil_search(lambda x: scores(chart_rows(x)), value0, budget)
+        rows = chart_rows(x[None])[0]
+        return finish(rows, score(rows), 1, converged, (value,))
+
+    probe_values = [eigen_average, *scores(_probe_unitaries(config.seed, r) @ base)]
+    if max(probe_values) - min(probe_values) <= PROBE_SPREAD_TOL:
+        return finish(base, eigen_average, 0, True, probe_values)
+
     def powell(theta0, rows_of, maxfev, xtol, ftol) -> tuple[np.ndarray, list[float]]:
         trace: list[float] = []
 
@@ -368,38 +478,22 @@ def roof_minimize(
         )
         return np.array(res.x, dtype=float), trace
 
-    eigen_average = score(base)
-    if r == 1 or eigen_average <= stop_below:
-        return finish(base, eigen_average, 0, True, (eigen_average,))
+    identity = np.eye(r, dtype=np.complex128)
+    seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
 
-    if len(rho.dims) == 2 and min(rho.dims) == 2 and r == 2:
-        # a chord scan finds the basin; the eigendecomposition is the chord along z
-        q = tuple(float(v) for v in lam / lam.sum())
-        scan = scores(np.stack([_chord_unitary(q, u) for u in _CHORD_DIRECTIONS]) @ base)
-        chords = [(eigen_average, (0.0, 0.0, 1.0)), *zip(scan, _CHORD_DIRECTIONS)]
-        u0 = min(chords, key=lambda vu: vu[0])[1]
-        starts = [(np.zeros(2), _chord_chart(q, u0, base))]
-    else:
-        probe_values = [eigen_average, *scores(_probe_unitaries(config.seed, r) @ base)]
-        if max(probe_values) - min(probe_values) <= PROBE_SPREAD_TOL:
-            return finish(base, eigen_average, 0, True, probe_values)
+    def mixing(k: int):
+        u0 = identity if k == 0 else haar_unitary(r, np.random.default_rng(seeds[k]))
+        return lambda theta: (_unitary_from_params(theta, r) @ u0) @ base
 
-        identity = np.eye(r, dtype=np.complex128)
-        seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
-
-        def mixing(k: int):
-            u0 = identity if k == 0 else haar_unitary(r, np.random.default_rng(seeds[k]))
-            return lambda theta: (_unitary_from_params(theta, r) @ u0) @ base
-
-        starts = ((np.zeros(r * r), mixing(k)) for k in range(config.starts))
     best_value = np.inf
     best_theta: np.ndarray | None = None
     best_rows_of = None
     best_trace: list[float] = []
     history: list[float] = []
 
-    for theta0, rows_of in starts:
-        theta, trace = powell(theta0, rows_of, config.iters, 1e-7, 1e-11)
+    for k in range(config.starts):
+        rows_of = mixing(k)
+        theta, trace = powell(np.zeros(r * r), rows_of, config.iters, 1e-7, 1e-11)
         start_best = min(trace)
         history.append(start_best)
         if start_best < best_value:

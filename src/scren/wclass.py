@@ -204,7 +204,9 @@ def verify_theorem1(spec: WClassSpec, rep: SMReport) -> Theorem1Report:
     ``spec`` with party 1 in focus: its one value and m = 2 terms, so a CKW
     and a full SM report give the same verdict and no roof runs here.  Qubit
     pairs in the report take the Wootters closed form, qudit pairs the
-    ``scren2`` roof.
+    ``scren2`` roof.  A report that is not SCREN with focus 0, or whose pair
+    terms are not the ``spec.n - 1`` of the spec's party count, raises
+    ``ValueError``.
     """
     if rep.measure != "scren" or rep.focus != 0:
         raise ValueError(
@@ -212,6 +214,11 @@ def verify_theorem1(spec: WClassSpec, rep: SMReport) -> Theorem1Report:
             f"focus {rep.focus}"
         )
     pair_numeric = tuple(t.value for t in rep.terms if t.order == 2)
+    if len(pair_numeric) != spec.n - 1:
+        raise ValueError(
+            f"Theorem 1 on {spec.n} parties needs {spec.n - 1} pair terms, "
+            f"got a report with {len(pair_numeric)}"
+        )
     pair_closed = tuple(two_scren_closed(spec, s) for s in range(2, spec.n + 1))
     errors = tuple(abs(a - b) for a, b in zip(pair_numeric, pair_closed))
     sum_error = abs(rep.one_value - sum(pair_closed))

@@ -333,6 +333,15 @@ def test_theorem1_rejects_another_focus():
         verify_theorem1(spec, rep)
 
 
+def test_theorem1_rejects_a_report_of_another_party_count():
+    # zipping 2 pair terms with 3 closed forms would silently drop one
+    spec = random_spec(np.random.default_rng(3), 4, 2)
+    rep = ckw_report(build_state(random_spec(np.random.default_rng(3), 3, 2)), 0, "scren", FAST)
+    assert len([t for t in rep.terms if t.order == 2]) == 2
+    with pytest.raises(ValueError, match="needs 3 pair terms, got a report with 2"):
+        verify_theorem1(spec, rep)
+
+
 def test_theorem2_three_parties():
     rng = np.random.default_rng(15)
     rep = verify_theorem2(build_state(random_spec(rng, 3, 3)), FAST)
