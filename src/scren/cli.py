@@ -7,8 +7,9 @@ compute  one measure of one state file, JSON result on stdout
 verify   bundled suites: ``paper`` (fixture values) or ``wclass`` (theorems)
 hunt     sample random states and report strong-monogamy residuals
 
-Exit codes: 0 ok, 1 verification failure, 2 input error, 3 cost guard,
-4 conjecture violation (offending state dumped to stderr as JSON).
+Exit codes: 0 ok, 1 verification failure, 2 input error (an unwritable
+``--out`` too), 3 cost guard, 4 conjecture violation (offending state dumped
+to stderr as JSON, from a worker pool too).
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def _run_compute(args) -> dict:
                                  "(use --trace-out to reduce first)")
             value, result = two_tangle(state, config, full_output=True)
             diagnostics = {"converged": result.converged, "starts": result.starts}
-    elif measure in ("ntangle", "nscren"):
+    else:  # ntangle or nscren
         if not isinstance(state, PureState):
             raise InputError(f"'{measure}' is defined for pure states")
         focus = args.focus if args.focus is not None else kept[0]
@@ -210,8 +211,6 @@ def _run_compute(args) -> dict:
             report = sm_report(state, focus=focus, measure="scren", config=config)
             value = report.residual
             diagnostics = {"report": report.to_dict()}
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown measure {measure!r}")
 
     out = {
         "command": "compute",
@@ -300,8 +299,11 @@ def _hunt_csv(report: dict) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -309,8 +311,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "compute":
             report = _run_compute(args)
@@ -320,12 +321,11 @@ def main(argv=None) -> int:
             report, passed = _run_verify(args)
             _emit(json.dumps(report, indent=2), args.out)
             return EXIT_OK if passed else EXIT_VERIFY_FAILED
-        if args.command == "hunt":
-            report = _run_hunt(args)
-            text = _hunt_csv(report) if args.csv else json.dumps(report, indent=2)
-            _emit(text, args.out)
-            return EXIT_OK
-        parser.error(f"unknown command {args.command!r}")
+        # argparse requires a subcommand, so this one is hunt
+        report = _run_hunt(args)
+        text = _hunt_csv(report) if args.csv else json.dumps(report, indent=2)
+        _emit(text, args.out)
+        return EXIT_OK
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -340,7 +340,6 @@ def main(argv=None) -> int:
         }
         print(json.dumps(dump), file=sys.stderr)
         return EXIT_CONJECTURE
-    return EXIT_OK
 
 
 def entrypoint() -> None:  # console script wrapper

@@ -63,7 +63,6 @@ class SMTerm:
     value: float
     contribution: float
     converged: bool
-    starts: int
 
     @property
     def order(self) -> int:
@@ -159,11 +158,11 @@ def _cut_value(psi: PureState, measure: str) -> float:
 
 def _mixed_value(
     psi: PureState, subset: tuple[int, ...], config: RoofConfig
-) -> tuple[float, bool, int]:
+) -> tuple[float, bool]:
     """Mixed m-party measure of the reduced state on focus + subset (0-based).
 
-    Returns ``(value, converged, starts)``.  A qubit pair is the Wootters
-    closed form, reported as ``(C^2, True, 0)``; any other pair is the
+    Returns ``(value, converged)``.  A qubit pair is the Wootters closed
+    form, reported as ``(C^2, True)`` with no roof run; any other pair is the
     ``scren2`` roof at the given config.  Either is also the two-tangle of the
     pairs ``_check_measure`` admits.  Terms of order three and above are the
     squared roof of the square root of each member's SCREN residual.  On a
@@ -177,7 +176,7 @@ def _mixed_value(
     """
     rho = reduced_density(psi, (0,) + subset)
     if rho.dims == (2, 2):
-        return wootters_tangle(rho), True, 0
+        return wootters_tangle(rho), True
     if len(subset) == 1:
         value, result = scren2(rho, Bipartition((0,), 2), config, full_output=True)
     elif rho.dims == (2, 2, 2):
@@ -190,7 +189,7 @@ def _mixed_value(
             nested,
             full_output=True,
         )
-    return value, result.converged, result.starts
+    return value, result.converged
 
 
 def _report(
@@ -212,7 +211,7 @@ def _report(
     for m in range(2, 3 if pairs_only else n):
         for labels in combinations(range(2, n + 1), m - 1):
             subset = tuple(j - 1 for j in labels)  # labels 2..n -> positions 1..n-1
-            value, converged, starts = _mixed_value(work, subset, config)
+            value, converged = _mixed_value(work, subset, config)
             contribution = value ** (m / 2)
             rhs += contribution
             terms.append(
@@ -221,7 +220,6 @@ def _report(
                     value=value,
                     contribution=contribution,
                     converged=converged,
-                    starts=starts,
                 )
             )
     residual = one - rhs

@@ -100,15 +100,17 @@ class ConjectureViolation(Exception):
     Raised by :func:`roof_sqrt_functional` when an ensemble member evaluates
     below -1e-7 (anything in [-1e-7, 0) is treated as roundoff).  This is
     scientifically meaningful output, not a crash: it carries the offending
-    state and value so the candidate counterexample can be inspected.
+    state and value so the candidate counterexample can be inspected.  Both
+    are its ``args``, so it pickles, and a worker pool passes it back whole.
     """
 
     def __init__(self, state: PureState, value: float):
+        super().__init__(state, value)
         self.state = state
         self.value = value
-        super().__init__(
-            f"pure-state functional is negative ({value:.6e}) on an ensemble member"
-        )
+
+    def __str__(self) -> str:
+        return f"pure-state functional is negative ({self.value:.6e}) on an ensemble member"
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,6 @@ class RoofResult:
     rows: np.ndarray
     starts: int
     converged: bool
-    history: tuple[float, ...]
     evals: int
 
 
@@ -298,7 +299,7 @@ def _newton_step(centre: float, values: np.ndarray) -> np.ndarray | None:
 
 def _stencil_search(
     scores: Callable[[np.ndarray], Sequence[float]], value0: float, budget: int
-) -> tuple[np.ndarray, float, bool]:
+) -> tuple[np.ndarray, bool]:
     """Minimize ``scores`` over the chord chart from x = 0, where it is ``value0``.
 
     ``scores`` maps a (K, 2) stack of chart points to their K values in one
@@ -312,8 +313,8 @@ def _stencil_search(
     became that best, else at h / ``STENCIL_SHRINK``.  A Newton centre that
     improved on nothing fits no model: the search goes back to the best
     point.  It stops when h falls below ``STENCIL_FLOOR`` or ``budget``
-    evaluations are spent, and returns the best point, its value and whether
-    h reached the floor.
+    evaluations are spent, and returns the best point and whether h reached
+    the floor.
     """
     best, best_value = np.zeros(2), value0
     centre, centre_value = best, value0
@@ -341,7 +342,7 @@ def _stencil_search(
             continue
         step = step * STENCIL_GROW if moved else step / STENCIL_SHRINK
         centre, centre_value = best, best_value
-    return best, float(best_value), step < STENCIL_FLOOR
+    return best, step < STENCIL_FLOOR
 
 
 def member_average(dims: Sequence[int], fn: Callable[[PureState], float]):
@@ -425,19 +426,18 @@ def roof_minimize(
     def score(rows: np.ndarray) -> float:
         return scores(rows[None])[0]
 
-    def finish(rows, value, starts, converged, history) -> RoofResult:
+    def finish(rows, value, starts, converged) -> RoofResult:
         return RoofResult(
             value=float(value),
             rows=_checked_rows(rho, rows),
             starts=starts,
             converged=converged,
-            history=tuple(history),
             evals=evals,
         )
 
     eigen_average = score(base)
     if r == 1 or eigen_average <= stop_below:
-        return finish(base, eigen_average, 0, True, (eigen_average,))
+        return finish(base, eigen_average, 0, True)
 
     if len(rho.dims) == 2 and min(rho.dims) == 2 and r == 2:
         # a chord scan finds the basin; the eigendecomposition is the chord along z
@@ -454,13 +454,13 @@ def roof_minimize(
         # Powell's start and polish budget plus 200: at that budget alone, a
         # low ``iters`` left some stencil searches short of Powell's value
         budget = config.iters + max(300, config.iters // 2)
-        x, value, converged = _stencil_search(lambda x: scores(chart_rows(x)), value0, budget)
+        x, converged = _stencil_search(lambda x: scores(chart_rows(x)), value0, budget)
         rows = chart_rows(x[None])[0]
-        return finish(rows, score(rows), 1, converged, (value,))
+        return finish(rows, score(rows), 1, converged)
 
     probe_values = [eigen_average, *scores(_probe_unitaries(config.seed, r) @ base)]
     if max(probe_values) - min(probe_values) <= PROBE_SPREAD_TOL:
-        return finish(base, eigen_average, 0, True, probe_values)
+        return finish(base, eigen_average, 0, True)
 
     def powell(theta0, rows_of, maxfev, xtol, ftol) -> tuple[np.ndarray, list[float]]:
         trace: list[float] = []
@@ -489,13 +489,13 @@ def roof_minimize(
     best_theta: np.ndarray | None = None
     best_rows_of = None
     best_trace: list[float] = []
-    history: list[float] = []
+    starts = 0
 
     for k in range(config.starts):
         rows_of = mixing(k)
         theta, trace = powell(np.zeros(r * r), rows_of, config.iters, 1e-7, 1e-11)
+        starts += 1
         start_best = min(trace)
-        history.append(start_best)
         if start_best < best_value:
             best_value, best_theta, best_rows_of, best_trace = start_best, theta, rows_of, trace
         if best_value <= stop_below:
@@ -516,7 +516,7 @@ def roof_minimize(
     converged = bool(tail_gain <= CONVERGED_TOL)
 
     best_rows = best_rows_of(best_theta)
-    return finish(best_rows, score(best_rows), len(history), converged, history)
+    return finish(best_rows, score(best_rows), starts, converged)
 
 
 def _squared_roof(

@@ -78,10 +78,6 @@ class PureState:
     def n_parties(self) -> int:
         return len(self.dims)
 
-    @property
-    def total_dim(self) -> int:
-        return prod(self.dims)
-
     def as_tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per subsystem (read-only view)."""
         return self.amplitudes.reshape(self.dims)
@@ -130,10 +126,6 @@ class DensityMatrix:
     @property
     def n_parties(self) -> int:
         return len(self.dims)
-
-    @property
-    def total_dim(self) -> int:
-        return prod(self.dims)
 
     @cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +243,7 @@ def partial_transpose(rho: DensityMatrix, part: Bipartition) -> np.ndarray:
     tensor_form = rho.matrix.reshape(rho.dims + rho.dims)
     perm = [n + i if i in side_b else i for i in range(n)]
     perm += [i if i in side_b else n + i for i in range(n)]
-    d = rho.total_dim
+    d = rho.matrix.shape[0]
     return np.ascontiguousarray(tensor_form.transpose(perm)).reshape(d, d)
 
 

@@ -64,7 +64,7 @@ def random_rank2_two_qubit(rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix((2, 2), mat, validate=False)
 
 
-def oracle_comparison(config: RoofConfig, trials: int = 50) -> dict:
+def oracle_comparison(config: RoofConfig, trials: int) -> dict:
     """Worst |scren2 - wootters_tangle| over random rank-2 states drawn from
     ``config.seed``."""
     rng = np.random.default_rng(config.seed)
@@ -80,9 +80,8 @@ def _close(value: float, target: float, atol: float) -> bool:
     return abs(value - target) <= atol
 
 
-def paper_suite(config: RoofConfig | None = None, oracle_trials: int = 50) -> dict:
+def paper_suite(config: RoofConfig, oracle_trials: int) -> dict:
     """The four fixture checks, one entry per acceptance criterion 1-4."""
-    config = config or RoofConfig(seed=7)
     checks = []
     for name, state, measure, one, pair, residual, satisfied in FIXTURE_CHECKS:
         rep = ckw_report(state, focus=0, measure=measure, config=config)
@@ -131,7 +130,7 @@ def _wclass_trial(task: tuple[int, WClassSpec], config: RoofConfig) -> dict:
         "theorem1_passed": thm1.passed,
         "theorem1_max_error": max(max(thm1.pair_errors), thm1.sum_error),
         "theorem2_passed": thm2.passed,
-        "theorem2_residual": thm2.residual,
+        "theorem2_residual": thm2.report.residual,
         "theorem2_max_higher_term": thm2.max_higher_term,
         "lemma1_max_violation": max((rep.max_violation for rep in lemma), default=0.0),
         "lemma1_passed": all(rep.passed for rep in lemma),
@@ -139,14 +138,13 @@ def _wclass_trial(task: tuple[int, WClassSpec], config: RoofConfig) -> dict:
 
 
 def wclass_suite(
-    trials: int = 20,
-    n: int = 4,
-    d: int = 3,
-    config: RoofConfig | None = None,
-    workers: int = 1,
+    trials: int,
+    n: int,
+    d: int,
+    config: RoofConfig,
+    workers: int,
 ) -> dict:
     """Theorem and lemma checks on ``trials`` random W-plus-vacuum specs."""
-    config = config or RoofConfig(seed=7)
     rng = np.random.default_rng(config.seed)
     tasks = [(t, random_spec(rng, n, d)) for t in range(trials)]
     results = _pool_map(partial(_wclass_trial, config=config), tasks, workers)
@@ -190,7 +188,7 @@ def hunt_suite(
     samples: int,
     measure: str,
     config: RoofConfig,
-    workers: int = 1,
+    workers: int,
 ) -> dict:
     """SM residuals of the built-in fixtures of shape ``dims``, then of
     ``samples`` Haar-random states; sample i is drawn from

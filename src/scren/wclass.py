@@ -30,7 +30,7 @@ import numpy as np
 
 from .monogamy import SMReport, sm_report
 from .roof import RoofConfig
-from .states import DensityMatrix, PureState, reduced_density
+from .states import DensityMatrix, PureState, _check_keep, reduced_density
 
 HAMMING_SUPPORT_ATOL = 1e-10
 THEOREM_ATOL = 1e-3
@@ -117,11 +117,9 @@ def reduced_xy(spec: WClassSpec, keep: Iterable[int]) -> tuple[np.ndarray, np.nd
     ``keep`` holds 0-based party indices and must contain party 0; the vectors
     live on the kept parties in ascending original order.
     """
-    kept = sorted({int(i) for i in keep})
+    kept = _check_keep(keep, spec.n)
     if 0 not in kept:
         raise ValueError("the kept subset must contain party 0 (the focus)")
-    if kept[-1] >= spec.n or kept[0] < 0:
-        raise ValueError(f"keep indices {kept} out of range for {spec.n} parties")
     dims = (spec.d,) * len(kept)
     x = np.zeros(prod(dims), dtype=np.complex128)
     x[0] = np.sqrt(1.0 - spec.p)
@@ -149,7 +147,6 @@ class Lemma1Report:
     theorem is the set of all decomposition members.
     """
 
-    keep: tuple[int, ...]
     max_violation: float
     passed: bool
 
@@ -179,9 +176,8 @@ def verify_lemma1(psi: PureState, keep: Iterable[int]) -> Lemma1Report:
     """Check Lemma 1 on the reduction of the W-class state ``psi`` (from
     :func:`build_state`) onto ``keep`` (0-based): every decomposition of it
     stays inside the W-plus-vacuum support."""
-    kept = tuple(sorted({int(i) for i in keep}))
-    worst = outside_amplitude(reduced_density(psi, kept))
-    return Lemma1Report(keep=kept, max_violation=worst, passed=bool(worst <= HAMMING_SUPPORT_ATOL))
+    worst = outside_amplitude(reduced_density(psi, keep))
+    return Lemma1Report(max_violation=worst, passed=bool(worst <= HAMMING_SUPPORT_ATOL))
 
 
 @dataclass(frozen=True)
@@ -189,7 +185,6 @@ class Theorem1Report:
     """Numeric-versus-closed-form comparison of the pairwise saturation."""
 
     one_numeric: float
-    one_closed: float
     pair_numeric: tuple[float, ...]
     pair_closed: tuple[float, ...]
     pair_errors: tuple[float, ...]
@@ -225,7 +220,6 @@ def verify_theorem1(spec: WClassSpec, rep: SMReport) -> Theorem1Report:
     passed = bool(max(errors, default=0.0) <= THEOREM_ATOL and sum_error <= THEOREM_ATOL)
     return Theorem1Report(
         one_numeric=rep.one_value,
-        one_closed=one_scren_closed(spec),
         pair_numeric=pair_numeric,
         pair_closed=pair_closed,
         pair_errors=errors,
@@ -239,7 +233,6 @@ class Theorem2Report:
     """Strong-monogamy saturation: residual and all higher-order terms vanish."""
 
     report: SMReport
-    residual: float
     max_higher_term: float
     passed: bool
 
@@ -253,7 +246,6 @@ def verify_theorem2(psi: PureState, config: RoofConfig | None = None) -> Theorem
     passed = bool(abs(report.residual) <= THEOREM_ATOL and max_higher <= THEOREM_ATOL)
     return Theorem2Report(
         report=report,
-        residual=report.residual,
         max_higher_term=max_higher,
         passed=passed,
     )

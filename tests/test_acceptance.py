@@ -144,7 +144,7 @@ def test_criterion_6_strong_monogamy_saturation():
     for _ in range(10):
         spec = random_spec(rng, 4, 3)
         rep = verify_theorem2(build_state(spec), CONFIG)
-        worst_residual = max(worst_residual, abs(rep.residual))
+        worst_residual = max(worst_residual, abs(rep.report.residual))
         worst_term = max(worst_term, rep.max_higher_term)
     elapsed = time.time() - t0
     ok = worst_residual <= 1e-3 and worst_term <= 1e-3 and elapsed <= 1200.0

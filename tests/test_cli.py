@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -311,6 +312,45 @@ def test_conjecture_violation_exits_4(capsys, state_files, monkeypatch):
     assert dump["error"] == "conjecture_violation"
     assert dump["value"] == -0.25
     assert dump["state"]["dims"] == [2, 2]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched check reaches pool workers only through fork",
+)
+def test_pooled_verify_wclass_keeps_the_conjecture_exit(capsys, monkeypatch):
+    # a violation raised in a worker comes back whole, so the pooled run
+    # exits 4 with the serial run's dump, not with a broken pool
+    def explode(psi, config):
+        raise ConjectureViolation(bell_state(), -0.5)
+
+    monkeypatch.setattr("scren.suites.verify_theorem2", explode)
+    base = ["verify", "wclass", "--n", "3", "--d", "2", "--trials", "2", "--seed", "7"]
+    serial = run_cli(capsys, *base, "--workers", "1")
+    pooled = run_cli(capsys, *base, "--workers", "2")
+    assert serial[0] == pooled[0] == EXIT_CONJECTURE
+    assert serial[1] == pooled[1] == ""
+    assert pooled[2] == serial[2]
+    dump = json.loads(serial[2])
+    assert dump["value"] == -0.5 and dump["state"]["dims"] == [2, 2]
+
+
+@pytest.mark.parametrize("command", [
+    ["compute", "negativity", "--cut", "0"],
+    ["verify", "wclass", "--n", "3", "--d", "2", "--trials", "1"],
+    ["hunt", "--dims", "2,2", "--samples", "1"],
+], ids=["compute", "verify", "hunt"])
+def test_out_into_a_missing_directory_exits_2(capsys, state_files, tmp_path, command):
+    # the run ends with an input error, and no directory or file is made
+    if command[0] == "compute":
+        command = command + ["--state", state_files["bell"]]
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, *command, "--out", str(target))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: cannot write output file:")
+    assert str(target) in err
+    assert not target.parent.exists()
 
 
 # ---------------------------------------------------------------------------

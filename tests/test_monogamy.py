@@ -262,22 +262,31 @@ def test_sm_tangle_and_scren_share_terms_on_qubits():
         assert abs(tangle.one_value - scren.one_value) <= 1e-12
 
 
-def test_qubit_pairs_are_wootters_and_qudit_pairs_scren2():
+def test_qubit_pairs_are_wootters_and_qudit_pairs_scren2(monkeypatch):
     cfg = RoofConfig(starts=4, iters=300, seed=14)
     rng = np.random.default_rng(14)
-    psi = haar_random_state((2, 2, 2), rng)
-    for term in sm_report(psi, 0, "scren", cfg).terms:
-        (j,) = term.subset
-        assert term.value == wootters_tangle(reduced_density(psi, (0, j - 1)))
-        assert term.starts == 0
-        assert term.converged
+    qubits = haar_random_state((2, 2, 2), rng)
+    wootters = [wootters_tangle(reduced_density(qubits, (0, j))) for j in (1, 2)]
+    terms = sm_report(qubits, 0, "scren", cfg).terms
+    assert [t.subset for t in terms] == [(2,), (3,)]
+    assert [t.value for t in terms] == wootters
+    assert all(t.converged for t in terms)
     psi = haar_random_state((2, 3, 2), rng)
     pairs = {t.subset: t for t in sm_report(psi, 0, "scren", cfg).terms}
     qutrit = reduced_density(psi, (0, 1))
     assert qutrit.dims == (2, 3)
     assert pairs[(2,)].value == scren2(qutrit, Bipartition((0,), 2), cfg)
     assert pairs[(3,)].value == wootters_tangle(reduced_density(psi, (0, 2)))
-    assert pairs[(3,)].starts == 0
+
+    # a qubit pair runs no roof at all
+    def no_roof(*args, **kwargs):
+        raise AssertionError("a qubit pair ran a roof")
+
+    monkeypatch.setattr("scren.monogamy.scren2", no_roof)
+    monkeypatch.setattr("scren.roof.roof_minimize", no_roof)
+    terms = ckw_report(qubits, 0, "scren", cfg).terms
+    assert [t.value for t in terms] == wootters
+    assert all(t.converged for t in terms)
 
 
 def _three_tangle_roof(rho, config):
@@ -321,7 +330,7 @@ def test_all_qubit_m3_terms_run_at_the_report_budget():
             direct, result = _three_tangle_roof(reduced_density(psi, (0,) + subset), cfg)
             assert term.value == direct
             assert term.converged == result.converged
-            assert term.starts == result.starts == cfg.starts
+            assert result.starts == cfg.starts
 
 
 @pytest.mark.parametrize("report", [sm_report, ckw_report], ids=lambda f: f.__name__)

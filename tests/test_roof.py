@@ -1,5 +1,6 @@
 """Convex-roof engine: ensemble mixing, minimization, and its invariants."""
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -146,13 +147,23 @@ def test_value_upper_bounded_by_eigendecomposition_average():
         assert cren(rho, PART2, FAST) <= eigen_avg + 1e-9
 
 
-def test_history_has_one_entry_per_start_and_bounds_value():
-    rng = np.random.default_rng(10)
-    rho = random_rank2_two_qubit(rng)
-    res = roof_minimize(rho, member_average(rho.dims, lambda s: negativity_pure(s, PART2)), FAST)
-    if res.starts:  # not short-circuited
-        assert len(res.history) == res.starts
-        assert res.value <= min(res.history) + 1e-9
+def test_value_bounds_every_scored_decomposition():
+    # a rank-3 pair runs every start, and the value is at most the least
+    # decomposition average any start, the probe or the polish scored
+    rho = random_mixed_state(np.random.default_rng(10), (2, 2), rank=3)
+    objective = member_average(rho.dims, lambda s: negativity_pure(s, PART2))
+    rank = len(rho.support[0])
+    averages = []
+
+    def recorded(rows):
+        values = objective(rows)
+        averages.extend(values.reshape(-1, rank).sum(axis=1))
+        return values
+
+    res = roof_minimize(rho, recorded, FAST)
+    assert res.starts == FAST.starts
+    assert len(averages) == res.evals
+    assert res.value <= min(averages) + 1e-9
 
 
 def test_seed_determinism():
@@ -513,6 +524,18 @@ def test_sqrt_roof_raises_conjecture_violation():
         roof_sqrt_functional(rho, lambda s: -1.0, FAST)
     assert err.value.value == -1.0
     assert isinstance(err.value.state, PureState)
+
+
+def test_conjecture_violation_survives_a_pickle_round_trip():
+    # a worker pool hands a violation back to its parent by pickle
+    exc = ConjectureViolation(bell_state(), -0.5)
+    back = pickle.loads(pickle.dumps(exc))
+    assert back.value == -0.5
+    assert back.state.dims == (2, 2)
+    assert np.array_equal(back.state.amplitudes, bell_state().amplitudes)
+    assert str(back) == str(exc) == (
+        "pure-state functional is negative (-5.000000e-01) on an ensemble member"
+    )
 
 
 def test_sqrt_roof_three_party_wclass_term_vanishes():

@@ -103,7 +103,7 @@ def test_tensor_three_qutrits_shape():
     qutrit = basis_state((3,), (1,))
     out = tensor([qutrit] * 3)
     assert out.dims == (3, 3, 3)
-    assert out.total_dim == 27
+    assert out.amplitudes.shape == (27,)
 
 
 def test_tensor_empty_rejected():

@@ -345,7 +345,7 @@ def test_theorem1_rejects_a_report_of_another_party_count():
 def test_theorem2_three_parties():
     rng = np.random.default_rng(15)
     rep = verify_theorem2(build_state(random_spec(rng, 3, 3)), FAST)
-    assert rep.passed and abs(rep.residual) <= 1e-3
+    assert rep.passed and abs(rep.report.residual) <= 1e-3
 
 
 def test_theorem2_four_parties():
@@ -360,7 +360,7 @@ def test_theorem2_vacuum_all_zero():
     spec = random_spec(rng, 4, 3)
     rep = verify_theorem2(build_state(WClassSpec(spec.n, spec.d, spec.a, 0.0)), FAST)
     assert rep.passed
-    assert abs(rep.residual) <= 1e-12 and rep.max_higher_term <= 1e-12
+    assert abs(rep.report.residual) <= 1e-12 and rep.max_higher_term <= 1e-12
 
 
 def test_wclass_trial_runs_lemma1_on_its_report_states(monkeypatch):
@@ -414,7 +414,7 @@ def test_wclass_trial_builds_its_state_once(monkeypatch):
         "theorem1_passed": thm1.passed,
         "theorem1_max_error": max(max(thm1.pair_errors), thm1.sum_error),
         "theorem2_passed": thm2.passed,
-        "theorem2_residual": thm2.residual,
+        "theorem2_residual": thm2.report.residual,
         "theorem2_max_higher_term": thm2.max_higher_term,
         "lemma1_max_violation": max(rep.max_violation for rep in lemma),
         "lemma1_passed": all(rep.passed for rep in lemma),
