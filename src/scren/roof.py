@@ -216,9 +216,10 @@ def _fibonacci_direction(k: int) -> tuple[float, float, float]:
 _CHORD_DIRECTIONS = np.array([_fibonacci_direction(k) for k in range(CHORD_COUNT)])
 _CHORD_DIRECTIONS.flags.writeable = False
 
-# The chord search's stencil: the 8 neighbours of its centre on a square grid.
+# The chord search's stencil: its centre, then the 8 neighbours of the centre
+# on a square grid.
 _STENCIL = np.array(
-    [[-1, -1], [-1, 0], [-1, 1], [0, -1], [0, 1], [1, -1], [1, 0], [1, 1]], dtype=float
+    [[0, 0], [-1, -1], [-1, 0], [-1, 1], [0, -1], [0, 1], [1, -1], [1, 0], [1, 1]], dtype=float
 )
 
 
@@ -241,24 +242,39 @@ def _chord_unitaries(q: tuple[float, float], u: np.ndarray) -> np.ndarray:
     chart whose denominator is at least sqrt(2),
     (1 + n_z, n_x + i n_y) / sqrt(2 (1 + n_z)) or
     (n_x - i n_y, 1 - n_z) / sqrt(2 (1 - n_z)).
+
+    The kernel runs on stacks of 8 to 64 chords, where each numpy call costs
+    more than its arithmetic, so it makes as few calls as it can: it works on
+    (2, K) arrays, one row per end point, and builds them in place.  It reads
+    the components of ``u`` as the rows of ``u.T``, which are contiguous
+    (and the calls faster) when the caller built ``u`` as a transpose.
     """
     q1, q2 = q
     ux, uy, uz = u.T
+    c = 4.0 * q1 * q2
     b = (q1 - q2) * uz
-    big = np.abs(b) + np.sqrt(b * b + 4.0 * q1 * q2)
-    small = 4.0 * q1 * q2 / big
-    # column h = 0 is the end point n+, h = 1 the end point n-
-    t = np.where((b >= 0)[:, None], np.stack([small, -big], 1), np.stack([big, -small], 1))
-    p = np.stack([-t[:, 1], t[:, 0]], 1) / (big + small)[:, None]
-    north = 2.0 * q1 + t * uz[:, None]
-    south = 2.0 * q2 - t * uz[:, None]
+    # ends holds each chord's (small, big) roots by size; row h = 0 of t is
+    # the end point n+ and h = 1 the end point n-, (small, -big) when b >= 0
+    # and (big, -small) when b < 0
+    ends = np.empty((2, len(b)))
+    big = np.add(np.abs(b), np.sqrt(b * b + c), out=ends[1])
+    np.divide(c, big, out=ends[0])
+    t = np.where(b >= 0, ends, ends[::-1])
+    p = t[::-1] / (big + ends[0])
+    t[1] *= -1.0
+    tz = t * uz
+    north = 2.0 * q1 + tz
+    south = 2.0 * q2 - tz
     up = north >= south
-    scale = np.sqrt(p / (2.0 * np.where(up, north, south)))
-    txy = t * (ux + 1j * uy)[:, None]
-    unitary = np.empty((len(u), 2, 2), dtype=np.complex128)
-    unitary[:, :, 0] = scale * np.where(up, north, txy.conj()) / math.sqrt(q1)
-    unitary[:, :, 1] = scale * np.where(up, txy, south) / math.sqrt(q2)
-    return unitary
+    scale = np.sqrt(p / (2.0 * np.maximum(north, south)))
+    txy = t * (ux + 1j * uy)
+    # unitary[j, h, k] is entry (h, j) of chord k's unitary
+    unitary = np.empty((2, 2, len(b)), dtype=np.complex128)
+    unitary[0] = np.where(up, north, txy.conj())
+    unitary[1] = np.where(up, txy, south)
+    unitary *= scale
+    unitary /= np.array([math.sqrt(q1), math.sqrt(q2)])[:, None, None]
+    return unitary.transpose(2, 1, 0)
 
 
 def _chord_chart(u0: np.ndarray) -> np.ndarray:
@@ -269,21 +285,27 @@ def _chord_chart(u0: np.ndarray) -> np.ndarray:
     directions around it; a chord and its reverse are the same
     decomposition, so that is every chord but one great circle of them.  A
     (K, 2) stack of chart points x maps to the directions ``u / |u|`` with
-    ``u = frame[0] + x @ frame[1:]``.
+    ``u = frame[0] + x @ frame[1:]``.  e_2 is the cross product u0 x e_1,
+    written out in the order ``np.cross`` takes.
     """
+    u0 = [float(v) for v in u0]
+    a0, a1, a2 = u0
     # e_1 is the coordinate axis least aligned with u0, less its u0 part
-    k = int(np.argmin(np.abs(u0)))
-    e1 = -u0[k] * u0
+    size = [abs(v) for v in u0]
+    k = size.index(min(size))
+    e1 = np.array([-u0[k] * v for v in u0])
     e1[k] += 1.0
-    e1 /= np.linalg.norm(e1)
-    return np.stack([u0, e1, np.cross(u0, e1)])
+    e1 /= math.sqrt(e1.dot(e1))
+    b0, b1, b2 = e1.tolist()
+    e2 = [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    return np.array([u0, e1, e2])
 
 
-def _newton_step(centre: float, values: np.ndarray) -> np.ndarray | None:
+def _newton_step(centre: float, values: Sequence[float]) -> tuple[float, float] | None:
     """Newton step, in units of the stencil step, of the stencil's quadratic model.
 
-    ``values`` are the objective at the 8 ``_STENCIL`` points around a centre
-    of value ``centre``.  The model takes central differences for the
+    ``values`` are the objective at the 8 neighbours of ``_STENCIL`` around a
+    centre of value ``centre``.  The model takes central differences for the
     gradient and the Hessian; None when that Hessian is not positive definite.
     """
     gx = (values[6] - values[1]) / 2.0
@@ -294,7 +316,7 @@ def _newton_step(centre: float, values: np.ndarray) -> np.ndarray | None:
     det = hxx * hyy - hxy * hxy
     if not (hxx > 0.0 and det > 0.0):
         return None
-    return np.array([hxy * gy - hyy * gx, hxy * gx - hxx * gy]) / det
+    return ((hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det)
 
 
 def _stencil_search(
@@ -303,10 +325,10 @@ def _stencil_search(
     """Minimize ``scores`` over the chord chart from x = 0, where it is ``value0``.
 
     ``scores`` maps a (K, 2) stack of chart points to their K values in one
-    objective call, and each step is one such call: the 8 ``_STENCIL`` points
-    around a centre at step h, plus the centre itself when it is not yet
-    scored.  If the stencil's quadratic model (:func:`_newton_step`) has a
-    positive definite Hessian and its Newton point lies within
+    objective call, and each step is one such call: the 8 neighbours of
+    ``_STENCIL`` around a centre at step h, after the centre itself when it is
+    not yet scored.  If the stencil's quadratic model (:func:`_newton_step`)
+    has a positive definite Hessian and its Newton point lies within
     ``STENCIL_TRUST`` steps of the centre, the next stencil is centred there
     at h / ``NEWTON_SHRINK``.  Otherwise the next stencil is centred on the
     best point scored so far, at h * ``STENCIL_GROW`` if a stencil point just
@@ -320,24 +342,23 @@ def _stencil_search(
     centre, centre_value = best, value0
     step, spent = STENCIL_STEP, 0
     while step >= STENCIL_FLOOR and spent < budget:
-        points = centre + step * _STENCIL
         jumped = centre_value is None
-        if jumped:
-            points = np.vstack([centre, points])
+        points = centre + step * (_STENCIL if jumped else _STENCIL[1:])
         values = scores(points)
         spent += len(points)
         if jumped:
             centre_value, values = values[0], values[1:]
-        k = int(np.argmin(values))
-        moved = values[k] < min(centre_value, best_value)
+        low = min(values)
+        k = values.index(low)
+        moved = low < min(centre_value, best_value)
         improved = moved or centre_value < best_value
         if moved:
-            best, best_value = centre + step * _STENCIL[k], values[k]
+            best, best_value = points[k - 8], low
         elif improved:
             best, best_value = centre, centre_value
         newton = _newton_step(centre_value, values) if improved or not jumped else None
         if newton is not None and math.hypot(*newton) <= STENCIL_TRUST:
-            centre, centre_value = centre + step * newton, None
+            centre, centre_value = centre + step * np.array(newton), None
             step /= NEWTON_SHRINK
             continue
         step = step * STENCIL_GROW if moved else step / STENCIL_SHRINK
@@ -442,20 +463,35 @@ def roof_minimize(
     if len(rho.dims) == 2 and min(rho.dims) == 2 and r == 2:
         # a chord scan finds the basin; the eigendecomposition is the chord along z
         q = tuple(float(v) for v in lam / lam.sum())
-        scan = scores(_chord_unitaries(q, _CHORD_DIRECTIONS) @ base)
-        chords = [(eigen_average, (0.0, 0.0, 1.0)), *zip(scan, _CHORD_DIRECTIONS)]
-        value0, u0 = min(chords, key=lambda vu: vu[0])
-        frame = _chord_chart(np.asarray(u0, dtype=float))
+        dim = base.shape[1]
 
-        def chart_rows(x: np.ndarray) -> np.ndarray:
-            u = frame[0] + x @ frame[1:]
-            return _chord_unitaries(q, u / np.linalg.norm(u, axis=1, keepdims=True)) @ base
+        def chord_rows(u: np.ndarray) -> np.ndarray:
+            # one (2K, 2) @ (2, dim) product mixes every chord's support rows
+            return (_chord_unitaries(q, u).reshape(-1, 2) @ base).reshape(-1, 2, dim)
+
+        scan = scores(chord_rows(_CHORD_DIRECTIONS))
+        value0 = min(scan)
+        if value0 < eigen_average:
+            u0 = _CHORD_DIRECTIONS[scan.index(value0)]
+        else:
+            value0, u0 = eigen_average, (0.0, 0.0, 1.0)
+        frame = _chord_chart(u0)
+        origin, axes = frame[0][:, None], frame[1:].T
+
+        def chart_directions(x: np.ndarray) -> np.ndarray:
+            # the (K, 3) unit directions of chart points x, built as their
+            # contiguous transpose (see _chord_unitaries)
+            u = origin + axes @ x.T
+            u /= np.sqrt(np.add.reduce(u * u, axis=0))
+            return u.T
 
         # Powell's start and polish budget plus 200: at that budget alone, a
         # low ``iters`` left some stencil searches short of Powell's value
         budget = config.iters + max(300, config.iters // 2)
-        x, converged = _stencil_search(lambda x: scores(chart_rows(x)), value0, budget)
-        rows = chart_rows(x[None])[0]
+        x, converged = _stencil_search(
+            lambda x: scores(chord_rows(chart_directions(x))), value0, budget
+        )
+        rows = chord_rows(chart_directions(x[None]))[0]
         return finish(rows, score(rows), 1, converged)
 
     probe_values = [eigen_average, *scores(_probe_unitaries(config.seed, r) @ base)]

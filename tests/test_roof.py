@@ -42,7 +42,7 @@ from scren.roof import (
 )
 from scren.wclass import build_state, random_spec
 
-from util import hjw_rows, random_mixed_state, random_rank2_two_qubit
+from util import hjw_rows, random_mixed_state, random_rank2_two_qubit, reference_chord_unitaries
 
 PART2 = Bipartition((0,), 2)
 FAST = RoofConfig(starts=8, iters=600, seed=7)
@@ -324,6 +324,51 @@ def test_chord_unitaries_are_unitary_to_roundoff(q2):
     assert w.shape == (4 + CHORD_COUNT, 2, 2)
     defect = np.abs(w.conj().transpose(0, 2, 1) @ w - np.eye(2)).max(axis=(1, 2))
     assert defect.max() * q2 <= 1e-15
+
+
+def _kernel_directions():
+    """Directions the chord kernel is checked on, each stack also as a transpose."""
+    rng = np.random.default_rng(24)
+    random = rng.standard_normal((256, 3))
+    stacks = [
+        _CHORD_DIRECTIONS,
+        np.array([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                  (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.6, -0.8, 0.0)]),
+        np.array([(0.6, 0.8, 0.0), (0.6, 0.8, -0.0), (-0.8, 0.6, 0.0), (-0.8, 0.6, -0.0),
+                  (1.0, 0.0, 0.0), (1.0, 0.0, -0.0)]),
+        random / np.linalg.norm(random, axis=1, keepdims=True),
+    ]
+    return stacks + [np.ascontiguousarray(u.T).T for u in stacks]
+
+
+@pytest.mark.parametrize("q2", [0.5, 0.3, 1e-3, 1e-9])
+def test_chord_unitaries_equal_the_reference_kernel_bit_for_bit(q2):
+    q = (1.0 - q2, q2)
+    for u in _kernel_directions():
+        assert np.array_equal(_chord_unitaries(q, u), reference_chord_unitaries(q, u))
+
+
+def test_chord_chart_is_an_orthonormal_frame_with_the_cross_product():
+    rng = np.random.default_rng(26)
+    random = rng.standard_normal((64, 3))
+    directions = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.6, 0.8, -0.0), *_CHORD_DIRECTIONS,
+                  *(random / np.linalg.norm(random, axis=1, keepdims=True))]
+    for u0 in directions:
+        frame = _chord_chart(u0)
+        assert np.array_equal(frame[0], u0)
+        assert np.array_equal(frame[2], np.cross(u0, frame[1]))
+        assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-15
+
+
+def test_chord_scan_tie_keeps_the_eigendecomposition():
+    # every decomposition averages exactly 2.0, so no chord beats the
+    # eigendecomposition and no stencil point moves: the search quarters its
+    # step from STENCIL_STEP to below STENCIL_FLOOR in 12 stencils of 8
+    rho = random_rank2_two_qubit(np.random.default_rng(31))
+    result = roof_minimize(rho, lambda rows: np.ones(len(rows)))
+    assert result.value == 2.0
+    assert np.array_equal(result.rows, rho.support[1])
+    assert result.evals == 1 + CHORD_COUNT + 12 * 8 + 1
 
 
 def test_chord_along_z_is_the_eigendecomposition():

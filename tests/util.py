@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from math import prod
 from typing import Sequence
 
@@ -82,3 +83,29 @@ def marginal_focus_matrix(spec: WClassSpec) -> np.ndarray:
     out[1:, 0] = cross * a1
     out[0, 1:] = cross * a1.conj()
     return out
+
+
+def reference_chord_unitaries(q: tuple[float, float], u: np.ndarray) -> np.ndarray:
+    """The chord kernel as first written (one ``np.stack`` per (K, 2) array).
+
+    ``roof._chord_unitaries`` must return exactly these values: it was
+    rewritten to make fewer numpy calls, with the same IEEE operations on
+    every element.
+    """
+    q1, q2 = q
+    ux, uy, uz = u.T
+    b = (q1 - q2) * uz
+    big = np.abs(b) + np.sqrt(b * b + 4.0 * q1 * q2)
+    small = 4.0 * q1 * q2 / big
+    # column h = 0 is the end point n+, h = 1 the end point n-
+    t = np.where((b >= 0)[:, None], np.stack([small, -big], 1), np.stack([big, -small], 1))
+    p = np.stack([-t[:, 1], t[:, 0]], 1) / (big + small)[:, None]
+    north = 2.0 * q1 + t * uz[:, None]
+    south = 2.0 * q2 - t * uz[:, None]
+    up = north >= south
+    scale = np.sqrt(p / (2.0 * np.where(up, north, south)))
+    txy = t * (ux + 1j * uy)[:, None]
+    unitary = np.empty((len(u), 2, 2), dtype=np.complex128)
+    unitary[:, :, 0] = scale * np.where(up, north, txy.conj()) / math.sqrt(q1)
+    unitary[:, :, 1] = scale * np.where(up, txy, south) / math.sqrt(q2)
+    return unitary
