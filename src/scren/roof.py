@@ -498,12 +498,17 @@ def roof_minimize(
     if max(probe_values) - min(probe_values) <= PROBE_SPREAD_TOL:
         return finish(base, eigen_average, 0, True)
 
-    def powell(theta0, rows_of, maxfev, xtol, ftol) -> tuple[np.ndarray, list[float]]:
+    def powell(theta0, rows_of, maxfev, xtol, ftol):
+        """Powell's end point, every value it scored and the point of the lowest."""
         trace: list[float] = []
+        lowest_value, lowest = np.inf, theta0
 
         def tracked(theta):
+            nonlocal lowest_value, lowest
             val = score(rows_of(theta))
             trace.append(val)
+            if val < lowest_value:
+                lowest_value, lowest = val, np.array(theta, dtype=float)
             return val
 
         res = minimize(
@@ -512,7 +517,7 @@ def roof_minimize(
             method="Powell",
             options={"maxfev": maxfev, "xtol": xtol, "ftol": ftol, "maxiter": 10**6},
         )
-        return np.array(res.x, dtype=float), trace
+        return np.array(res.x, dtype=float), trace, lowest
 
     identity = np.eye(r, dtype=np.complex128)
     seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
@@ -521,7 +526,10 @@ def roof_minimize(
         u0 = identity if k == 0 else haar_unitary(r, np.random.default_rng(seeds[k]))
         return lambda theta: (_unitary_from_params(theta, r) @ u0) @ base
 
+    # the winning start's end point (where its polish starts), the point of
+    # its lowest value and the rows of its mixing
     best_value = np.inf
+    best_end: np.ndarray | None = None
     best_theta: np.ndarray | None = None
     best_rows_of = None
     best_trace: list[float] = []
@@ -529,22 +537,22 @@ def roof_minimize(
 
     for k in range(config.starts):
         rows_of = mixing(k)
-        theta, trace = powell(np.zeros(r * r), rows_of, config.iters, 1e-7, 1e-11)
+        end, trace, lowest = powell(np.zeros(r * r), rows_of, config.iters, 1e-7, 1e-11)
         starts += 1
         start_best = min(trace)
         if start_best < best_value:
-            best_value, best_theta, best_rows_of, best_trace = start_best, theta, rows_of, trace
+            best_value, best_end, best_theta = start_best, end, lowest
+            best_rows_of, best_trace = rows_of, trace
         if best_value <= stop_below:
             break
 
     if best_value > stop_below:
         # polish the winning start with tight line-search tolerances
-        theta, polish_trace = powell(
-            best_theta, best_rows_of, max(100, config.iters // 2), 1e-10, 1e-14
+        _, polish_trace, lowest = powell(
+            best_end, best_rows_of, max(100, config.iters // 2), 1e-10, 1e-14
         )
         if polish_trace and min(polish_trace) < best_value:
-            best_value = min(polish_trace)
-            best_theta = theta
+            best_value, best_theta = min(polish_trace), lowest
         best_trace = best_trace + polish_trace
 
     quarter = (3 * len(best_trace)) // 4

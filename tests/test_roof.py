@@ -148,22 +148,26 @@ def test_value_upper_bounded_by_eigendecomposition_average():
 
 
 def test_value_bounds_every_scored_decomposition():
-    # a rank-3 pair runs every start, and the value is at most the least
-    # decomposition average any start, the probe or the polish scored
-    rho = random_mixed_state(np.random.default_rng(10), (2, 2), rank=3)
-    objective = member_average(rho.dims, lambda s: negativity_pure(s, PART2))
-    rank = len(rho.support[0])
-    averages = []
+    # a rank-3 pair runs every start, and the value is the least decomposition
+    # average the starts and the polish scored, and no more than any the
+    # probe scored; on these states rescoring Powell's end point returned up
+    # to 7.6e-12 more
+    for seed in (10, 11, 12):
+        rho = random_mixed_state(np.random.default_rng(seed), (2, 2), rank=3)
+        objective = member_average(rho.dims, lambda s: negativity_pure(s, PART2))
+        rank = len(rho.support[0])
+        averages = []
 
-    def recorded(rows):
-        values = objective(rows)
-        averages.extend(values.reshape(-1, rank).sum(axis=1))
-        return values
+        def recorded(rows):
+            values = objective(rows)
+            averages.extend(values.reshape(-1, rank).sum(axis=1))
+            return values
 
-    res = roof_minimize(rho, recorded, FAST)
-    assert res.starts == FAST.starts
-    assert len(averages) == res.evals
-    assert res.value <= min(averages) + 1e-9
+        res = roof_minimize(rho, recorded, FAST)
+        assert res.starts == FAST.starts
+        assert len(averages) == res.evals
+        assert res.value == min(averages[1 + PROBE_COUNT:])
+        assert res.value <= min(averages)
 
 
 def test_seed_determinism():
