@@ -353,6 +353,7 @@ def _stencil_search(
         moved = low < min(centre_value, best_value)
         improved = moved or centre_value < best_value
         if moved:
+            # the 8 neighbours are the last 8 points
             best, best_value = points[k - 8], low
         elif improved:
             best, best_value = centre, centre_value
@@ -427,7 +428,10 @@ def roof_minimize(
     ``config.seed`` and the rank, and are drawn once per process for each
     such pair (:func:`_probe_unitaries`).  Otherwise ``config.starts`` Powell
     starts search the parameters of exp(iH) U0 (U0 the identity, then
-    Haar-random unitaries).
+    Haar-random unitaries).  The result is the decomposition of the least
+    average that the winning start and its polish scored; when ``iters`` ends
+    a run in the middle of a line search, the point Powell returns can score
+    well above it.
 
     The ``converged`` flag of the multi-start search is False when the
     winning start still improved by more than ``CONVERGED_TOL`` over the last
@@ -498,7 +502,9 @@ def roof_minimize(
     if max(probe_values) - min(probe_values) <= PROBE_SPREAD_TOL:
         return finish(base, eigen_average, 0, True)
 
-    def powell(theta0, rows_of, maxfev, xtol, ftol):
+    def powell(
+        theta0, rows_of, maxfev, xtol, ftol
+    ) -> tuple[np.ndarray, list[float], np.ndarray]:
         """Powell's end point, every value it scored and the point of the lowest."""
         trace: list[float] = []
         lowest_value, lowest = np.inf, theta0
