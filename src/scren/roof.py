@@ -277,7 +277,7 @@ def _chord_unitaries(q: tuple[float, float], u: np.ndarray) -> np.ndarray:
     return unitary.transpose(2, 1, 0)
 
 
-def _chord_chart(u0: np.ndarray) -> np.ndarray:
+def _chord_chart(u0: Sequence[float]) -> np.ndarray:
     """Frame (u0, e_1, e_2) of the chart x -> normalize(u0 + x_1 e_1 + x_2 e_2).
 
     e_1 and e_2 complete the unit vector ``u0`` to an orthonormal basis, so

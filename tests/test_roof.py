@@ -150,8 +150,8 @@ def test_value_upper_bounded_by_eigendecomposition_average():
 def test_value_bounds_every_scored_decomposition():
     # a rank-3 pair runs every start, and the value is the least decomposition
     # average the starts and the polish scored, and no more than any the
-    # probe scored; on these states rescoring Powell's end point returned up
-    # to 7.6e-12 more
+    # probe scored; on these states Powell's end point scores up to 7.6e-12
+    # above that least average
     for seed in (10, 11, 12):
         rho = random_mixed_state(np.random.default_rng(seed), (2, 2), rank=3)
         objective = member_average(rho.dims, lambda s: negativity_pure(s, PART2))

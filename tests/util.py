@@ -86,11 +86,10 @@ def marginal_focus_matrix(spec: WClassSpec) -> np.ndarray:
 
 
 def reference_chord_unitaries(q: tuple[float, float], u: np.ndarray) -> np.ndarray:
-    """The chord kernel as first written (one ``np.stack`` per (K, 2) array).
+    """The chord kernel written plainly, one ``np.stack`` per (K, 2) array.
 
-    ``roof._chord_unitaries`` must return exactly these values: it was
-    rewritten to make fewer numpy calls, with the same IEEE operations on
-    every element.
+    ``roof._chord_unitaries`` must return exactly these values: it makes
+    fewer numpy calls, through the same IEEE operations on every element.
     """
     q1, q2 = q
     ux, uy, uz = u.T
