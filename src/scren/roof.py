@@ -11,7 +11,8 @@ and the engine sums each decomposition's r values.  So a whole stack of
 decompositions is scored in one objective call: the probe, the chord scan and
 each step of the chord search below are one call each, and a Powell step is a
 stack of one.
-Which search runs depends only on the party dims and the rank of the input.
+Which path runs depends only on the party dims and the rank of the input;
+:func:`_route` is the one place that chooses it.
 
 ``cren`` and ``scren2`` score rows with the one negativity kernel,
 :func:`scren.negativity.negativity_rows`.  On a 2 x k cut with k at most
@@ -32,18 +33,15 @@ points in one objective call, and a quadratic model of the stencil takes it
 to the Newton point when that point is near.  That search is deterministic,
 so ``starts`` and ``seed`` do not change its value.  On 3 x 3 pairs the same
 single start missed the multi-start value on some states, so every other
-input keeps multi-start search.
+input keeps multi-start search.  :func:`_chord_roof` runs this path.
 
-The multi-start search first probes ``PROBE_COUNT`` Haar-random mixing
-unitaries to detect decomposition-independent objectives.  Those unitaries
-depend only on the seed and the rank, so they are drawn once per process for
-each (seed, rank) and shared by every later roof (:func:`_probe_unitaries`).
-Otherwise it parametrizes the unitary as U = exp(iH) U0 with H Hermitian and
-runs derivative-free direction-set (Powell) search from multiple starts:
-start 0 is the identity (so the eigendecomposition average is always an
-upper bound on the result) and the remaining starts are Haar-random
-unitaries.  The winning start gets a high-precision polish pass.  All
-randomness derives from the config seed, so results are reproducible.
+The multi-start search (:func:`_search_roof`) first probes ``PROBE_COUNT``
+Haar-random mixing unitaries to detect decomposition-independent objectives,
+then runs derivative-free direction-set (Powell) search over U = exp(iH) U0,
+H Hermitian, from multiple starts: start 0 is the identity (so the
+eigendecomposition average is always an upper bound on the result) and the
+rest are Haar-random.  All randomness derives from the config seed, so
+results are reproducible.
 """
 
 from __future__ import annotations
@@ -122,7 +120,9 @@ class RoofConfig:
     rank-2 qubit-qudit pair runs one stencil search over the two chord
     parameters whatever ``starts`` says, and ``seed`` does not enter it; that
     search stops after ``iters + max(300, iters // 2)`` evaluations at most,
-    the Powell start and polish budget of the multi-start search plus 200.
+    against ``iters + max(100, iters // 2)`` for a Powell start and its
+    polish: the same from ``iters`` = 600 on (3000 at the default), up to
+    200 more below.
     ``seed`` seeds the probe and the random starts of every other
     multi-start search.
     """
@@ -150,7 +150,8 @@ class RoofResult:
     ``CHORD_COUNT`` or the probe's ``PROBE_COUNT`` (each one objective call),
     then 8 or 9 per step of the chord search (one call each), or one per
     Powell and polish call, and one for the final call.  Unlike wall time it
-    does not depend on the machine.
+    does not depend on the machine.  ``exit`` names the exit taken:
+    ``rank1``, ``stop_below``, ``chord``, ``probe`` or ``search``.
     """
 
     value: float
@@ -158,6 +159,7 @@ class RoofResult:
     starts: int
     converged: bool
     evals: int
+    exit: str
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -391,6 +393,140 @@ def _stack_scores(objective: Callable[[np.ndarray], np.ndarray], stack: np.ndarr
     return np.add.reduce(objective(stack.reshape(k * r, dim)).reshape(k, r), axis=1)
 
 
+def _route(dims: Sequence[int], rank: int) -> str:
+    """The roof path for party ``dims`` and ``rank``, and the one place it is chosen:
+    ``rank1``, ``chord`` for a rank-2 pair with a qubit party, else ``search``."""
+    if rank == 1:
+        return "rank1"
+    if rank == 2 and len(dims) == 2 and min(dims) == 2:
+        return "chord"
+    return "search"
+
+
+def _chord_rows(q: tuple[float, float], base: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(K, 2, dim) rows of the chord decompositions along a (K, 3) stack ``u``."""
+    # one (2K, 2) @ (2, dim) product mixes every chord's support rows
+    return (_chord_unitaries(q, u).reshape(-1, 2) @ base).reshape(-1, 2, base.shape[1])
+
+
+def _chart_directions(origin: np.ndarray, axes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(K, 3) unit directions of chart points ``x`` for the frame's origin column and
+    (3, 2) axes, built as their contiguous transpose (see :func:`_chord_unitaries`)."""
+    u = origin + axes @ x.T
+    u /= np.sqrt(np.add.reduce(u * u, axis=0))
+    return u.T
+
+
+def _chord_roof(lam, base, eigen_average, scores, config, stop_below):
+    """One start on a rank-2 pair with a qubit party; it ignores ``stop_below``.
+
+    A stencil search (:func:`_stencil_search`) runs over the two parameters of
+    a chart of chord directions (see :func:`_chord_chart`) centred on the best
+    chord of a deterministic grid that includes the eigendecomposition, so
+    ``starts`` and ``seed`` do not change its result.  The grid and each
+    search step are scored in one objective call each.  The search is
+    ``converged`` when its step fell below ``STENCIL_FLOOR`` within
+    ``config.iters + max(300, config.iters // 2)`` evaluations.
+    """
+    # a chord scan finds the basin; the eigendecomposition is the chord along z
+    q = tuple(float(v) for v in lam / lam.sum())
+    scan = scores(_chord_rows(q, base, _CHORD_DIRECTIONS))
+    value0 = min(scan)
+    if value0 < eigen_average:
+        u0 = _CHORD_DIRECTIONS[scan.index(value0)]
+    else:
+        value0, u0 = eigen_average, (0.0, 0.0, 1.0)
+    frame = _chord_chart(u0)
+    origin, axes = frame[0][:, None], frame[1:].T
+    # Powell's start and polish budget, iters + max(100, iters // 2), from
+    # iters = 600 on and up to 200 more below that: at Powell's budget alone, a
+    # low ``iters`` left some stencil searches short of Powell's value
+    budget = config.iters + max(300, config.iters // 2)
+    x, converged = _stencil_search(
+        lambda x: scores(_chord_rows(q, base, _chart_directions(origin, axes, x))), value0, budget
+    )
+    rows = _chord_rows(q, base, _chart_directions(origin, axes, x[None]))[0]
+    return rows, scores(rows[None])[0], 1, converged, "chord"
+
+
+def _mixed_rows(theta: np.ndarray, u0: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Rows of the decomposition mixed by exp(iH) ``u0``, H packed in ``theta``."""
+    return (_unitary_from_params(theta, len(u0)) @ u0) @ base
+
+
+def _powell(scores, u0, base, theta0, maxfev, xtol, ftol):
+    """Powell over exp(iH) ``u0`` from ``theta0``: its end point, every value
+    it scored and the point of the lowest."""
+    trace: list[float] = []
+    lowest_value, lowest = np.inf, theta0
+
+    def tracked(theta):
+        nonlocal lowest_value, lowest
+        val = scores(_mixed_rows(theta, u0, base)[None])[0]
+        trace.append(val)
+        if val < lowest_value:
+            lowest_value, lowest = val, np.array(theta, dtype=float)
+        return val
+
+    options = {"maxfev": maxfev, "xtol": xtol, "ftol": ftol, "maxiter": 10**6}
+    res = minimize(tracked, theta0, method="Powell", options=options)
+    return np.array(res.x, dtype=float), trace, lowest
+
+
+def _search_roof(lam, base, eigen_average, scores, config, stop_below):
+    """The probe, then multi-start Powell search and a polish of the winner.
+
+    If the eigendecomposition average and the values at a seeded stack of
+    random mixing unitaries, scored in one objective call, spread by at most
+    ``PROBE_SPREAD_TOL``, the objective is treated as decomposition
+    independent and the eigendecomposition ensemble is returned with
+    ``starts=0``.  The probe's unitaries depend only on ``config.seed`` and
+    the rank, and are drawn once per process for each such pair
+    (:func:`_probe_unitaries`).  Otherwise ``config.starts`` Powell starts
+    search the parameters of exp(iH) U0 (U0 the identity, then Haar-random
+    unitaries); once a start's best average is at or below ``stop_below`` no
+    further start and no polish runs.  The result is the decomposition of the
+    least average that the winning start and its polish scored; when
+    ``iters`` ends a run in the middle of a line search, the point Powell
+    returns can score well above it.  ``converged`` is False when the winning
+    start still improved by more than ``CONVERGED_TOL`` over the last quarter
+    of its evaluation sequence.
+    """
+    r = len(lam)
+    probe_values = [eigen_average, *scores(_probe_unitaries(config.seed, r) @ base)]
+    if max(probe_values) - min(probe_values) <= PROBE_SPREAD_TOL:
+        return base, eigen_average, 0, True, "probe"
+
+    seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
+    # the winning start's mixing, its end point (where its polish starts) and
+    # the point of its lowest value
+    best_value, best_trace, starts = np.inf, [], 0
+    for k in range(config.starts):
+        u0 = haar_unitary(r, np.random.default_rng(seeds[k])) if k else np.eye(r, dtype=complex)
+        end, trace, lowest = _powell(scores, u0, base, np.zeros(r * r), config.iters, 1e-7, 1e-11)
+        starts += 1
+        start_best = min(trace)
+        if start_best < best_value:
+            best_value, best_u0, best_end, best_theta = start_best, u0, end, lowest
+            best_trace = trace
+        if best_value <= stop_below:
+            break
+
+    if best_value > stop_below:
+        # polish the winning start with tight line-search tolerances
+        _, polish_trace, lowest = _powell(
+            scores, best_u0, base, best_end, max(100, config.iters // 2), 1e-10, 1e-14
+        )
+        if polish_trace and min(polish_trace) < best_value:
+            best_value, best_theta = min(polish_trace), lowest
+        best_trace = best_trace + polish_trace
+
+    quarter = (3 * len(best_trace)) // 4
+    tail_gain = min(best_trace[:quarter]) - best_value if quarter > 0 else 0.0
+    rows = _mixed_rows(best_theta, best_u0, base)
+    return rows, scores(rows[None])[0], starts, bool(tail_gain <= CONVERGED_TOL), "search"
+
+
 def roof_minimize(
     rho: DensityMatrix,
     objective: Callable[[np.ndarray], np.ndarray],
@@ -409,38 +545,12 @@ def roof_minimize(
     Two cheap exits come first, both reported with ``starts=0``: a rank-one
     ``rho`` has a single decomposition, and an eigendecomposition average
     already at or below ``stop_below`` is returned as-is (the roof value is
-    sandwiched between it and zero).
-
-    On a two-party rank-2 ``rho`` with a qubit party one start then runs, a
-    stencil search (:func:`_stencil_search`) over the two parameters of a
-    chart of chord directions (see :func:`_chord_chart`) centred on the best
-    chord of a deterministic grid that includes the eigendecomposition;
-    ``starts`` and ``seed`` do not change its result.  The grid and each
-    search step are scored in one objective call each.  That search is
-    ``converged`` when its step fell below ``STENCIL_FLOOR`` within
-    ``config.iters + max(300, config.iters // 2)`` evaluations.
-
-    Every other input is first probed: if the eigendecomposition average and
-    the values at a seeded stack of random mixing unitaries, scored in one
-    objective call, spread by at most ``PROBE_SPREAD_TOL``, the objective is
-    treated as decomposition independent and the eigendecomposition ensemble
-    is returned with ``starts=0``.  The probe's unitaries depend only on
-    ``config.seed`` and the rank, and are drawn once per process for each
-    such pair (:func:`_probe_unitaries`).  Otherwise ``config.starts`` Powell
-    starts search the parameters of exp(iH) U0 (U0 the identity, then
-    Haar-random unitaries).  The result is the decomposition of the least
-    average that the winning start and its polish scored; when ``iters`` ends
-    a run in the middle of a line search, the point Powell returns can score
-    well above it.
-
-    The ``converged`` flag of the multi-start search is False when the
-    winning start still improved by more than ``CONVERGED_TOL`` over the last
-    quarter of its evaluation sequence.
+    sandwiched between it and zero).  Every other input takes the path
+    :func:`_route` names, :func:`_chord_roof` or :func:`_search_roof`.
     ``evals`` counts every decomposition scored, on every exit.
     """
     config = config or RoofConfig()
     lam, base = rho.support
-    r = len(lam)
     evals = 0
 
     def scores(stack: np.ndarray) -> list[float]:
@@ -448,125 +558,15 @@ def roof_minimize(
         evals += len(stack)
         return _stack_scores(objective, stack).tolist()
 
-    def score(rows: np.ndarray) -> float:
-        return scores(rows[None])[0]
-
-    def finish(rows, value, starts, converged) -> RoofResult:
-        return RoofResult(
-            value=float(value),
-            rows=_checked_rows(rho, rows),
-            starts=starts,
-            converged=converged,
-            evals=evals,
-        )
-
-    eigen_average = score(base)
-    if r == 1 or eigen_average <= stop_below:
-        return finish(base, eigen_average, 0, True)
-
-    if len(rho.dims) == 2 and min(rho.dims) == 2 and r == 2:
-        # a chord scan finds the basin; the eigendecomposition is the chord along z
-        q = tuple(float(v) for v in lam / lam.sum())
-        dim = base.shape[1]
-
-        def chord_rows(u: np.ndarray) -> np.ndarray:
-            # one (2K, 2) @ (2, dim) product mixes every chord's support rows
-            return (_chord_unitaries(q, u).reshape(-1, 2) @ base).reshape(-1, 2, dim)
-
-        scan = scores(chord_rows(_CHORD_DIRECTIONS))
-        value0 = min(scan)
-        if value0 < eigen_average:
-            u0 = _CHORD_DIRECTIONS[scan.index(value0)]
-        else:
-            value0, u0 = eigen_average, (0.0, 0.0, 1.0)
-        frame = _chord_chart(u0)
-        origin, axes = frame[0][:, None], frame[1:].T
-
-        def chart_directions(x: np.ndarray) -> np.ndarray:
-            # the (K, 3) unit directions of chart points x, built as their
-            # contiguous transpose (see _chord_unitaries)
-            u = origin + axes @ x.T
-            u /= np.sqrt(np.add.reduce(u * u, axis=0))
-            return u.T
-
-        # Powell's start and polish budget plus 200: at that budget alone, a
-        # low ``iters`` left some stencil searches short of Powell's value
-        budget = config.iters + max(300, config.iters // 2)
-        x, converged = _stencil_search(
-            lambda x: scores(chord_rows(chart_directions(x))), value0, budget
-        )
-        rows = chord_rows(chart_directions(x[None]))[0]
-        return finish(rows, score(rows), 1, converged)
-
-    probe_values = [eigen_average, *scores(_probe_unitaries(config.seed, r) @ base)]
-    if max(probe_values) - min(probe_values) <= PROBE_SPREAD_TOL:
-        return finish(base, eigen_average, 0, True)
-
-    def powell(
-        theta0, rows_of, maxfev, xtol, ftol
-    ) -> tuple[np.ndarray, list[float], np.ndarray]:
-        """Powell's end point, every value it scored and the point of the lowest."""
-        trace: list[float] = []
-        lowest_value, lowest = np.inf, theta0
-
-        def tracked(theta):
-            nonlocal lowest_value, lowest
-            val = score(rows_of(theta))
-            trace.append(val)
-            if val < lowest_value:
-                lowest_value, lowest = val, np.array(theta, dtype=float)
-            return val
-
-        res = minimize(
-            tracked,
-            theta0,
-            method="Powell",
-            options={"maxfev": maxfev, "xtol": xtol, "ftol": ftol, "maxiter": 10**6},
-        )
-        return np.array(res.x, dtype=float), trace, lowest
-
-    identity = np.eye(r, dtype=np.complex128)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
-
-    def mixing(k: int):
-        u0 = identity if k == 0 else haar_unitary(r, np.random.default_rng(seeds[k]))
-        return lambda theta: (_unitary_from_params(theta, r) @ u0) @ base
-
-    # the winning start's end point (where its polish starts), the point of
-    # its lowest value and the rows of its mixing
-    best_value = np.inf
-    best_end: np.ndarray | None = None
-    best_theta: np.ndarray | None = None
-    best_rows_of = None
-    best_trace: list[float] = []
-    starts = 0
-
-    for k in range(config.starts):
-        rows_of = mixing(k)
-        end, trace, lowest = powell(np.zeros(r * r), rows_of, config.iters, 1e-7, 1e-11)
-        starts += 1
-        start_best = min(trace)
-        if start_best < best_value:
-            best_value, best_end, best_theta = start_best, end, lowest
-            best_rows_of, best_trace = rows_of, trace
-        if best_value <= stop_below:
-            break
-
-    if best_value > stop_below:
-        # polish the winning start with tight line-search tolerances
-        _, polish_trace, lowest = powell(
-            best_end, best_rows_of, max(100, config.iters // 2), 1e-10, 1e-14
-        )
-        if polish_trace and min(polish_trace) < best_value:
-            best_value, best_theta = min(polish_trace), lowest
-        best_trace = best_trace + polish_trace
-
-    quarter = (3 * len(best_trace)) // 4
-    tail_gain = min(best_trace[:quarter]) - best_value if quarter > 0 else 0.0
-    converged = bool(tail_gain <= CONVERGED_TOL)
-
-    best_rows = best_rows_of(best_theta)
-    return finish(best_rows, score(best_rows), starts, converged)
+    eigen_average = scores(base[None])[0]
+    path = _route(rho.dims, len(lam))
+    if path == "rank1" or eigen_average <= stop_below:
+        found = base, eigen_average, 0, True, "rank1" if path == "rank1" else "stop_below"
+    else:
+        roof = _chord_roof if path == "chord" else _search_roof
+        found = roof(lam, base, eigen_average, scores, config, stop_below)
+    rows, value, starts, converged, taken = found
+    return RoofResult(float(value), _checked_rows(rho, rows), starts, converged, evals, taken)
 
 
 def _squared_roof(
@@ -606,10 +606,10 @@ def scren2(
 
     On a 2 x k pair this is also the mixed two-tangle, which
     :func:`scren.tangle.two_tangle` computes by calling this function.  Like
-    every squared roof it stops at ``SQRT_ROOF_FLOOR``, so a near-separable
-    pair may report any value up to 1e-10 in place of zero.  Members are
-    scored as in :func:`cren`: by their 2 x 2 minors on a 2 x k cut with
-    k <= 8, else by an SVD.
+    every squared roof it passes ``SQRT_ROOF_FLOOR`` as ``stop_below``, so a
+    near-separable pair may report any value up to 1e-10 in place of zero.
+    Members are scored as in :func:`cren`: by their 2 x 2 minors on a 2 x k
+    cut with k <= 8, else by an SVD.
     """
     value, result = _squared_roof(rho, negativity_rows(rho.dims, part), config)
     return (value, result) if full_output else value

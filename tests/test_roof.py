@@ -38,6 +38,7 @@ from scren.roof import (
     _chord_chart,
     _chord_unitaries,
     _probe_unitaries,
+    _route,
     _stack_scores,
 )
 from scren.wclass import build_state, random_spec
@@ -116,6 +117,7 @@ def test_pure_input_evaluates_objective_directly():
         to_density(psi), member_average(psi.dims, lambda s: negativity_pure(s, PART2)), FAST
     )
     assert res.starts == 0 and res.converged
+    assert res.exit == "rank1"
     assert abs(res.value - 1.0) <= 1e-12
 
 
@@ -125,6 +127,7 @@ def test_constant_objective_returns_constant():
     res = roof_minimize(rho, member_average(rho.dims, lambda s: 0.7), FAST)
     assert abs(res.value - 0.7) <= 1e-12
     assert res.starts == 0  # detected as decomposition independent
+    assert res.exit == "probe"
 
 
 def test_value_matches_ensemble_average():
@@ -256,9 +259,11 @@ def test_scren2_full_output_diagnostics():
 
 
 def test_scren2_separable_mixture_stops_at_floor():
-    # a separable pair reaches the squared-roof floor and skips the other starts
+    # a separable pair ends below the squared-roof floor.  The chord path runs
+    # one start to its step floor whatever the roof floor; the search stops
+    # after its first start, whose best average reached the roof floor
     rng = np.random.default_rng(24)
-    for dims in [(2, 2), (3, 2)]:
+    for dims, path in [((2, 2), "chord"), ((3, 2), "chord"), ((3, 3), "search")]:
         mat = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
         for w in (0.3, 0.7):
             psi = np.kron(*(haar_random_state((d,), rng).amplitudes for d in dims))
@@ -266,6 +271,64 @@ def test_scren2_separable_mixture_stops_at_floor():
         value, result = scren2(DensityMatrix(dims, mat), PART2, full_output=True)
         assert value <= 1e-10
         assert result.starts < RoofConfig().starts
+        assert result.exit == path
+        assert result.starts == 1
+
+
+# ---------------------------------------------------------------------------
+# routes and exits
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dims, rank, path", [
+    ((2, 2), 1, "rank1"),
+    ((3, 3), 1, "rank1"),
+    ((2, 2), 2, "chord"),
+    ((3, 2), 2, "chord"),
+    ((2, 3), 2, "chord"),
+    ((2, 9), 2, "chord"),
+    ((3, 3), 2, "search"),
+    ((2, 2, 2), 2, "search"),
+    ((2, 2), 3, "search"),
+    ((3, 3), 3, "search"),
+])
+def test_route_depends_on_dims_and_rank(dims, rank, path):
+    assert _route(dims, rank) == path
+
+
+def _negativity_roof(rho):
+    return roof_minimize(rho, member_average(rho.dims, lambda s: negativity_pure(s, PART2)), FAST)
+
+
+# the exits a roof on each route may take: the route's own, or a value exit
+# before it
+_EXITS = {"rank1": {"rank1"}, "chord": {"stop_below", "chord"},
+          "search": {"stop_below", "probe", "search"}}
+
+# an input of the tests above for each exit: its state and its roof
+_EXIT_INPUTS = {
+    "rank1": (lambda: to_density(bell_state()), _negativity_roof),
+    "chord": (lambda: random_rank2_two_qubit(np.random.default_rng(31)), _negativity_roof),
+    "probe": (
+        lambda: random_mixed_state(np.random.default_rng(6), (2, 2), rank=3),
+        lambda rho: roof_minimize(rho, member_average(rho.dims, lambda s: 0.7), FAST),
+    ),
+    "stop_below": (
+        lambda: random_mixed_state(np.random.default_rng(18), (2, 2), rank=2),
+        lambda rho: roof_sqrt_functional(rho, lambda s: -5e-8, FAST, full_output=True)[1],
+    ),
+    "search": (
+        lambda: random_mixed_state(np.random.default_rng(10), (2, 2), rank=3), _negativity_roof
+    ),
+}
+
+
+@pytest.mark.parametrize("taken", sorted(_EXIT_INPUTS))
+def test_exit_is_the_route_or_a_value_exit_before_it(taken):
+    build, roof = _EXIT_INPUTS[taken]
+    rho = build()
+    result = roof(rho)
+    assert result.exit == taken
+    assert result.exit in _EXITS[_route(rho.dims, len(rho.support[0]))]
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +371,7 @@ def test_other_rank2_roofs_keep_every_start(build, part):
     config = RoofConfig(starts=3, iters=100, seed=4)
     _, result = cren(rho, part, config, full_output=True)
     assert result.starts == config.starts
+    assert result.exit == "search"
 
 
 def _near_pole_pair(rng, small):
@@ -466,6 +530,7 @@ def test_probe_exit_makes_one_evaluation_per_probe_plus_the_eigendecomposition()
     rho = random_mixed_state(rng, (2, 2), rank=3)
     res = roof_minimize(rho, member_average(rho.dims, lambda s: 0.7), FAST)
     assert res.starts == 0
+    assert res.exit == "probe"
     assert res.evals == 1 + PROBE_COUNT
 
 
@@ -485,6 +550,7 @@ def test_chord_scan_is_one_objective_call():
     recorded, calls = _recording(member_average(rho.dims, lambda s: negativity_pure(s, PART2)))
     res = roof_minimize(rho, recorded)
     assert res.starts == 1
+    assert res.exit == "chord"
     assert calls[:2] == [2, 2 * CHORD_COUNT]
     assert all(rows % 2 == 0 for rows in calls)
     assert res.evals == sum(calls) // 2
