@@ -482,9 +482,10 @@ def _search_roof(lam, base, eigen_average, scores, config, stop_below):
     independent and the eigendecomposition ensemble is returned with
     ``starts=0``.  The probe's unitaries depend only on ``config.seed`` and
     the rank, and are drawn once per process for each such pair
-    (:func:`_probe_unitaries`).  Otherwise ``config.starts`` Powell starts
-    search the parameters of exp(iH) U0 (U0 the identity, then Haar-random
-    unitaries); once a start's best average is at or below ``stop_below`` no
+    (:func:`_probe_unitaries`).  Otherwise each support row is rotated so that
+    its largest-modulus entry is real and positive, and ``config.starts``
+    Powell starts search the parameters of exp(iH) U0 (U0 the identity, then
+    Haar-random unitaries) acting on those rows; once a start's best average is at or below ``stop_below`` no
     further start and no polish runs.  The result is the decomposition of the
     least average that the winning start and its polish scored; when
     ``iters`` ends a run in the middle of a line search, the point Powell
@@ -497,6 +498,11 @@ def _search_roof(lam, base, eigen_average, scores, config, stop_below):
     if max(probe_values) - min(probe_values) <= PROBE_SPREAD_TOL:
         return base, eigen_average, 0, True, "probe"
 
+    # fix each support row's phase: its largest-modulus entry (the first of
+    # equals) real and positive, so the starts do not depend on the phases
+    # the support was computed with
+    pivots = base[np.arange(r), np.abs(base).argmax(axis=1)]
+    base = base * (pivots.conj() / np.abs(pivots))[:, None]
     seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
     # the winning start's mixing, its end point (where its polish starts) and
     # the point of its lowest value
