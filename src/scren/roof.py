@@ -37,11 +37,14 @@ input keeps multi-start search.  :func:`_chord_roof` runs this path.
 
 The multi-start search (:func:`_search_roof`) first probes ``PROBE_COUNT``
 Haar-random mixing unitaries to detect decomposition-independent objectives,
-then runs derivative-free direction-set (Powell) search over U = exp(iH) U0,
-H Hermitian, from multiple starts: start 0 is the identity (so the
-eigendecomposition average is always an upper bound on the result) and the
-rest are Haar-random.  All randomness derives from the config seed, so
-results are reproducible.
+then runs derivative-free direction-set (Powell) search over U = exp(iO) U0,
+O off-diagonal Hermitian, from multiple starts: start 0 is the identity (so
+the eigendecomposition average is always an upper bound on the result) and
+the rest are Haar-random.  By the unitary freedom of ensembles (Hughston,
+Jozsa & Wootters, PLA 183, 14 (1993)) a decomposition is fixed by its mixing
+unitary up to member phases, and a diagonal O would change only those, so the
+search runs over the r(r - 1) coordinates that change the decomposition.  All
+randomness derives from the config seed, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -86,10 +89,6 @@ STENCIL_TRUST = 2.0
 NEWTON_SHRINK = 16.0
 STENCIL_GROW = 2.0
 STENCIL_SHRINK = 4.0
-
-# A search is reported unconverged when its winning start still improved by
-# more than this over the last quarter of its evaluations.
-CONVERGED_TOL = 1e-6
 
 
 class ConjectureViolation(Exception):
@@ -148,9 +147,13 @@ class RoofResult:
     unnormalized member rows sqrt(p_h)|psi_h>.  ``evals`` is the number of
     decompositions the roof scored: the eigendecomposition, the chord scan's
     ``CHORD_COUNT`` or the probe's ``PROBE_COUNT`` (each one objective call),
-    then 8 or 9 per step of the chord search (one call each), or one per
-    Powell and polish call, and one for the final call.  Unlike wall time it
-    does not depend on the machine.  ``exit`` names the exit taken:
+    then 8 or 9 per step of the chord search (one call each) and one for its
+    final call, or one per Powell and polish call.  Unlike wall time it does
+    not depend on the machine.  ``converged`` says that the search stopped on
+    its own tolerances and not on its evaluation budget: the chord search's
+    step fell below ``STENCIL_FLOOR``, or the Powell run behind the value
+    (the polish, or else the winning start) met its tolerances.  The exits
+    that run no search report True.  ``exit`` names the exit taken:
     ``rank1``, ``stop_below``, ``chord``, ``probe`` or ``search``.
     """
 
@@ -195,17 +198,6 @@ def _probe_unitaries(seed: int, rank: int) -> np.ndarray:
     stack = np.stack([haar_unitary(rank, rng) for _ in range(PROBE_COUNT)])
     stack.flags.writeable = False
     return stack
-
-
-def _unitary_from_params(theta: np.ndarray, size: int) -> np.ndarray:
-    """exp(iH) for the Hermitian H packed as [diag, (re, im) upper triangle]."""
-    h = np.zeros((size, size), dtype=np.complex128)
-    off = theta[size:]
-    h[_triu(size)] = off[0::2] + 1j * off[1::2]
-    h = h + h.conj().T
-    h[np.diag_indices(size)] = theta[:size]
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def _fibonacci_direction(k: int) -> tuple[float, float, float]:
@@ -450,27 +442,30 @@ def _chord_roof(lam, base, eigen_average, scores, config, stop_below):
 
 
 def _mixed_rows(theta: np.ndarray, u0: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Rows of the decomposition mixed by exp(iH) ``u0``, H packed in ``theta``."""
-    return (_unitary_from_params(theta, len(u0)) @ u0) @ base
+    """Rows of the decomposition mixed by exp(iO) ``u0``, for the off-diagonal
+    Hermitian O whose upper triangle ``theta`` packs as (re, im) pairs."""
+    r = len(u0)
+    o = np.zeros((r, r), dtype=np.complex128)
+    o[_triu(r)] = theta[0::2] + 1j * theta[1::2]
+    w, v = np.linalg.eigh(o + o.conj().T)
+    return ((v * np.exp(1j * w)) @ v.conj().T @ u0) @ base
 
 
 def _powell(scores, u0, base, theta0, maxfev, xtol, ftol):
-    """Powell over exp(iH) ``u0`` from ``theta0``: its end point, every value
-    it scored and the point of the lowest."""
-    trace: list[float] = []
+    """Powell over exp(iO) ``u0`` from ``theta0``: its end point, whether it
+    stopped on its own tolerances, and its lowest value with that value's point."""
     lowest_value, lowest = np.inf, theta0
 
     def tracked(theta):
         nonlocal lowest_value, lowest
         val = scores(_mixed_rows(theta, u0, base)[None])[0]
-        trace.append(val)
         if val < lowest_value:
             lowest_value, lowest = val, np.array(theta, dtype=float)
         return val
 
     options = {"maxfev": maxfev, "xtol": xtol, "ftol": ftol, "maxiter": 10**6}
     res = minimize(tracked, theta0, method="Powell", options=options)
-    return np.array(res.x, dtype=float), trace, lowest
+    return np.array(res.x, dtype=float), res.status == 0, lowest_value, lowest
 
 
 def _search_roof(lam, base, eigen_average, scores, config, stop_below):
@@ -484,14 +479,14 @@ def _search_roof(lam, base, eigen_average, scores, config, stop_below):
     the rank, and are drawn once per process for each such pair
     (:func:`_probe_unitaries`).  Otherwise each support row is rotated so that
     its largest-modulus entry is real and positive, and ``config.starts``
-    Powell starts search the parameters of exp(iH) U0 (U0 the identity, then
-    Haar-random unitaries) acting on those rows; once a start's best average is at or below ``stop_below`` no
-    further start and no polish runs.  The result is the decomposition of the
-    least average that the winning start and its polish scored; when
-    ``iters`` ends a run in the middle of a line search, the point Powell
-    returns can score well above it.  ``converged`` is False when the winning
-    start still improved by more than ``CONVERGED_TOL`` over the last quarter
-    of its evaluation sequence.
+    Powell starts search the r(r - 1) parameters of U = exp(iO) U0 acting on
+    those rows (O off-diagonal Hermitian; U0 the identity, then Haar-random
+    unitaries).  Once a start's best average is at or below ``stop_below``, no
+    further start and no polish runs.  The value is the least average that
+    the winning start and its polish scored; when ``iters`` ends a run in the
+    middle of a line search, the point Powell returns can score well above
+    it.  ``converged`` says that the polish, or else the winning start,
+    stopped on its own tolerances and not on its evaluation budget.
     """
     r = len(lam)
     probe_values = [eigen_average, *scores(_probe_unitaries(config.seed, r) @ base)]
@@ -504,33 +499,28 @@ def _search_roof(lam, base, eigen_average, scores, config, stop_below):
     pivots = base[np.arange(r), np.abs(base).argmax(axis=1)]
     base = base * (pivots.conj() / np.abs(pivots))[:, None]
     seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
-    # the winning start's mixing, its end point (where its polish starts) and
-    # the point of its lowest value
-    best_value, best_trace, starts = np.inf, [], 0
+    # the winning start's mixing, its end point (where its polish starts),
+    # whether it stopped on tolerance, and the point of its lowest value
+    best_value, starts = np.inf, 0
     for k in range(config.starts):
         u0 = haar_unitary(r, np.random.default_rng(seeds[k])) if k else np.eye(r, dtype=complex)
-        end, trace, lowest = _powell(scores, u0, base, np.zeros(r * r), config.iters, 1e-7, 1e-11)
+        theta0 = np.zeros(r * (r - 1))
+        end, stopped, value, lowest = _powell(scores, u0, base, theta0, config.iters, 1e-7, 1e-11)
         starts += 1
-        start_best = min(trace)
-        if start_best < best_value:
-            best_value, best_u0, best_end, best_theta = start_best, u0, end, lowest
-            best_trace = trace
+        if value < best_value:
+            best_value, best_u0, best_end, converged, best_theta = value, u0, end, stopped, lowest
         if best_value <= stop_below:
             break
 
     if best_value > stop_below:
         # polish the winning start with tight line-search tolerances
-        _, polish_trace, lowest = _powell(
+        _, converged, value, lowest = _powell(
             scores, best_u0, base, best_end, max(100, config.iters // 2), 1e-10, 1e-14
         )
-        if polish_trace and min(polish_trace) < best_value:
-            best_value, best_theta = min(polish_trace), lowest
-        best_trace = best_trace + polish_trace
+        if value < best_value:
+            best_value, best_theta = value, lowest
 
-    quarter = (3 * len(best_trace)) // 4
-    tail_gain = min(best_trace[:quarter]) - best_value if quarter > 0 else 0.0
-    rows = _mixed_rows(best_theta, best_u0, base)
-    return rows, scores(rows[None])[0], starts, bool(tail_gain <= CONVERGED_TOL), "search"
+    return _mixed_rows(best_theta, best_u0, base), best_value, starts, converged, "search"
 
 
 def roof_minimize(

@@ -173,6 +173,45 @@ def test_value_bounds_every_scored_decomposition():
         assert res.value <= min(averages)
 
 
+def test_search_starts_are_free_of_support_phases():
+    # the same rank-3 state with its cached support rows rephased: the
+    # search fixes each row's phase after the probe, so its first start
+    # scores the same decomposition on both, to roundoff
+    rng = np.random.default_rng(32)
+    psi = haar_random_state((3, 3, 3), rng)
+    rho, rephased = reduced_density(psi, (0, 1)), reduced_density(psi, (0, 1))
+    lam, rows = rho.support
+    rephased.__dict__["support"] = (lam, rows * np.exp(2j * np.pi * rng.random(3))[:, None])
+    first_starts = []
+    for state in (rho, rephased):
+        recorded = []
+        objective = negativity_rows(state.dims, PART2)
+        result = roof_minimize(
+            state, lambda rows: recorded.append(rows) or objective(rows), RoofConfig(1, 20, 5)
+        )
+        assert result.exit == "search"
+        # the eigendecomposition, the probe, then the identity start
+        first_starts.append(recorded[2])
+    assert np.abs(first_starts[0] - first_starts[1]).max() <= 1e-15
+
+
+def test_converged_means_the_run_behind_the_value_stopped_on_its_tolerances():
+    # a rank-3 search that spends every start's and the polish's budget
+    rho = reduced_density(haar_random_state((3, 2, 3), np.random.default_rng(34)), (0, 1))
+    config = RoofConfig(starts=2, iters=300, seed=0)
+    _, result = scren2(rho, PART2, config, full_output=True)
+    assert result.exit == "search"
+    assert result.evals == 1 + PROBE_COUNT + config.starts * config.iters + config.iters // 2
+    assert result.converged is False
+    # a rank-2 three-tangle term whose runs stop short of their budget
+    rho = reduced_density(haar_random_state((2,) * 4, np.random.default_rng(0)), (0, 1, 2))
+    config = RoofConfig(starts=3, iters=600, seed=0)
+    result = roof_minimize(rho, lambda rows: np.sqrt(three_tangle_rows(rows)), config)
+    assert result.exit == "search"
+    assert result.evals < 1 + PROBE_COUNT + config.starts * config.iters + config.iters // 2
+    assert result.converged is True
+
+
 def test_seed_determinism():
     rng = np.random.default_rng(11)
     rho = random_rank2_two_qubit(rng)
