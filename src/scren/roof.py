@@ -43,8 +43,11 @@ the eigendecomposition average is always an upper bound on the result) and
 the rest are Haar-random.  By the unitary freedom of ensembles (Hughston,
 Jozsa & Wootters, PLA 183, 14 (1993)) a decomposition is fixed by its mixing
 unitary up to member phases, and a diagonal O would change only those, so the
-search runs over the r(r - 1) coordinates that change the decomposition.  All
-randomness derives from the config seed, so results are reproducible.
+search runs over the r(r - 1) coordinates that change the decomposition.  At
+rank 2, where every three-tangle term and every rank-2 pair without a qubit
+party runs, exp(iO) has a closed form and no eigensolver runs
+(:func:`_mixed_rows`).  All randomness derives from the config seed, so
+results are reproducible.
 """
 
 from __future__ import annotations
@@ -152,9 +155,10 @@ class RoofResult:
     not depend on the machine.  ``converged`` says that the search stopped on
     its own tolerances and not on its evaluation budget: the chord search's
     step fell below ``STENCIL_FLOOR``, or the Powell run behind the value
-    (the polish, or else the winning start) met its tolerances.  The exits
-    that run no search report True.  ``exit`` names the exit taken:
-    ``rank1``, ``stop_below``, ``chord``, ``probe`` or ``search``.
+    (the polish, or else the winning start) met its tolerances or reached
+    ``stop_below``.  The exits that run no search report True.  ``exit``
+    names the exit taken: ``rank1``, ``stop_below``, ``chord``, ``probe`` or
+    ``search``.
     """
 
     value: float
@@ -443,17 +447,36 @@ def _chord_roof(lam, base, eigen_average, scores, config, stop_below):
 
 def _mixed_rows(theta: np.ndarray, u0: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Rows of the decomposition mixed by exp(iO) ``u0``, for the off-diagonal
-    Hermitian O whose upper triangle ``theta`` packs as (re, im) pairs."""
+    Hermitian O whose upper triangle ``theta`` packs as (re, im) pairs.
+
+    At rank 2, O = [[0, z], [z*, 0]] with z = theta_0 + i theta_1 squares to
+    |z|^2 I, so exp(iO) = cos|z| I + i (sin|z| / |z|) O, the ratio taken as 1
+    at z = 0, and no eigensolver runs.  Higher ranks take O's ``eigh``.
+    """
     r = len(u0)
+    if r == 2:
+        z = complex(theta[0], theta[1])
+        size = abs(z)
+        scale = 1j * (math.sin(size) / size if size else 1.0)
+        c = math.cos(size)
+        return (np.array([[c, scale * z], [scale * z.conjugate(), c]]) @ u0) @ base
     o = np.zeros((r, r), dtype=np.complex128)
     o[_triu(r)] = theta[0::2] + 1j * theta[1::2]
     w, v = np.linalg.eigh(o + o.conj().T)
     return ((v * np.exp(1j * w)) @ v.conj().T @ u0) @ base
 
 
-def _powell(scores, u0, base, theta0, maxfev, xtol, ftol):
+class _Floor(Exception):
+    """Raised inside a Powell run by an average at or below its floor."""
+
+
+def _powell(scores, u0, base, theta0, maxfev, xtol, ftol, stop_below):
     """Powell over exp(iO) ``u0`` from ``theta0``: its end point, whether it
-    stopped on its own tolerances, and its lowest value with that value's point."""
+    stopped on its own tolerances, and its lowest value with that value's point.
+
+    The first average at or below ``stop_below`` ends the run at once; its
+    point is then the end point, and the run counts as stopped on tolerance.
+    """
     lowest_value, lowest = np.inf, theta0
 
     def tracked(theta):
@@ -461,10 +484,15 @@ def _powell(scores, u0, base, theta0, maxfev, xtol, ftol):
         val = scores(_mixed_rows(theta, u0, base)[None])[0]
         if val < lowest_value:
             lowest_value, lowest = val, np.array(theta, dtype=float)
+            if val <= stop_below:
+                raise _Floor
         return val
 
     options = {"maxfev": maxfev, "xtol": xtol, "ftol": ftol, "maxiter": 10**6}
-    res = minimize(tracked, theta0, method="Powell", options=options)
+    try:
+        res = minimize(tracked, theta0, method="Powell", options=options)
+    except _Floor:
+        return lowest, True, lowest_value, lowest
     return np.array(res.x, dtype=float), res.status == 0, lowest_value, lowest
 
 
@@ -481,12 +509,13 @@ def _search_roof(lam, base, eigen_average, scores, config, stop_below):
     its largest-modulus entry is real and positive, and ``config.starts``
     Powell starts search the r(r - 1) parameters of U = exp(iO) U0 acting on
     those rows (O off-diagonal Hermitian; U0 the identity, then Haar-random
-    unitaries).  Once a start's best average is at or below ``stop_below``, no
-    further start and no polish runs.  The value is the least average that
-    the winning start and its polish scored; when ``iters`` ends a run in the
-    middle of a line search, the point Powell returns can score well above
-    it.  ``converged`` says that the polish, or else the winning start,
-    stopped on its own tolerances and not on its evaluation budget.
+    unitaries).  The first average at or below ``stop_below`` ends its
+    start at once, and no further start and no polish runs.  The value is
+    the least average that the winning start and its polish scored; when
+    ``iters`` ends a run in the middle of a line search, the point Powell
+    returns can score well above it.  ``converged`` says that the polish, or
+    else the winning start, stopped on its own tolerances or at
+    ``stop_below``, and not on its evaluation budget.
     """
     r = len(lam)
     probe_values = [eigen_average, *scores(_probe_unitaries(config.seed, r) @ base)]
@@ -505,7 +534,9 @@ def _search_roof(lam, base, eigen_average, scores, config, stop_below):
     for k in range(config.starts):
         u0 = haar_unitary(r, np.random.default_rng(seeds[k])) if k else np.eye(r, dtype=complex)
         theta0 = np.zeros(r * (r - 1))
-        end, stopped, value, lowest = _powell(scores, u0, base, theta0, config.iters, 1e-7, 1e-11)
+        end, stopped, value, lowest = _powell(
+            scores, u0, base, theta0, config.iters, 1e-7, 1e-11, stop_below
+        )
         starts += 1
         if value < best_value:
             best_value, best_u0, best_end, converged, best_theta = value, u0, end, stopped, lowest
@@ -515,7 +546,8 @@ def _search_roof(lam, base, eigen_average, scores, config, stop_below):
     if best_value > stop_below:
         # polish the winning start with tight line-search tolerances
         _, converged, value, lowest = _powell(
-            scores, best_u0, base, best_end, max(100, config.iters // 2), 1e-10, 1e-14
+            scores, best_u0, base, best_end, max(100, config.iters // 2), 1e-10, 1e-14,
+            stop_below,
         )
         if value < best_value:
             best_value, best_theta = value, lowest

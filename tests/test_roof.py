@@ -34,16 +34,24 @@ from scren.negativity import negativity_rows
 from scren.roof import (
     CHORD_COUNT,
     PROBE_COUNT,
+    SQRT_ROOF_FLOOR,
     _CHORD_DIRECTIONS,
     _chord_chart,
     _chord_unitaries,
+    _mixed_rows,
     _probe_unitaries,
     _route,
     _stack_scores,
 )
 from scren.wclass import build_state, random_spec
 
-from util import hjw_rows, random_mixed_state, random_rank2_two_qubit, reference_chord_unitaries
+from util import (
+    hjw_rows,
+    random_mixed_state,
+    random_rank2_two_qubit,
+    reference_chord_unitaries,
+    reference_mixed_rows,
+)
 
 PART2 = Bipartition((0,), 2)
 FAST = RoofConfig(starts=8, iters=600, seed=7)
@@ -107,6 +115,45 @@ def test_hjw_reconstruction_random_pairs():
         assert np.abs(rows.T @ rows.conj() - rho.matrix).max() <= 1e-10
 
 
+def _mixing_inputs(rng, rank, dim=6):
+    """A Haar start ``u0`` and ``rank`` unit rows of length ``dim`` to mix."""
+    base = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
+    return haar_unitary(rank, rng), base / np.linalg.norm(base, axis=1, keepdims=True)
+
+
+def test_rank2_mixing_map_matches_the_eigh_map():
+    # both maps round the angle |theta| to a double, so beyond |theta| = 1
+    # they part by up to about 1.2e-16 |theta| (1.2e-13 at |theta| = 1e3)
+    rng = np.random.default_rng(40)
+    sizes = [1e-12, 3e-12, 1e-8, 1e-3, 0.5, 1.0, np.pi, 2 * np.pi, 10.0, 123.4, 1e3]
+    sizes += list(10.0 ** rng.uniform(-12, 3, 200))
+    for size in sizes:
+        theta = rng.standard_normal(2)
+        theta *= size / np.linalg.norm(theta)
+        u0, base = _mixing_inputs(rng, 2)
+        gap = np.abs(_mixed_rows(theta, u0, base) - reference_mixed_rows(theta, u0, base)).max()
+        assert gap <= 1e-14 + 1e-15 * size
+        unitary = _mixed_rows(theta, np.eye(2), np.eye(2))
+        assert np.abs(unitary.conj().T @ unitary - np.eye(2)).max() <= 1e-14
+
+
+def test_mixing_map_at_zero_is_the_start_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for rank in (2, 3, 4):
+        u0, base = _mixing_inputs(rng, rank)
+        assert np.array_equal(_mixed_rows(np.zeros(rank * (rank - 1)), u0, base), u0 @ base)
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_mixing_map_above_rank_2_equals_the_eigh_map_bit_for_bit(rank):
+    rng = np.random.default_rng(42 + rank)
+    for size in (1e-12, 1e-3, 1.0, 1e3):
+        theta = rng.standard_normal(rank * (rank - 1))
+        theta *= size / np.linalg.norm(theta)
+        u0, base = _mixing_inputs(rng, rank)
+        assert np.array_equal(_mixed_rows(theta, u0, base), reference_mixed_rows(theta, u0, base))
+
+
 # ---------------------------------------------------------------------------
 # roof_minimize basics
 # ---------------------------------------------------------------------------
@@ -150,23 +197,39 @@ def test_value_upper_bounded_by_eigendecomposition_average():
         assert cren(rho, PART2, FAST) <= eigen_avg + 1e-9
 
 
+def _recorded(objective, rank):
+    """``objective`` wrapped to record each decomposition's average, and the record."""
+    averages = []
+
+    def recorded(rows):
+        values = objective(rows)
+        averages.extend(values.reshape(-1, rank).sum(axis=1))
+        return values
+
+    return recorded, averages
+
+
+def _scored_search_inputs():
+    """(state, objective) pairs that run the multi-start search: three rank-3
+    2 x 2 pairs, a rank-2 3 x 3 pair and the rank-2 (2, 2, 2) three-tangle
+    term of a Haar 4-qubit state."""
+    pairs = [(10, (2, 2), 3), (11, (2, 2), 3), (12, (2, 2), 3), (200, (3, 3), 2)]
+    for seed, dims, rank in pairs:
+        rho = random_mixed_state(np.random.default_rng(seed), dims, rank=rank)
+        yield rho, member_average(rho.dims, lambda s: negativity_pure(s, PART2))
+    psi = haar_random_state((2,) * 4, np.random.default_rng(3))
+    yield reduced_density(psi, (0, 1, 2)), lambda rows: np.sqrt(three_tangle_rows(rows))
+
+
 def test_value_bounds_every_scored_decomposition():
-    # a rank-3 pair runs every start, and the value is the least decomposition
-    # average the starts and the polish scored, and no more than any the
-    # probe scored; on these states Powell's end point scores up to 7.6e-12
-    # above that least average
-    for seed in (10, 11, 12):
-        rho = random_mixed_state(np.random.default_rng(seed), (2, 2), rank=3)
-        objective = member_average(rho.dims, lambda s: negativity_pure(s, PART2))
-        rank = len(rho.support[0])
-        averages = []
-
-        def recorded(rows):
-            values = objective(rows)
-            averages.extend(values.reshape(-1, rank).sum(axis=1))
-            return values
-
+    # a searched roof runs every start, and the value is the least
+    # decomposition average the starts and the polish scored, and no more
+    # than any the probe scored; on the rank-3 states Powell's end point
+    # scores up to 7.6e-12 above that least average
+    for rho, objective in _scored_search_inputs():
+        recorded, averages = _recorded(objective, len(rho.support[0]))
         res = roof_minimize(rho, recorded, FAST)
+        assert res.exit == "search"
         assert res.starts == FAST.starts
         assert len(averages) == res.evals
         assert res.value == min(averages[1 + PROBE_COUNT:])
@@ -300,18 +363,28 @@ def test_scren2_full_output_diagnostics():
 def test_scren2_separable_mixture_stops_at_floor():
     # a separable pair ends below the squared-roof floor.  The chord path runs
     # one start to its step floor whatever the roof floor; the search stops
-    # after its first start, whose best average reached the roof floor
+    # within its first start, at the first average that reaches the roof floor
     rng = np.random.default_rng(24)
     for dims, path in [((2, 2), "chord"), ((3, 2), "chord"), ((3, 3), "search")]:
         mat = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
         for w in (0.3, 0.7):
             psi = np.kron(*(haar_random_state((d,), rng).amplitudes for d in dims))
             mat += w * np.outer(psi, psi.conj())
-        value, result = scren2(DensityMatrix(dims, mat), PART2, full_output=True)
+        rho = DensityMatrix(dims, mat)
+        value, result = scren2(rho, PART2, full_output=True)
         assert value <= 1e-10
         assert result.starts < RoofConfig().starts
         assert result.exit == path
         assert result.starts == 1
+    # the 3 x 3 search, the last state, ends at its first average at or below
+    # the floor
+    recorded, averages = _recorded(negativity_rows(dims, PART2), 2)
+    again = roof_minimize(rho, recorded, stop_below=SQRT_ROOF_FLOOR)
+    first = next(k for k, average in enumerate(averages) if average <= SQRT_ROOF_FLOOR)
+    assert first > PROBE_COUNT
+    assert result.evals == again.evals == first + 1
+    assert result.value == again.value == averages[first]
+    assert result.converged
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from scren import DensityMatrix, PureState, WClassSpec, haar_random_state, haar_unitary
-from scren.roof import _checked_rows
+from scren.roof import _checked_rows, _triu
 from scren.suites import random_rank2_two_qubit  # noqa: F401  (re-exported for the tests)
 
 
@@ -108,3 +108,16 @@ def reference_chord_unitaries(q: tuple[float, float], u: np.ndarray) -> np.ndarr
     unitary[:, :, 0] = scale * np.where(up, north, txy.conj()) / math.sqrt(q1)
     unitary[:, :, 1] = scale * np.where(up, txy, south) / math.sqrt(q2)
     return unitary
+
+
+def reference_mixed_rows(theta: np.ndarray, u0: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """The search's mixing map at every rank through ``eigh`` of O.
+
+    ``roof._mixed_rows`` must return exactly these values at rank 3 and
+    above; at rank 2 it takes the closed form of exp(iO) instead.
+    """
+    r = len(u0)
+    o = np.zeros((r, r), dtype=np.complex128)
+    o[_triu(r)] = theta[0::2] + 1j * theta[1::2]
+    w, v = np.linalg.eigh(o + o.conj().T)
+    return ((v * np.exp(1j * w)) @ v.conj().T @ u0) @ base
