@@ -12,7 +12,9 @@ decompositions is scored in one objective call: the probe, the chord scan and
 each step of the chord search below are one call each, and a Powell step is a
 stack of one.
 Which path runs depends only on the party dims and the rank of the input;
-:func:`_route` is the one place that chooses it.
+:func:`_route` is the one place that chooses it.  Every path scores through
+one record, :class:`_Roof`: the roof's value is the least average it scored,
+and on every path the first average at or below ``stop_below`` ends the roof.
 
 ``cren`` and ``scren2`` score rows with the one negativity kernel,
 :func:`scren.negativity.negativity_rows`.  On a 2 x k cut with k at most
@@ -146,19 +148,19 @@ class RoofConfig:
 class RoofResult:
     """Outcome of a roof minimization: value, argmin decomposition and diagnostics.
 
-    ``rows`` is the read-only (rank, dim) array of the winning decomposition's
-    unnormalized member rows sqrt(p_h)|psi_h>.  ``evals`` is the number of
-    decompositions the roof scored: the eigendecomposition, the chord scan's
-    ``CHORD_COUNT`` or the probe's ``PROBE_COUNT`` (each one objective call),
-    then 8 or 9 per step of the chord search (one call each) and one for its
-    final call, or one per Powell and polish call.  Unlike wall time it does
-    not depend on the machine.  ``converged`` says that the search stopped on
-    its own tolerances and not on its evaluation budget: the chord search's
-    step fell below ``STENCIL_FLOOR``, or the Powell run behind the value
-    (the polish, or else the winning start) met its tolerances or reached
-    ``stop_below``.  The exits that run no search report True.  ``exit``
-    names the exit taken: ``rank1``, ``stop_below``, ``chord``, ``probe`` or
-    ``search``.
+    ``value`` is the least decomposition average the roof scored, and
+    ``rows`` the read-only (rank, dim) array of that decomposition's
+    unnormalized member rows sqrt(p_h)|psi_h>; the probe exit returns the
+    eigendecomposition.  ``evals`` is the number of decompositions the roof
+    scored: the eigendecomposition, the chord scan's ``CHORD_COUNT`` or the
+    probe's ``PROBE_COUNT`` (each one objective call), then 8 or 9 per step
+    of the chord search (one call each), or one per Powell and polish call.
+    Unlike wall time it does not depend on the machine.  ``converged`` says
+    that the search stopped on its own tolerances and not on its evaluation
+    budget: the chord search's step fell below ``STENCIL_FLOOR``, the polish
+    met its tolerances, or an average reached ``stop_below``.  The exits that
+    run no search report True.  ``exit`` names the exit taken: ``rank1``,
+    ``stop_below``, ``chord``, ``probe`` or ``search``.
     """
 
     value: float
@@ -319,7 +321,7 @@ def _newton_step(centre: float, values: Sequence[float]) -> tuple[float, float] 
 
 def _stencil_search(
     scores: Callable[[np.ndarray], Sequence[float]], value0: float, budget: int
-) -> tuple[np.ndarray, bool]:
+) -> bool:
     """Minimize ``scores`` over the chord chart from x = 0, where it is ``value0``.
 
     ``scores`` maps a (K, 2) stack of chart points to their K values in one
@@ -333,8 +335,7 @@ def _stencil_search(
     became that best, else at h / ``STENCIL_SHRINK``.  A Newton centre that
     improved on nothing fits no model: the search goes back to the best
     point.  It stops when h falls below ``STENCIL_FLOOR`` or ``budget``
-    evaluations are spent, and returns the best point and whether h reached
-    the floor.
+    evaluations are spent, and returns whether h reached the floor.
     """
     best, best_value = np.zeros(2), value0
     centre, centre_value = best, value0
@@ -362,7 +363,7 @@ def _stencil_search(
             continue
         step = step * STENCIL_GROW if moved else step / STENCIL_SHRINK
         centre, centre_value = best, best_value
-    return best, step < STENCIL_FLOOR
+    return step < STENCIL_FLOOR
 
 
 def member_average(dims: Sequence[int], fn: Callable[[PureState], float]):
@@ -389,6 +390,37 @@ def _stack_scores(objective: Callable[[np.ndarray], np.ndarray], stack: np.ndarr
     return np.add.reduce(objective(stack.reshape(k * r, dim)).reshape(k, r), axis=1)
 
 
+class _Floor(Exception):
+    """Raised by :class:`_Roof` at the first average at or below its floor."""
+
+
+class _Roof:
+    """The one scorer of a roof, and the record of what it scored.
+
+    A call scores a (K, r, dim) stack of decompositions in one objective
+    call (:func:`_stack_scores`), adds K to ``evals`` and returns the K
+    averages.  ``value`` and ``rows`` are the least average scored so far and
+    its decomposition (the first of equal values); the first average at or
+    below ``floor`` raises :class:`_Floor`.  The paths set ``starts``,
+    ``converged`` and ``exit``.
+    """
+
+    def __init__(self, objective: Callable[[np.ndarray], np.ndarray], floor: float, exit: str):
+        self.objective, self.floor, self.exit = objective, floor, exit
+        self.value, self.rows, self.evals = math.inf, None, 0
+        self.starts, self.converged = 0, True
+
+    def __call__(self, stack: np.ndarray) -> list[float]:
+        values = _stack_scores(self.objective, stack).tolist()
+        self.evals += len(values)
+        low = min(values)
+        if low < self.value:
+            self.value, self.rows = low, stack[values.index(low)]
+            if low <= self.floor:
+                raise _Floor
+        return values
+
+
 def _route(dims: Sequence[int], rank: int) -> str:
     """The roof path for party ``dims`` and ``rank``, and the one place it is chosen:
     ``rank1``, ``chord`` for a rank-2 pair with a qubit party, else ``search``."""
@@ -413,8 +445,8 @@ def _chart_directions(origin: np.ndarray, axes: np.ndarray, x: np.ndarray) -> np
     return u.T
 
 
-def _chord_roof(lam, base, eigen_average, scores, config, stop_below):
-    """One start on a rank-2 pair with a qubit party; it ignores ``stop_below``.
+def _chord_roof(roof: _Roof, lam: np.ndarray, base: np.ndarray, config: RoofConfig) -> None:
+    """One start on a rank-2 pair with a qubit party.
 
     A stencil search (:func:`_stencil_search`) runs over the two parameters of
     a chart of chord directions (see :func:`_chord_chart`) centred on the best
@@ -424,25 +456,24 @@ def _chord_roof(lam, base, eigen_average, scores, config, stop_below):
     ``converged`` when its step fell below ``STENCIL_FLOOR`` within
     ``config.iters + max(300, config.iters // 2)`` evaluations.
     """
+    roof.starts, roof.exit = 1, "chord"
     # a chord scan finds the basin; the eigendecomposition is the chord along z
     q = tuple(float(v) for v in lam / lam.sum())
-    scan = scores(_chord_rows(q, base, _CHORD_DIRECTIONS))
-    value0 = min(scan)
-    if value0 < eigen_average:
-        u0 = _CHORD_DIRECTIONS[scan.index(value0)]
+    eigen_average = roof.value
+    scan = roof(_chord_rows(q, base, _CHORD_DIRECTIONS))
+    if roof.value < eigen_average:
+        u0 = _CHORD_DIRECTIONS[scan.index(roof.value)]
     else:
-        value0, u0 = eigen_average, (0.0, 0.0, 1.0)
+        u0 = (0.0, 0.0, 1.0)
     frame = _chord_chart(u0)
     origin, axes = frame[0][:, None], frame[1:].T
     # Powell's start and polish budget, iters + max(100, iters // 2), from
     # iters = 600 on and up to 200 more below that: at Powell's budget alone, a
     # low ``iters`` left some stencil searches short of Powell's value
     budget = config.iters + max(300, config.iters // 2)
-    x, converged = _stencil_search(
-        lambda x: scores(_chord_rows(q, base, _chart_directions(origin, axes, x))), value0, budget
+    roof.converged = _stencil_search(
+        lambda x: roof(_chord_rows(q, base, _chart_directions(origin, axes, x))), roof.value, budget
     )
-    rows = _chord_rows(q, base, _chart_directions(origin, axes, x[None]))[0]
-    return rows, scores(rows[None])[0], 1, converged, "chord"
 
 
 def _mixed_rows(theta: np.ndarray, u0: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -466,37 +497,18 @@ def _mixed_rows(theta: np.ndarray, u0: np.ndarray, base: np.ndarray) -> np.ndarr
     return ((v * np.exp(1j * w)) @ v.conj().T @ u0) @ base
 
 
-class _Floor(Exception):
-    """Raised inside a Powell run by an average at or below its floor."""
-
-
-def _powell(scores, u0, base, theta0, maxfev, xtol, ftol, stop_below):
-    """Powell over exp(iO) ``u0`` from ``theta0``: its end point, whether it
-    stopped on its own tolerances, and its lowest value with that value's point.
-
-    The first average at or below ``stop_below`` ends the run at once; its
-    point is then the end point, and the run counts as stopped on tolerance.
-    """
-    lowest_value, lowest = np.inf, theta0
-
-    def tracked(theta):
-        nonlocal lowest_value, lowest
-        val = scores(_mixed_rows(theta, u0, base)[None])[0]
-        if val < lowest_value:
-            lowest_value, lowest = val, np.array(theta, dtype=float)
-            if val <= stop_below:
-                raise _Floor
-        return val
-
+def _powell(roof, u0, base, theta0, maxfev, xtol, ftol):
+    """Powell over exp(iO) ``u0`` from ``theta0``: its end point, and whether it
+    stopped on its own tolerances."""
     options = {"maxfev": maxfev, "xtol": xtol, "ftol": ftol, "maxiter": 10**6}
-    try:
-        res = minimize(tracked, theta0, method="Powell", options=options)
-    except _Floor:
-        return lowest, True, lowest_value, lowest
-    return np.array(res.x, dtype=float), res.status == 0, lowest_value, lowest
+    res = minimize(
+        lambda theta: roof(_mixed_rows(theta, u0, base)[None])[0], theta0, method="Powell",
+        options=options,
+    )
+    return np.array(res.x, dtype=float), res.status == 0
 
 
-def _search_roof(lam, base, eigen_average, scores, config, stop_below):
+def _search_roof(roof: _Roof, lam: np.ndarray, base: np.ndarray, config: RoofConfig) -> None:
     """The probe, then multi-start Powell search and a polish of the winner.
 
     If the eigendecomposition average and the values at a seeded stack of
@@ -509,50 +521,35 @@ def _search_roof(lam, base, eigen_average, scores, config, stop_below):
     its largest-modulus entry is real and positive, and ``config.starts``
     Powell starts search the r(r - 1) parameters of U = exp(iO) U0 acting on
     those rows (O off-diagonal Hermitian; U0 the identity, then Haar-random
-    unitaries).  The first average at or below ``stop_below`` ends its
-    start at once, and no further start and no polish runs.  The value is
-    the least average that the winning start and its polish scored; when
-    ``iters`` ends a run in the middle of a line search, the point Powell
-    returns can score well above it.  ``converged`` says that the polish, or
-    else the winning start, stopped on its own tolerances or at
-    ``stop_below``, and not on its evaluation budget.
+    unitaries).  The winner is the last start that lowered the least average
+    scored, else start 0, and the polish runs from the point Powell returned
+    for it.  ``converged`` says that the polish stopped on its own
+    tolerances, and not on its evaluation budget.
     """
     r = len(lam)
-    probe_values = [eigen_average, *scores(_probe_unitaries(config.seed, r) @ base)]
+    eigen = roof.value, roof.rows
+    probe_values = [eigen[0], *roof(_probe_unitaries(config.seed, r) @ base)]
     if max(probe_values) - min(probe_values) <= PROBE_SPREAD_TOL:
-        return base, eigen_average, 0, True, "probe"
+        roof.value, roof.rows = eigen
+        roof.exit = "probe"
+        return
 
+    roof.exit = "search"
     # fix each support row's phase: its largest-modulus entry (the first of
     # equals) real and positive, so the starts do not depend on the phases
     # the support was computed with
     pivots = base[np.arange(r), np.abs(base).argmax(axis=1)]
     base = base * (pivots.conj() / np.abs(pivots))[:, None]
     seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
-    # the winning start's mixing, its end point (where its polish starts),
-    # whether it stopped on tolerance, and the point of its lowest value
-    best_value, starts = np.inf, 0
     for k in range(config.starts):
         u0 = haar_unitary(r, np.random.default_rng(seeds[k])) if k else np.eye(r, dtype=complex)
-        theta0 = np.zeros(r * (r - 1))
-        end, stopped, value, lowest = _powell(
-            scores, u0, base, theta0, config.iters, 1e-7, 1e-11, stop_below
-        )
-        starts += 1
-        if value < best_value:
-            best_value, best_u0, best_end, converged, best_theta = value, u0, end, stopped, lowest
-        if best_value <= stop_below:
-            break
-
-    if best_value > stop_below:
-        # polish the winning start with tight line-search tolerances
-        _, converged, value, lowest = _powell(
-            scores, best_u0, base, best_end, max(100, config.iters // 2), 1e-10, 1e-14,
-            stop_below,
-        )
-        if value < best_value:
-            best_value, best_theta = value, lowest
-
-    return _mixed_rows(best_theta, best_u0, base), best_value, starts, converged, "search"
+        low, roof.starts = roof.value, k + 1
+        end, _ = _powell(roof, u0, base, np.zeros(r * (r - 1)), config.iters, 1e-7, 1e-11)
+        if not k or roof.value < low:
+            winner = u0, end
+    # polish the winning start with tight line-search tolerances
+    u0, end = winner
+    _, roof.converged = _powell(roof, u0, base, end, max(100, config.iters // 2), 1e-10, 1e-14)
 
 
 def roof_minimize(
@@ -570,31 +567,30 @@ def roof_minimize(
     must depend on its own row only.  Wrap a pure-state functional with
     :func:`member_average`.
 
-    Two cheap exits come first, both reported with ``starts=0``: a rank-one
-    ``rho`` has a single decomposition, and an eigendecomposition average
-    already at or below ``stop_below`` is returned as-is (the roof value is
-    sandwiched between it and zero).  Every other input takes the path
-    :func:`_route` names, :func:`_chord_roof` or :func:`_search_roof`.
-    ``evals`` counts every decomposition scored, on every exit.
+    A rank-one ``rho`` has a single decomposition, returned with
+    ``starts=0``.  Every other input takes the path :func:`_route` names,
+    :func:`_chord_roof` or :func:`_search_roof`.  Every decomposition scored,
+    on every exit, goes through one :class:`_Roof` record: the value is the
+    least average it scored, ``evals`` counts every decomposition, and the
+    first average at or below ``stop_below`` ends the roof at once and counts
+    as converged.  An eigendecomposition or probe average that does so is the
+    ``stop_below`` exit, with ``starts=0`` (the roof value is sandwiched
+    between it and zero).
     """
     config = config or RoofConfig()
     lam, base = rho.support
-    evals = 0
-
-    def scores(stack: np.ndarray) -> list[float]:
-        nonlocal evals
-        evals += len(stack)
-        return _stack_scores(objective, stack).tolist()
-
-    eigen_average = scores(base[None])[0]
     path = _route(rho.dims, len(lam))
-    if path == "rank1" or eigen_average <= stop_below:
-        found = base, eigen_average, 0, True, "rank1" if path == "rank1" else "stop_below"
-    else:
-        roof = _chord_roof if path == "chord" else _search_roof
-        found = roof(lam, base, eigen_average, scores, config, stop_below)
-    rows, value, starts, converged, taken = found
-    return RoofResult(float(value), _checked_rows(rho, rows), starts, converged, evals, taken)
+    roof = _Roof(objective, stop_below, "rank1" if path == "rank1" else "stop_below")
+    try:
+        roof(base[None])
+        if path != "rank1":
+            (_chord_roof if path == "chord" else _search_roof)(roof, lam, base, config)
+    except _Floor:
+        pass  # no path sets converged before it ends, so a floor stop stays converged
+    return RoofResult(
+        float(roof.value), _checked_rows(rho, roof.rows), roof.starts, roof.converged,
+        roof.evals, roof.exit,
+    )
 
 
 def _squared_roof(

@@ -223,17 +223,15 @@ def _scored_search_inputs():
 
 def test_value_bounds_every_scored_decomposition():
     # a searched roof runs every start, and the value is the least
-    # decomposition average the starts and the polish scored, and no more
-    # than any the probe scored; on the rank-3 states Powell's end point
-    # scores up to 7.6e-12 above that least average
+    # decomposition average the roof scored; on the rank-3 states Powell's
+    # end point scores up to 7.6e-12 above that least average
     for rho, objective in _scored_search_inputs():
         recorded, averages = _recorded(objective, len(rho.support[0]))
         res = roof_minimize(rho, recorded, FAST)
         assert res.exit == "search"
         assert res.starts == FAST.starts
         assert len(averages) == res.evals
-        assert res.value == min(averages[1 + PROBE_COUNT:])
-        assert res.value <= min(averages)
+        assert res.value == min(averages)
 
 
 def test_search_starts_are_free_of_support_phases():
@@ -361,9 +359,10 @@ def test_scren2_full_output_diagnostics():
 
 
 def test_scren2_separable_mixture_stops_at_floor():
-    # a separable pair ends below the squared-roof floor.  The chord path runs
-    # one start to its step floor whatever the roof floor; the search stops
-    # within its first start, at the first average that reaches the roof floor
+    # a separable pair ends below the squared-roof floor, and every path ends
+    # at its first objective call that holds an average at or below the roof
+    # floor: the chord search of the 2 x 2 and 3 x 2 pairs within its one
+    # start, the 3 x 3 search within its first start
     rng = np.random.default_rng(24)
     for dims, path in [((2, 2), "chord"), ((3, 2), "chord"), ((3, 3), "search")]:
         mat = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
@@ -376,15 +375,19 @@ def test_scren2_separable_mixture_stops_at_floor():
         assert result.starts < RoofConfig().starts
         assert result.exit == path
         assert result.starts == 1
-    # the 3 x 3 search, the last state, ends at its first average at or below
-    # the floor
-    recorded, averages = _recorded(negativity_rows(dims, PART2), 2)
-    again = roof_minimize(rho, recorded, stop_below=SQRT_ROOF_FLOOR)
-    first = next(k for k, average in enumerate(averages) if average <= SQRT_ROOF_FLOOR)
-    assert first > PROBE_COUNT
-    assert result.evals == again.evals == first + 1
-    assert result.value == again.value == averages[first]
-    assert result.converged
+        assert result.converged
+        recorded, averages = _recorded(negativity_rows(dims, PART2), 2)
+        counted, calls = _recording(recorded)
+        again = roof_minimize(rho, counted, stop_below=SQRT_ROOF_FLOOR)
+        # the last call holds the first average at or below the floor, and
+        # the value is that call's least average
+        last = len(averages) - calls[-1] // 2
+        first = next(k for k, average in enumerate(averages) if average <= SQRT_ROOF_FLOOR)
+        assert last <= first
+        assert result.evals == again.evals == len(averages)
+        assert result.value == again.value == min(averages[last:])
+    # the 3 x 3 search, the last state, stops inside its first Powell start
+    assert first == last > PROBE_COUNT
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +444,48 @@ def test_exit_is_the_route_or_a_value_exit_before_it(taken):
     result = roof(rho)
     assert result.exit == taken
     assert result.exit in _EXITS[_route(rho.dims, len(rho.support[0]))]
+
+
+# the exit inputs whose value is the least average scored, and seeded chord pairs
+_LEAST_AVERAGE_INPUTS = {
+    **{taken: _EXIT_INPUTS[taken] for taken in ("rank1", "stop_below", "chord", "search")},
+    **{
+        f"chord-{dims[0]}x{dims[1]}": (
+            lambda dims=dims, seed=seed: random_mixed_state(np.random.default_rng(seed), dims, 2),
+            _negativity_roof,
+        )
+        for seed, dims in enumerate([(2, 2), (3, 2), (2, 3), (2, 4), (5, 2)], start=50)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LEAST_AVERAGE_INPUTS))
+def test_value_and_rows_are_the_least_average_scored(name, monkeypatch):
+    # every decomposition a roof scores passes through _stack_scores
+    build, roof = _LEAST_AVERAGE_INPUTS[name]
+    rho = build()
+    scored = []
+
+    def recorded(objective, stack):
+        averages = _stack_scores(objective, stack)
+        scored.extend(zip(stack, averages.tolist()))
+        return averages
+
+    monkeypatch.setattr("scren.roof._stack_scores", recorded)
+    result = roof(rho)
+    decompositions, averages = zip(*scored)
+    k = averages.index(min(averages))
+    assert result.value == averages[k]
+    assert np.array_equal(result.rows, decompositions[k])
+    assert result.evals == len(averages)
+
+
+def test_probe_exit_returns_the_eigendecomposition():
+    build, roof = _EXIT_INPUTS["probe"]
+    rho = build()
+    result = roof(rho)
+    assert result.exit == "probe"
+    assert np.array_equal(result.rows, rho.support[1])
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +593,7 @@ def test_chord_scan_tie_keeps_the_eigendecomposition():
     result = roof_minimize(rho, lambda rows: np.ones(len(rows)))
     assert result.value == 2.0
     assert np.array_equal(result.rows, rho.support[1])
-    assert result.evals == 1 + CHORD_COUNT + 12 * 8 + 1
+    assert result.evals == 1 + CHORD_COUNT + 12 * 8
 
 
 def test_chord_along_z_is_the_eigendecomposition():
@@ -711,10 +756,10 @@ def test_stacked_scores_equal_one_at_a_time_scores(name, rank):
 
 
 def test_chord_path_evaluation_count():
-    # eigendecomposition, chord scan and final call, plus the search over the
-    # two chord parameters; the chord path runs no probe.  189 evaluations
-    # with the stencil search, against 194 for Powell over the same chart
-    # and 434 for a search over all four parameters of U(2)
+    # eigendecomposition and chord scan, plus the search over the two chord
+    # parameters; the chord path runs no probe and scores nothing twice.  188
+    # evaluations with the stencil search, against 194 for Powell over the
+    # same chart and 434 for a search over all four parameters of U(2)
     rho = random_rank2_two_qubit(np.random.default_rng(31))
     _, result = scren2(rho, PART2, full_output=True)
     assert result.starts == 1
