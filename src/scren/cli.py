@@ -22,7 +22,7 @@ import json
 import sys
 
 from .guards import CostGuardError, check_cost
-from .monogamy import _check_measure, n_tangle_pure, sm_report
+from .monogamy import MEASURES, _check_measure, n_tangle_pure, sm_report
 from .negativity import negativity_mixed, negativity_pure
 from .roof import ConjectureViolation, RoofConfig, cren, scren2
 from .states import (
@@ -46,16 +46,13 @@ EXIT_CONJECTURE = 4
 COMPUTE_MEASURES = ("negativity", "cren", "scren", "tangle", "ntangle", "nscren")
 
 
-class InputError(Exception):
-    pass
-
-
 def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--starts", type=int, default=16,
+    parser.add_argument("--starts", type=int, default=RoofConfig.starts,
                         help="optimizer multi-starts (a rank-2 qubit-qudit pair runs "
                              "one start from a chord scan instead)")
-    parser.add_argument("--iters", type=int, default=2000, help="evaluation budget per start")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--iters", type=int, default=RoofConfig.iters,
+                        help="evaluation budget per start")
+    parser.add_argument("--seed", type=int, default=RoofConfig.seed,
                         help="non-negative master random seed (a rank-2 qubit-qudit "
                              "pair roof does not use it)")
 
@@ -69,11 +66,11 @@ def _parse_indices(text: str | None, what: str) -> list[int] | None:
         return None
     fields = text.split(",")
     if any(tok.strip() == "" for tok in fields):
-        raise InputError(f"{what} has an empty field in {text!r}")
+        raise ValueError(f"{what} has an empty field in {text!r}")
     try:
         return [int(tok) for tok in fields]
     except ValueError as exc:
-        raise InputError(f"{what} must be a comma-separated list of integers") from exc
+        raise ValueError(f"{what} must be a comma-separated list of integers") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hunt = sub.add_parser("hunt", help="scan random states for SM-inequality violations")
     p_hunt.add_argument("--dims", required=True, help="local dimensions, e.g. 3,2,2")
     p_hunt.add_argument("--samples", type=int, default=100)
-    p_hunt.add_argument("--measure", choices=("scren", "tangle"), default="scren")
+    p_hunt.add_argument("--measure", choices=MEASURES, default="scren")
     p_hunt.add_argument("--csv", action="store_true", help="tabular output instead of JSON")
     p_hunt.add_argument("--out", default=None, help="write the report here")
     p_hunt.add_argument("--workers", type=int, default=1, help="worker pool size")
@@ -131,10 +128,10 @@ def _apply_trace_out(state, trace_out: list[int] | None):
         return state, original
     traced = set(trace_out)
     if not traced.issubset(set(original)):
-        raise InputError(f"--trace-out indices {sorted(traced)} out of range for {n} parties")
+        raise ValueError(f"--trace-out indices {sorted(traced)} out of range for {n} parties")
     kept = [i for i in original if i not in traced]
     if not kept:
-        raise InputError("--trace-out would remove every subsystem")
+        raise ValueError("--trace-out would remove every subsystem")
     if isinstance(state, PureState):
         return reduced_density(state, kept), kept
     return partial_trace(state, kept), kept
@@ -142,27 +139,23 @@ def _apply_trace_out(state, trace_out: list[int] | None):
 
 def _map_index(original_index: int, kept: list[int], what: str) -> int:
     if original_index not in kept:
-        raise InputError(f"{what} index {original_index} was traced out or is out of range")
+        raise ValueError(f"{what} index {original_index} was traced out or is out of range")
     return kept.index(original_index)
 
 
 def _cut_from(args, kept: list[int], n_parties: int) -> Bipartition:
     cut = _parse_indices(args.cut, "--cut")
     if not cut:
-        raise InputError(f"'{args.measure}' needs --cut")
-    mapped = [_map_index(i, kept, "--cut") for i in cut]
-    try:
-        return Bipartition(tuple(mapped), n_parties)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError(f"'{args.measure}' needs --cut")
+    return Bipartition(tuple(_map_index(i, kept, "--cut") for i in cut), n_parties)
 
 
 def _run_compute(args) -> dict:
     config = _config_from(args)
     try:
         state = load_state(args.state)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load state file: {exc}") from exc
+    except (OSError, ValueError, KeyError) as exc:
+        raise ValueError(f"cannot load state file: {exc}") from exc
 
     trace_out = _parse_indices(args.trace_out, "--trace-out")
     state, kept = _apply_trace_out(state, trace_out)
@@ -175,9 +168,9 @@ def _run_compute(args) -> dict:
     )
     if args.cut is not None and not reads_cut:
         kind = "mixed-state " if measure == "tangle" else ""
-        raise InputError(f"{kind}'{measure}' does not read --cut")
+        raise ValueError(f"{kind}'{measure}' does not read --cut")
     if args.focus is not None and measure not in ("ntangle", "nscren"):
-        raise InputError(f"'{measure}' does not read --focus")
+        raise ValueError(f"'{measure}' does not read --focus")
     if measure == "negativity":
         part = _cut_from(args, kept, n)
         if isinstance(state, PureState):
@@ -196,13 +189,13 @@ def _run_compute(args) -> dict:
             value = one_tangle(state, part)
         else:
             if n != 2:
-                raise InputError("mixed-state tangle needs a bipartite state "
+                raise ValueError("mixed-state tangle needs a bipartite state "
                                  "(use --trace-out to reduce first)")
             value, result = two_tangle(state, config, full_output=True)
             diagnostics = {"converged": result.converged, "starts": result.starts}
     else:  # ntangle or nscren
         if not isinstance(state, PureState):
-            raise InputError(f"'{measure}' is defined for pure states")
+            raise ValueError(f"'{measure}' is defined for pure states")
         focus = args.focus if args.focus is not None else kept[0]
         focus = _map_index(focus, kept, "--focus")
         if measure == "ntangle":
@@ -234,15 +227,15 @@ def _run_compute(args) -> dict:
 # verify
 # ---------------------------------------------------------------------------
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise InputError(f"--workers must be at least 1, got {workers}")
+def _check_at_least_one(flag: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
 
 
 def _run_verify(args) -> tuple[dict, bool]:
-    if args.trials is not None and args.trials < 1:
-        raise InputError(f"--trials must be at least 1, got {args.trials}")
-    _check_workers(args.workers)
+    if args.trials is not None:
+        _check_at_least_one("--trials", args.trials)
+    _check_at_least_one("--workers", args.workers)
     config = _config_from(args)
     if args.suite == "paper":
         trials = args.trials if args.trials is not None else 50
@@ -251,7 +244,7 @@ def _run_verify(args) -> tuple[dict, bool]:
         trials = args.trials if args.trials is not None else 20
         if args.n < 3:
             # a two-party SM report has no terms, so Theorem 2 cannot saturate
-            raise InputError(f"verify wclass needs --n >= 3, got {args.n}")
+            raise ValueError(f"verify wclass needs --n >= 3, got {args.n}")
         check_cost((args.d,) * args.n)
         report = wclass_suite(
             trials=trials,
@@ -270,15 +263,14 @@ def _run_verify(args) -> tuple[dict, bool]:
 def _run_hunt(args) -> dict:
     dims = _parse_indices(args.dims, "--dims")
     if not dims or any(d < 2 for d in dims):
-        raise InputError("--dims needs local dimensions >= 2, e.g. 3,2,2")
+        raise ValueError("--dims needs local dimensions >= 2, e.g. 3,2,2")
     if len(dims) < 2:
-        raise InputError(f"--dims needs at least two parties, e.g. 3,2,2, got {len(dims)}")
+        raise ValueError(f"--dims needs at least two parties, e.g. 3,2,2, got {len(dims)}")
     dims = tuple(dims)
     check_cost(dims)
     _check_measure(dims, args.measure)
-    if args.samples < 1:
-        raise InputError(f"--samples must be at least 1, got {args.samples}")
-    _check_workers(args.workers)
+    _check_at_least_one("--samples", args.samples)
+    _check_at_least_one("--workers", args.workers)
     config = _config_from(args)
     report = hunt_suite(dims, args.samples, args.measure, config, args.workers)
     return {"command": "hunt", **report, "config": dataclasses.asdict(config)}
@@ -303,7 +295,7 @@ def _emit(text: str, out_path: str | None) -> None:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise InputError(f"cannot write output file: {exc}") from exc
+            raise ValueError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -326,7 +318,7 @@ def main(argv=None) -> int:
         text = _hunt_csv(report) if args.csv else json.dumps(report, indent=2)
         _emit(text, args.out)
         return EXIT_OK
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CostGuardError as exc:
@@ -340,10 +332,6 @@ def main(argv=None) -> int:
         }
         print(json.dumps(dump), file=sys.stderr)
         return EXIT_CONJECTURE
-
-
-def entrypoint() -> None:  # console script wrapper
-    sys.exit(main())
 
 
 if __name__ == "__main__":

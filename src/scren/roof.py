@@ -401,8 +401,9 @@ class _Roof:
     call (:func:`_stack_scores`), adds K to ``evals`` and returns the K
     averages.  ``value`` and ``rows`` are the least average scored so far and
     its decomposition (the first of equal values); the first average at or
-    below ``floor`` raises :class:`_Floor`.  The paths set ``starts``,
-    ``converged`` and ``exit``.
+    below ``floor`` raises :class:`_Floor`, and a NaN or infinite average
+    raises ``ValueError``.  The paths set ``starts``, ``converged`` and
+    ``exit``.
     """
 
     def __init__(self, objective: Callable[[np.ndarray], np.ndarray], floor: float, exit: str):
@@ -412,6 +413,8 @@ class _Roof:
 
     def __call__(self, stack: np.ndarray) -> list[float]:
         values = _stack_scores(self.objective, stack).tolist()
+        if not math.isfinite(sum(values)):
+            raise ValueError("the roof objective returned a non-finite average")
         self.evals += len(values)
         low = min(values)
         if low < self.value:
@@ -564,8 +567,8 @@ def roof_minimize(
     sqrt(p_h)|psi_h> to the (N,) array of weighted member values
     p_h f(psi_h); the roof sums each decomposition's values into its average.
     The rows of several decompositions may arrive in one call, so a value
-    must depend on its own row only.  Wrap a pure-state functional with
-    :func:`member_average`.
+    must depend on its own row only, and a NaN or infinite value raises
+    ``ValueError``.  Wrap a pure-state functional with :func:`member_average`.
 
     A rank-one ``rho`` has a single decomposition, returned with
     ``starts=0``.  Every other input takes the path :func:`_route` names,

@@ -182,12 +182,13 @@ def _factored(dims: tuple[int, ...], factor: np.ndarray) -> DensityMatrix:
 
 
 def to_density(psi: PureState) -> DensityMatrix:
-    """Rank-one projector |psi><psi|.
+    """Rank-one projector |psi><psi|: the reduction of ``psi`` that keeps
+    every subsystem.
 
     Its square-root factor is the amplitude column, so its support is that
     column's thin SVD: one row, the state itself up to a phase.
     """
-    return _factored(psi.dims, psi.amplitudes[:, None])
+    return reduced_density(psi, range(psi.n_parties))
 
 
 def _check_keep(keep: Iterable[int], n: int) -> list[int]:
@@ -203,8 +204,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out every subsystem not in ``keep`` (original order preserved)."""
     n = rho.n_parties
     kept = _check_keep(keep, n)
-    if len(kept) == n:
-        return DensityMatrix(rho.dims, rho.matrix, validate=False)
     tensor_form = rho.matrix.reshape(rho.dims + rho.dims)
     row_subs = list(range(n))
     col_subs = [n + i if i in kept else i for i in range(n)]

@@ -23,8 +23,7 @@ form and all higher-order terms vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -84,13 +83,10 @@ def random_spec(rng: np.random.Generator, n: int, d: int) -> WClassSpec:
     return WClassSpec(n=n, d=d, a=a, p=float(rng.uniform(0.0, 1.0)))
 
 
-def _excitation_index(dims: Sequence[int], slot: int, level: int) -> int:
-    digits = [0] * len(dims)
-    digits[slot] = level
-    idx = 0
-    for dim, k in zip(dims, digits):
-        idx = idx * dim + k
-    return idx
+def _excitations(m: int, d: int) -> np.ndarray:
+    """(m, d - 1) flat indices of the Hamming-weight-one kets of m qudits of
+    dimension d: entry (k, i - 1) is i d^(m-1-k), level i at kept party k."""
+    return np.arange(1, d) * d ** np.arange(m - 1, -1, -1)[:, None]
 
 
 def build_state(spec: WClassSpec) -> PureState:
@@ -120,15 +116,11 @@ def reduced_xy(spec: WClassSpec, keep: Iterable[int]) -> tuple[np.ndarray, np.nd
     kept = _check_keep(keep, spec.n)
     if 0 not in kept:
         raise ValueError("the kept subset must contain party 0 (the focus)")
-    dims = (spec.d,) * len(kept)
-    x = np.zeros(prod(dims), dtype=np.complex128)
+    x = np.zeros(spec.d ** len(kept), dtype=np.complex128)
     x[0] = np.sqrt(1.0 - spec.p)
-    root_p = np.sqrt(spec.p)
-    for slot, s in enumerate(kept):
-        for i in range(1, spec.d):
-            x[_excitation_index(dims, slot, i)] = root_p * spec.a[s, i - 1]
+    x[_excitations(len(kept), spec.d)] = np.sqrt(spec.p) * spec.a[kept]
     traced_weight = sum(spec.party_weight(s + 1) for s in range(spec.n) if s not in kept)
-    y = np.zeros(prod(dims), dtype=np.complex128)
+    y = np.zeros_like(x)
     y[0] = np.sqrt(spec.p * traced_weight)
     return x, y
 
@@ -151,15 +143,6 @@ class Lemma1Report:
     passed: bool
 
 
-def _weight_le_one_indices(n_kept: int, d: int) -> np.ndarray:
-    dims = (d,) * n_kept
-    idx = [0]
-    for slot in range(n_kept):
-        for i in range(1, d):
-            idx.append(_excitation_index(dims, slot, i))
-    return np.array(sorted(idx))
-
-
 def outside_amplitude(rho: DensityMatrix) -> float:
     """Largest amplitude outside Hamming weight <= 1 of a unit vector in the
     range of ``rho`` (all parties of local dimension ``rho.dims[0]``).
@@ -168,7 +151,8 @@ def outside_amplitude(rho: DensityMatrix) -> float:
     """
     lam, rows = rho.support
     weight = np.sum(np.abs(rows) ** 2 / lam[:, None], axis=0)
-    weight[_weight_le_one_indices(len(rho.dims), rho.dims[0])] = 0.0
+    weight[0] = 0.0
+    weight[_excitations(len(rho.dims), rho.dims[0])] = 0.0
     return float(np.sqrt(weight.max()))
 
 

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import scren
-from scren import DensityMatrix, bell_state, dump_state, ghz_state, haar_random_state
+from scren import (
+    DensityMatrix,
+    bell_state,
+    dump_state,
+    ghz_state,
+    haar_random_state,
+    to_density,
+)
 from scren.cli import (
     EXIT_CONJECTURE,
     EXIT_COST_GUARD,
@@ -23,6 +30,7 @@ from scren.cli import (
 )
 from scren.monogamy import CKW_COUNTEREXAMPLE_322
 from scren.roof import ConjectureViolation
+from scren.states import state_to_dict
 from scren.suites import FIXTURE_CHECKS, random_rank2_two_qubit
 
 
@@ -35,6 +43,7 @@ def state_files(tmp_path):
         "eq24": CKW_COUNTEREXAMPLE_322,
         "big": haar_random_state((2,) * 6, np.random.default_rng(0)),
         "mixed2": DensityMatrix((2, 2), np.eye(4) / 4),
+        "mixed3": to_density(ghz_state(3)),
     }.items():
         paths[name] = str(tmp_path / f"{name}.json")
         dump_state(psi, paths[name])
@@ -126,6 +135,22 @@ def test_compute_on_density_matrix_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "compute", "cren", "--state", path, "--cut", "0", "--seed", "7")
     assert code == EXIT_OK
     assert abs(json.loads(out)["value"] - 0.85) <= 1e-3
+
+
+@pytest.mark.parametrize("measure", ["negativity", "cren", "scren"])
+def test_compute_trace_out_of_a_density_file_matches_the_pure_file(capsys, tmp_path, measure):
+    # the density file is reduced by partial_trace, the pure file by reduced_density
+    psi = haar_random_state((2, 2, 3), np.random.default_rng(4))
+    values = []
+    for name, state in (("pure", psi), ("density", to_density(psi))):
+        path = str(tmp_path / f"{name}.json")
+        dump_state(state, path)
+        code, out, _ = run_cli(
+            capsys, "compute", measure, "--state", path, "--trace-out", "2", "--cut", "0",
+        )
+        assert code == EXIT_OK
+        values.append(json.loads(out)["value"])
+    assert abs(values[0] - values[1]) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -282,6 +307,24 @@ def test_traced_out_cut_exits_2(capsys, state_files):
     )
     assert code == EXIT_INPUT
     assert "traced out" in err
+
+
+@pytest.mark.parametrize("measure, state, flags, line", [
+    ("negativity", "ghz3", ["--cut", "0", "--trace-out", "7"],
+     "--trace-out indices [7] out of range for 3 parties"),
+    ("negativity", "ghz3", ["--cut", "0", "--trace-out", "0,1,2"],
+     "--trace-out would remove every subsystem"),
+    ("tangle", "mixed3", [],
+     "mixed-state tangle needs a bipartite state (use --trace-out to reduce first)"),
+    ("ntangle", "mixed2", [], "'ntangle' is defined for pure states"),
+    ("nscren", "mixed2", [], "'nscren' is defined for pure states"),
+    ("negativity", "bell", ["--cut", "a"], "--cut must be a comma-separated list of integers"),
+    ("negativity", "bell", ["--cut", "0,1"], "side A must be a proper subset of the parties"),
+], ids=["trace-out-range", "trace-out-all", "tangle-mixed3", "ntangle-mixed", "nscren-mixed",
+        "cut-not-integer", "cut-every-party"])
+def test_compute_input_error_line(capsys, state_files, measure, state, flags, line):
+    code, out, err = run_cli(capsys, "compute", measure, "--state", state_files[state], *flags)
+    assert (code, out, err) == (EXIT_INPUT, "", f"error: {line}\n")
 
 
 @pytest.mark.parametrize("measure", ["nscren", "ntangle"])
@@ -505,6 +548,32 @@ def test_hunt_includes_tangle_fixture_violation(capsys):
     assert "state" in fixture  # flagged candidates carry the state dump
     assert any(c["label"] == "fixture_322" for c in report["candidates"])
     assert report["min_residual"] <= fixture["residual"] + 1e-12
+
+
+def test_hunt_records_a_conjecture_violation_and_goes_on(capsys, monkeypatch):
+    # the plumbing by injection: the second state's report raises
+    real_report, seen = scren.suites.sm_report, []
+
+    def second_raises(psi, **kwargs):
+        seen.append(psi)
+        if len(seen) == 2:
+            raise ConjectureViolation(bell_state(), -0.25)
+        return real_report(psi, **kwargs)
+
+    monkeypatch.setattr("scren.suites.sm_report", second_raises)
+    code, out, _ = run_cli(capsys, "hunt", "--dims", "3,2,2", "--samples", "2", "--workers", "1")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    hit = report["results"][1]
+    assert hit["label"] == "sample_0000"
+    assert hit["residual"] is None and hit["satisfied"] is False
+    assert hit["conjecture_violation"] == {
+        "value": -0.25, "state": json.loads(json.dumps(state_to_dict(bell_state()))),
+    }
+    assert hit in report["candidates"]
+    others = [r["residual"] for r in report["results"] if r is not hit]
+    assert len(others) == 2 and None not in others
+    assert report["min_residual"] == min(others)
 
 
 def test_hunt_scren_three_qubits_no_violation(capsys):

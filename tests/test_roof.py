@@ -682,6 +682,37 @@ def test_rank_one_exit_makes_one_evaluation():
     assert res.evals == 1
 
 
+# an input of each route, for the objectives that return NaN or an infinity
+_NON_FINITE_INPUTS = {
+    "rank1": lambda: to_density(bell_state()),
+    "chord": lambda: random_rank2_two_qubit(np.random.default_rng(1)),
+    "search": lambda: random_mixed_state(np.random.default_rng(2), (2, 2), rank=3),
+}
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("route", sorted(_NON_FINITE_INPUTS))
+def test_non_finite_objective_values_are_rejected(route, fill):
+    rho = _NON_FINITE_INPUTS[route]()
+    assert _route(rho.dims, len(rho.support[0])) == route
+    with pytest.raises(ValueError, match="non-finite"):
+        roof_minimize(rho, lambda rows: np.full(len(rows), fill), RoofConfig(2, 50, 0))
+
+
+def test_a_nan_after_finite_values_is_rejected():
+    # the eigendecomposition scores finite; the chord scan's NaNs must not be skipped
+    rho = random_rank2_two_qubit(np.random.default_rng(1))
+    negativity, calls = negativity_rows(rho.dims, PART2), []
+
+    def nan_on_second_call(rows):
+        calls.append(len(rows))
+        return np.full(len(rows), np.nan) if len(calls) == 2 else negativity(rows)
+
+    with pytest.raises(ValueError, match="non-finite"):
+        roof_minimize(rho, nan_on_second_call, RoofConfig(2, 50, 0))
+    assert len(calls) == 2
+
+
 def test_probe_exit_makes_one_evaluation_per_probe_plus_the_eigendecomposition():
     rng = np.random.default_rng(6)
     rho = random_mixed_state(rng, (2, 2), rank=3)

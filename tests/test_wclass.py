@@ -9,10 +9,12 @@ import pytest
 from scren import (
     Bipartition,
     DensityMatrix,
+    PureState,
     RoofConfig,
     WClassSpec,
     build_state,
     ckw_report,
+    haar_random_state,
     haar_unitary,
     negativity_pure,
     one_scren_closed,
@@ -30,7 +32,13 @@ from scren import (
 from scren.suites import _wclass_trial
 from scren.wclass import HAMMING_SUPPORT_ATOL, outside_amplitude
 
-from util import basis_state, hjw_rows, marginal_focus_matrix
+from util import (
+    basis_state,
+    hjw_rows,
+    marginal_focus_matrix,
+    reference_outside_amplitude,
+    reference_reduced_xy,
+)
 
 FAST = RoofConfig(starts=8, iters=600, seed=7)
 
@@ -100,6 +108,27 @@ def test_build_state_support_is_hamming_weight_le_one():
     tens = np.abs(psi.as_tensor())
     for idx in np.argwhere(tens > 1e-14):
         assert np.count_nonzero(idx) <= 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_index_map_matches_the_digit_loop_bit_for_bit(n, d):
+    # every keep that holds party 0; the Haar reductions put weight on the
+    # kets outside_amplitude must skip, where a W-class state has none
+    rng = np.random.default_rng(10 * n + d)
+    spec = random_spec(rng, n, d)
+    psi = build_state(spec)
+    haar = haar_random_state((d,) * n, rng)
+    loop = PureState(psi.dims, reference_reduced_xy(spec, range(n))[0])
+    assert psi.amplitudes.tobytes() == loop.amplitudes.tobytes()
+    for size in range(n):
+        for rest in combinations(range(1, n), size):
+            keep = (0,) + rest
+            got, want = reduced_xy(spec, keep), reference_reduced_xy(spec, keep)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+            for state in (psi, haar):
+                rho = reduced_density(state, keep)
+                assert outside_amplitude(rho) == reference_outside_amplitude(rho)
 
 
 # ---------------------------------------------------------------------------

@@ -121,3 +121,45 @@ def reference_mixed_rows(theta: np.ndarray, u0: np.ndarray, base: np.ndarray) ->
     o[_triu(r)] = theta[0::2] + 1j * theta[1::2]
     w, v = np.linalg.eigh(o + o.conj().T)
     return ((v * np.exp(1j * w)) @ v.conj().T @ u0) @ base
+
+
+def reference_excitation_index(dims: Sequence[int], slot: int, level: int) -> int:
+    """Flat index of the ket with ``level`` at kept party ``slot`` and 0
+    elsewhere, by the digit loop; ``wclass._excitations`` must give exactly
+    these indices."""
+    digits = [0] * len(dims)
+    digits[slot] = level
+    idx = 0
+    for dim, k in zip(dims, digits):
+        idx = idx * dim + k
+    return idx
+
+
+def reference_reduced_xy(spec: WClassSpec, keep: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``wclass.reduced_xy`` filled one excitation at a time by the digit loop."""
+    kept = sorted(set(keep))
+    dims = (spec.d,) * len(kept)
+    x = np.zeros(prod(dims), dtype=np.complex128)
+    x[0] = np.sqrt(1.0 - spec.p)
+    root_p = np.sqrt(spec.p)
+    for slot, s in enumerate(kept):
+        for i in range(1, spec.d):
+            x[reference_excitation_index(dims, slot, i)] = root_p * spec.a[s, i - 1]
+    traced_weight = sum(spec.party_weight(s + 1) for s in range(spec.n) if s not in kept)
+    y = np.zeros(prod(dims), dtype=np.complex128)
+    y[0] = np.sqrt(spec.p * traced_weight)
+    return x, y
+
+
+def reference_outside_amplitude(rho: DensityMatrix) -> float:
+    """``wclass.outside_amplitude`` with the weight-<=1 indices from the digit loop."""
+    n_kept, d = len(rho.dims), rho.dims[0]
+    dims = (d,) * n_kept
+    idx = [0]
+    for slot in range(n_kept):
+        for i in range(1, d):
+            idx.append(reference_excitation_index(dims, slot, i))
+    lam, rows = rho.support
+    weight = np.sum(np.abs(rows) ** 2 / lam[:, None], axis=0)
+    weight[np.array(sorted(idx))] = 0.0
+    return float(np.sqrt(weight.max()))
