@@ -500,19 +500,21 @@ def _mixed_rows(theta: np.ndarray, u0: np.ndarray, base: np.ndarray) -> np.ndarr
     return ((v * np.exp(1j * w)) @ v.conj().T @ u0) @ base
 
 
-def _powell(roof, u0, base, theta0, maxfev, xtol, ftol):
-    """Powell over exp(iO) ``u0`` from ``theta0``: its end point, and whether it
-    stopped on its own tolerances."""
+def _powell(roof, u0, base, maxfev, xtol, ftol):
+    """Powell over exp(iO) ``u0`` from O = 0, and whether it stopped on its own
+    tolerances.  What it found is in the record, so the point it returns is not
+    read: when ``maxfev`` ends a line search, that point can lie well above the
+    least average it scored."""
     options = {"maxfev": maxfev, "xtol": xtol, "ftol": ftol, "maxiter": 10**6}
     res = minimize(
-        lambda theta: roof(_mixed_rows(theta, u0, base)[None])[0], theta0, method="Powell",
-        options=options,
+        lambda theta: roof(_mixed_rows(theta, u0, base)[None])[0],
+        np.zeros(len(u0) * (len(u0) - 1)), method="Powell", options=options,
     )
-    return np.array(res.x, dtype=float), res.status == 0
+    return res.status == 0
 
 
 def _search_roof(roof: _Roof, lam: np.ndarray, base: np.ndarray, config: RoofConfig) -> None:
-    """The probe, then multi-start Powell search and a polish of the winner.
+    """The probe, then multi-start Powell search and a polish of the record.
 
     If the eigendecomposition average and the values at a seeded stack of
     random mixing unitaries, scored in one objective call, spread by at most
@@ -524,9 +526,9 @@ def _search_roof(roof: _Roof, lam: np.ndarray, base: np.ndarray, config: RoofCon
     its largest-modulus entry is real and positive, and ``config.starts``
     Powell starts search the r(r - 1) parameters of U = exp(iO) U0 acting on
     those rows (O off-diagonal Hermitian; U0 the identity, then Haar-random
-    unitaries).  The winner is the last start that lowered the least average
-    scored, else start 0, and the polish runs from the point Powell returned
-    for it.  ``converged`` says that the polish stopped on its own
+    unitaries).  The record is the search's only memory: the polish runs
+    Powell from O = 0 on the least-average decomposition scored so far, with
+    U0 the identity.  ``converged`` says that the polish stopped on its own
     tolerances, and not on its evaluation budget.
     """
     r = len(lam)
@@ -544,15 +546,13 @@ def _search_roof(roof: _Roof, lam: np.ndarray, base: np.ndarray, config: RoofCon
     pivots = base[np.arange(r), np.abs(base).argmax(axis=1)]
     base = base * (pivots.conj() / np.abs(pivots))[:, None]
     seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
+    eye = np.eye(r, dtype=complex)
     for k in range(config.starts):
-        u0 = haar_unitary(r, np.random.default_rng(seeds[k])) if k else np.eye(r, dtype=complex)
-        low, roof.starts = roof.value, k + 1
-        end, _ = _powell(roof, u0, base, np.zeros(r * (r - 1)), config.iters, 1e-7, 1e-11)
-        if not k or roof.value < low:
-            winner = u0, end
-    # polish the winning start with tight line-search tolerances
-    u0, end = winner
-    _, roof.converged = _powell(roof, u0, base, end, max(100, config.iters // 2), 1e-10, 1e-14)
+        u0 = haar_unitary(r, np.random.default_rng(seeds[k])) if k else eye
+        roof.starts = k + 1
+        _powell(roof, u0, base, config.iters, 1e-7, 1e-11)
+    # polish the least-average decomposition with tight line-search tolerances
+    roof.converged = _powell(roof, eye, roof.rows, max(100, config.iters // 2), 1e-10, 1e-14)
 
 
 def roof_minimize(

@@ -29,6 +29,7 @@ from scren import (
     to_density,
     wootters_tangle,
 )
+from scren import roof as roof_module
 from scren.monogamy import NESTED_CONFIG
 from scren.negativity import negativity_rows
 from scren.roof import (
@@ -271,6 +272,71 @@ def test_converged_means_the_run_behind_the_value_stopped_on_its_tolerances():
     assert result.exit == "search"
     assert result.evals < 1 + PROBE_COUNT + config.starts * config.iters + config.iters // 2
     assert result.converged is True
+
+
+def _sm_nested_first_input():
+    """The (0, 1, 2) reduction of the first 4-qubit state that the
+    ``sm_nested`` benchmark workload draws for seed 5."""
+    rng = np.random.default_rng(np.random.SeedSequence((5, 2)))
+    z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    return reduced_density(PureState((2,) * 4, z / np.linalg.norm(z)), (0, 1, 2))
+
+
+def test_polish_starts_from_the_least_average_decomposition(monkeypatch):
+    # the outer roof's one start ends on its 20-evaluation budget in the
+    # middle of a line search, at a point that averages 0.389 where the
+    # record holds 0.241; the polish runs from the record
+    powell, score = roof_module._powell, roof_module._Roof.__call__
+    finished, stacks = [], []
+
+    def spied_powell(roof, *args):
+        entry = (roof, roof.value, roof.rows.copy(), len(stacks))
+        converged = powell(roof, *args)
+        finished.append(entry)
+        return converged
+
+    def spied_score(roof, stack):
+        stacks.append((roof, stack.copy()))
+        return score(roof, stack)
+
+    monkeypatch.setattr(roof_module, "_powell", spied_powell)
+    monkeypatch.setattr(roof_module._Roof, "__call__", spied_score)
+    value = roof_sqrt_functional(
+        _sm_nested_first_input(),
+        lambda member: n_scren_pure(member, 0, RoofConfig(3, 200, 5)),
+        RoofConfig(1, 20, 5),
+    )
+    # the outer roof's polish is the last Powell run to finish
+    roof, start_value, start_rows, mark = finished[-1]
+    first = next(stack for owner, stack in stacks[mark:] if owner is roof)
+    assert first.shape == (1, *start_rows.shape)
+    assert first[0].tobytes() == start_rows.tobytes()
+    assert value < start_value**2
+
+
+def test_no_answer_depends_on_the_point_powell_returns(monkeypatch):
+    def results():
+        psi = haar_random_state((2,) * 4, np.random.default_rng(3))
+        yield roof_minimize(
+            reduced_density(psi, (0, 1, 2)),
+            lambda rows: np.sqrt(three_tangle_rows(rows)),
+            RoofConfig(3, 200, 0),
+        )
+        psi = haar_random_state((3, 3, 3), np.random.default_rng(200))
+        yield scren2(reduced_density(psi, (0, 1)), PART2, RoofConfig(2, 100, 0), full_output=True)[1]
+
+    def blinded(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        res.x = np.full_like(res.x, np.nan)
+        return res
+
+    expected = list(results())
+    monkeypatch.setattr(roof_module, "minimize", blinded)
+    for want, got in zip(expected, results(), strict=True):
+        assert got.exit == want.exit == "search"
+        assert got.value == want.value
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert (got.evals, got.converged) == (want.evals, want.converged)
 
 
 def test_seed_determinism():
