@@ -32,10 +32,15 @@ stencil search (:func:`_stencil_search`) minimizes over a two-parameter chart
 of chord directions around the best of them (:func:`_chord_unitaries`,
 :func:`_chord_chart`).  Each of its steps scores a 3 x 3 stencil of chart
 points in one objective call, and a quadratic model of the stencil takes it
-to the Newton point when that point is near.  That search is deterministic,
-so ``starts`` and ``seed`` do not change its value.  On 3 x 3 pairs the same
-single start missed the multi-start value on some states, so every other
-input keeps multi-start search.  :func:`_chord_roof` runs this path.
+to the Newton point when that point is near.  A rank-2 two-qubit state has a
+whole curve of optimal chords, along which the model's Hessian is near
+singular and its Newton point is rejected; when the stencil also stalled (no
+point improved on its centre), the search takes the valley step instead, the
+Newton step along the model's direction of greatest curvature, straight
+across the valley.  That search is deterministic, so ``starts`` and ``seed``
+do not change its value.  On 3 x 3 pairs the same single start missed the
+multi-start value on some states, so every other input keeps multi-start
+search.  :func:`_chord_roof` runs this path.
 
 The multi-start search (:func:`_search_roof`) first probes ``PROBE_COUNT``
 Haar-random mixing unitaries to detect decomposition-independent objectives,
@@ -301,12 +306,19 @@ def _chord_chart(u0: Sequence[float]) -> np.ndarray:
     return np.array([u0, e1, e2])
 
 
-def _newton_step(centre: float, values: Sequence[float]) -> tuple[float, float] | None:
-    """Newton step, in units of the stencil step, of the stencil's quadratic model.
+def _newton_step(
+    centre: float, values: Sequence[float]
+) -> tuple[tuple[float, float] | None, tuple[float, float] | None]:
+    """Newton and valley steps of the stencil's quadratic model, in stencil steps.
 
     ``values`` are the objective at the 8 neighbours of ``_STENCIL`` around a
     centre of value ``centre``.  The model takes central differences for the
-    gradient and the Hessian; None when that Hessian is not positive definite.
+    gradient g and the Hessian H.  The Newton step solves H s = -g, and is None
+    when H is not positive definite.  The valley step is the Newton step
+    restricted to v, the eigenvector of H's larger eigenvalue lam > 0:
+    s = -(g . v / lam) v = -P g / lam, with P = (H - lam' I) / (lam - lam')
+    the projector onto v and lam' the other eigenvalue.  It is None when lam
+    is not positive or H is a multiple of the identity.
     """
     gx = (values[6] - values[1]) / 2.0
     gy = (values[4] - values[3]) / 2.0
@@ -314,9 +326,17 @@ def _newton_step(centre: float, values: Sequence[float]) -> tuple[float, float] 
     hyy = values[4] - 2.0 * centre + values[3]
     hxy = (values[7] - values[5] - values[2] + values[0]) / 4.0
     det = hxx * hyy - hxy * hxy
-    if not (hxx > 0.0 and det > 0.0):
-        return None
-    return ((hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det)
+    newton = valley = None
+    if hxx > 0.0 and det > 0.0:
+        newton = ((hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det)
+    # lam - lam' = 2 r, and H - lam' I = [[a + r, hxy], [hxy, r - a]]
+    a = (hxx - hyy) / 2.0
+    r = math.hypot(a, hxy)
+    lam = (hxx + hyy) / 2.0 + r
+    if lam > 0.0 and r > 0.0:
+        k = -1.0 / (2.0 * r * lam)
+        valley = (k * ((a + r) * gx + hxy * gy), k * (hxy * gx + (r - a) * gy))
+    return newton, valley
 
 
 def _stencil_search(
@@ -330,12 +350,18 @@ def _stencil_search(
     not yet scored.  If the stencil's quadratic model (:func:`_newton_step`)
     has a positive definite Hessian and its Newton point lies within
     ``STENCIL_TRUST`` steps of the centre, the next stencil is centred there
-    at h / ``NEWTON_SHRINK``.  Otherwise the next stencil is centred on the
-    best point scored so far, at h * ``STENCIL_GROW`` if a stencil point just
-    became that best, else at h / ``STENCIL_SHRINK``.  A Newton centre that
-    improved on nothing fits no model: the search goes back to the best
-    point.  It stops when h falls below ``STENCIL_FLOOR`` or ``budget``
-    evaluations are spent, and returns whether h reached the floor.
+    at h / ``NEWTON_SHRINK``.  When that step is rejected and the stencil
+    stalled (its model was fit and no stencil point improved on the centre),
+    the model's valley step, the Newton step along the eigenvector of the
+    Hessian's larger eigenvalue, takes its place under the same rule: on a
+    valley whose floor is flat the full Newton point is rejected, and without
+    the valley step h creeps down to ``STENCIL_FLOOR`` by compass moves.
+    Otherwise the next stencil is centred on the best point scored so far, at
+    h * ``STENCIL_GROW`` if a stencil point just became that best, else at
+    h / ``STENCIL_SHRINK``.  A Newton or valley centre that improved on
+    nothing fits no model: the search goes back to the best point.  It stops
+    when h falls below ``STENCIL_FLOOR`` or ``budget`` evaluations are spent,
+    and returns whether h reached the floor.
     """
     best, best_value = np.zeros(2), value0
     centre, centre_value = best, value0
@@ -356,7 +382,12 @@ def _stencil_search(
             best, best_value = points[k - 8], low
         elif improved:
             best, best_value = centre, centre_value
-        newton = _newton_step(centre_value, values) if improved or not jumped else None
+        newton = valley = None
+        if improved or not jumped:
+            newton, valley = _newton_step(centre_value, values)
+        if (newton is None or math.hypot(*newton) > STENCIL_TRUST) and not moved:
+            # the stencil stalled where the Newton point is rejected
+            newton = valley
         if newton is not None and math.hypot(*newton) <= STENCIL_TRUST:
             centre, centre_value = centre + step * np.array(newton), None
             step /= NEWTON_SHRINK

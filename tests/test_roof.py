@@ -1,6 +1,8 @@
 """Convex-roof engine: ensemble mixing, minimization, and its invariants."""
 
+import math
 import pickle
+import statistics
 from dataclasses import replace
 
 import numpy as np
@@ -36,10 +38,13 @@ from scren.roof import (
     CHORD_COUNT,
     PROBE_COUNT,
     SQRT_ROOF_FLOOR,
+    STENCIL_TRUST,
     _CHORD_DIRECTIONS,
+    _STENCIL,
     _chord_chart,
     _chord_unitaries,
     _mixed_rows,
+    _newton_step,
     _probe_unitaries,
     _route,
     _stack_scores,
@@ -52,6 +57,8 @@ from util import (
     random_rank2_two_qubit,
     reference_chord_unitaries,
     reference_mixed_rows,
+    reference_newton_step,
+    reference_stencil_search,
 )
 
 PART2 = Bipartition((0,), 2)
@@ -424,6 +431,19 @@ def test_scren2_full_output_diagnostics():
     assert abs(value - max(0.0, result.value) ** 2) <= 1e-12
 
 
+def _separable_mixture(dims):
+    """Builder of 0.3 and 0.7 mixtures of two Haar product states of ``dims``."""
+
+    def build(rng):
+        mat = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
+        for w in (0.3, 0.7):
+            psi = np.kron(*(haar_random_state((d,), rng).amplitudes for d in dims))
+            mat += w * np.outer(psi, psi.conj())
+        return DensityMatrix(dims, mat)
+
+    return build
+
+
 def test_scren2_separable_mixture_stops_at_floor():
     # a separable pair ends below the squared-roof floor, and every path ends
     # at its first objective call that holds an average at or below the roof
@@ -431,11 +451,7 @@ def test_scren2_separable_mixture_stops_at_floor():
     # start, the 3 x 3 search within its first start
     rng = np.random.default_rng(24)
     for dims, path in [((2, 2), "chord"), ((3, 2), "chord"), ((3, 3), "search")]:
-        mat = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
-        for w in (0.3, 0.7):
-            psi = np.kron(*(haar_random_state((d,), rng).amplitudes for d in dims))
-            mat += w * np.outer(psi, psi.conj())
-        rho = DensityMatrix(dims, mat)
+        rho = _separable_mixture(dims)(rng)
         value, result = scren2(rho, PART2, full_output=True)
         assert value <= 1e-10
         assert result.starts < RoofConfig().starts
@@ -727,6 +743,97 @@ def test_chord_value_is_free_of_support_phases(dims, keep):
         assert abs(scren2(rho, PART2) - scren2(by_value, PART2)) <= 1e-12
 
 
+def _stencil_values(f):
+    """Centre value and the 8 neighbour values of ``f`` on ``_STENCIL`` at unit step."""
+    values = [f(x, y) for x, y in _STENCIL.tolist()]
+    return values[0], values[1:]
+
+
+@pytest.mark.parametrize("d", [-0.9, -0.4, 0.0, 0.3, 0.8])
+@pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 4, 1.2, math.pi / 2, 2.0, 2.8])
+def test_valley_step_lands_on_the_valley_floor(theta, d):
+    # f is least on the whole line x cos(theta) + y sin(theta) = d, so its
+    # Hessian is singular and the full Newton step is not defined
+    c, s = math.cos(theta), math.sin(theta)
+    _, valley = _newton_step(*_stencil_values(lambda x, y: 0.3 + (x * c + y * s - d) ** 2))
+    assert abs(valley[0] * c + valley[1] * s - d) <= 1e-12
+    # and it goes straight across the valley
+    assert abs(valley[1] * c - valley[0] * s) <= 1e-12
+
+
+@pytest.mark.parametrize("f", [
+    lambda x, y: 0.75,
+    lambda x, y: 0.25 + 0.5 * x - 0.75 * y,
+    lambda x, y: 0.5 - (x - 0.25) ** 2 - 0.5 * y * y + 0.25 * x * y,
+    lambda x, y: 0.5 - (x + 0.5 * y) ** 2,
+], ids=["flat", "linear", "concave", "concave_valley"])
+def test_a_stencil_with_no_positive_curvature_gives_no_step(f):
+    # dyadic coefficients, so the model's differences are exact and its
+    # larger eigenvalue is exactly 0 or negative
+    assert _newton_step(*_stencil_values(f)) == (None, None)
+
+
+def test_newton_step_within_trust_is_the_full_newton_step():
+    rng = np.random.default_rng(32)
+    for _ in range(64):
+        a = rng.standard_normal((2, 2))
+        hessian = a @ a.T + 0.1 * np.eye(2)
+        low = rng.uniform(-1.4, 1.4, 2)
+        centre, values = _stencil_values(
+            lambda x, y: 0.4 + 0.5 * (np.array([x, y]) - low) @ hessian @ (np.array([x, y]) - low)
+        )
+        newton, _ = _newton_step(centre, values)
+        assert math.hypot(*newton) <= STENCIL_TRUST
+        assert newton == reference_newton_step(centre, values)
+        assert np.abs(np.array(newton) - low).max() <= 1e-9
+
+
+_BITWISE_CHORD_PAIRS = {
+    "rank2_3x2": lambda rng: random_mixed_state(rng, (3, 2), rank=2),
+    "rank2_2x3": lambda rng: random_mixed_state(rng, (2, 3), rank=2),
+    "rank2_2x4": lambda rng: random_mixed_state(rng, (2, 4), rank=2),
+    "haar322_keep01": lambda rng: reduced_density(haar_random_state((3, 2, 2), rng), (0, 1)),
+    "haar322_keep02": lambda rng: reduced_density(haar_random_state((3, 2, 2), rng), (0, 2)),
+    "haar223_keep02": lambda rng: reduced_density(haar_random_state((2, 2, 3), rng), (0, 2)),
+    "separable_2x2": _separable_mixture((2, 2)),
+    "separable_3x2": _separable_mixture((3, 2)),
+}
+
+
+@pytest.mark.parametrize("measure", [scren2, cren], ids=["scren2", "cren"])
+@pytest.mark.parametrize("family", list(_BITWISE_CHORD_PAIRS))
+def test_valley_step_keeps_qudit_and_separable_chord_roofs(family, measure, monkeypatch):
+    # on these pairs the valley step moves no value or decomposition and
+    # costs no evaluation
+    rng = np.random.default_rng(33)
+    states = [_BITWISE_CHORD_PAIRS[family](rng) for _ in range(8)]
+    results = [measure(rho, PART2, full_output=True)[1] for rho in states]
+    monkeypatch.setattr(roof_module, "_stencil_search", reference_stencil_search)
+    for rho, result in zip(states, results):
+        reference = measure(rho, PART2, full_output=True)[1]
+        assert result.exit == reference.exit == "chord"
+        assert result.value == reference.value
+        assert result.rows.tobytes() == reference.rows.tobytes()
+        assert result.evals <= reference.evals
+
+
+def test_valley_step_shortens_two_qubit_chord_searches(monkeypatch):
+    # a rank-2 two-qubit state has a curve of optimal chords, along which the
+    # stencil's Hessian is near singular.  Evaluations are compared over the
+    # sample, not pair by pair: a few pairs take more
+    rng = np.random.default_rng(34)
+    states = [random_rank2_two_qubit(rng) for _ in range(32)]
+    evals = []
+    for rho in states:
+        value, result = scren2(rho, PART2, full_output=True)
+        assert abs(value - wootters_tangle(rho)) <= 1e-15
+        evals.append(result.evals)
+    monkeypatch.setattr(roof_module, "_stencil_search", reference_stencil_search)
+    reference = [scren2(rho, PART2, full_output=True)[1].evals for rho in states]
+    assert statistics.median(evals) <= 0.75 * statistics.median(reference)
+    assert max(evals) <= max(reference)
+
+
 # ---------------------------------------------------------------------------
 # objective-evaluation counts
 # ---------------------------------------------------------------------------
@@ -854,7 +961,7 @@ def test_stacked_scores_equal_one_at_a_time_scores(name, rank):
 
 def test_chord_path_evaluation_count():
     # eigendecomposition and chord scan, plus the search over the two chord
-    # parameters; the chord path runs no probe and scores nothing twice.  188
+    # parameters; the chord path runs no probe and scores nothing twice.  126
     # evaluations with the stencil search, against 194 for Powell over the
     # same chart and 434 for a search over all four parameters of U(2)
     rho = random_rank2_two_qubit(np.random.default_rng(31))

@@ -4,12 +4,22 @@ from __future__ import annotations
 
 import math
 from math import prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from scren import DensityMatrix, PureState, WClassSpec, haar_random_state, haar_unitary
-from scren.roof import _checked_rows, _triu
+from scren.roof import (
+    NEWTON_SHRINK,
+    STENCIL_FLOOR,
+    STENCIL_GROW,
+    STENCIL_SHRINK,
+    STENCIL_STEP,
+    STENCIL_TRUST,
+    _STENCIL,
+    _checked_rows,
+    _triu,
+)
 from scren.suites import random_rank2_two_qubit  # noqa: F401  (re-exported for the tests)
 
 
@@ -108,6 +118,75 @@ def reference_chord_unitaries(q: tuple[float, float], u: np.ndarray) -> np.ndarr
     unitary[:, :, 0] = scale * np.where(up, north, txy.conj()) / math.sqrt(q1)
     unitary[:, :, 1] = scale * np.where(up, txy, south) / math.sqrt(q2)
     return unitary
+
+
+def reference_newton_step(centre: float, values: Sequence[float]) -> tuple[float, float] | None:
+    """Newton step, in units of the stencil step, of the stencil's quadratic model:
+    the first of ``roof._newton_step``'s two steps, which must equal it.
+
+    ``values`` are the objective at the 8 neighbours of ``_STENCIL`` around a
+    centre of value ``centre``.  The model takes central differences for the
+    gradient and the Hessian; None when that Hessian is not positive definite.
+    """
+    gx = (values[6] - values[1]) / 2.0
+    gy = (values[4] - values[3]) / 2.0
+    hxx = values[6] - 2.0 * centre + values[1]
+    hyy = values[4] - 2.0 * centre + values[3]
+    hxy = (values[7] - values[5] - values[2] + values[0]) / 4.0
+    det = hxx * hyy - hxy * hxy
+    if not (hxx > 0.0 and det > 0.0):
+        return None
+    return ((hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det)
+
+
+def reference_stencil_search(
+    scores: Callable[[np.ndarray], Sequence[float]], value0: float, budget: int
+) -> bool:
+    """The chord search with no valley step: ``roof._stencil_search`` must take
+    exactly its steps until a stencil stalls where the Newton step is rejected.
+
+    Minimize ``scores`` over the chord chart from x = 0, where it is ``value0``.
+
+    ``scores`` maps a (K, 2) stack of chart points to their K values in one
+    objective call, and each step is one such call: the 8 neighbours of
+    ``_STENCIL`` around a centre at step h, after the centre itself when it is
+    not yet scored.  If the stencil's quadratic model (:func:`reference_newton_step`)
+    has a positive definite Hessian and its Newton point lies within
+    ``STENCIL_TRUST`` steps of the centre, the next stencil is centred there
+    at h / ``NEWTON_SHRINK``.  Otherwise the next stencil is centred on the
+    best point scored so far, at h * ``STENCIL_GROW`` if a stencil point just
+    became that best, else at h / ``STENCIL_SHRINK``.  A Newton centre that
+    improved on nothing fits no model: the search goes back to the best
+    point.  It stops when h falls below ``STENCIL_FLOOR`` or ``budget``
+    evaluations are spent, and returns whether h reached the floor.
+    """
+    best, best_value = np.zeros(2), value0
+    centre, centre_value = best, value0
+    step, spent = STENCIL_STEP, 0
+    while step >= STENCIL_FLOOR and spent < budget:
+        jumped = centre_value is None
+        points = centre + step * (_STENCIL if jumped else _STENCIL[1:])
+        values = scores(points)
+        spent += len(points)
+        if jumped:
+            centre_value, values = values[0], values[1:]
+        low = min(values)
+        k = values.index(low)
+        moved = low < min(centre_value, best_value)
+        improved = moved or centre_value < best_value
+        if moved:
+            # the 8 neighbours are the last 8 points
+            best, best_value = points[k - 8], low
+        elif improved:
+            best, best_value = centre, centre_value
+        newton = reference_newton_step(centre_value, values) if improved or not jumped else None
+        if newton is not None and math.hypot(*newton) <= STENCIL_TRUST:
+            centre, centre_value = centre + step * np.array(newton), None
+            step /= NEWTON_SHRINK
+            continue
+        step = step * STENCIL_GROW if moved else step / STENCIL_SHRINK
+        centre, centre_value = best, best_value
+    return step < STENCIL_FLOOR
 
 
 def reference_mixed_rows(theta: np.ndarray, u0: np.ndarray, base: np.ndarray) -> np.ndarray:
