@@ -22,25 +22,27 @@ and on every path the first average at or below ``stop_below`` ends the roof.
 them) it takes each row's 2 x 2 minors and calls no SVD; on any other cut it
 takes the SVD of each row's split matrix.
 
-A rank-2 state of a qubit and a qudit takes one start, and not over U(2).
-Its two-member decompositions are exactly the chords of its Bloch ball
-through the state's Bloch vector (Osterloh, Siewert & Uhlmann, PRA 77,
-032310 (2008)), a two-parameter family: the other two parameters of U(2) are
-per-member phases no objective depends on.  So a fixed grid of
-``CHORD_COUNT`` chord directions plus the eigendecomposition is scanned, and a
-stencil search (:func:`_stencil_search`) minimizes over a two-parameter chart
-of chord directions around the best of them (:func:`_chord_unitaries`,
-:func:`_chord_chart`).  Each of its steps scores a 3 x 3 stencil of chart
-points in one objective call, and a quadratic model of the stencil takes it
-to the Newton point when that point is near.  A rank-2 two-qubit state has a
-whole curve of optimal chords, along which the model's Hessian is near
-singular and its Newton point is rejected; when the stencil also stalled (no
-point improved on its centre), the search takes the valley step instead, the
-Newton step along the model's direction of greatest curvature, straight
-across the valley.  That search is deterministic, so ``starts`` and ``seed``
-do not change its value.  On 3 x 3 pairs the same single start missed the
-multi-start value on some states, so every other input keeps multi-start
-search.  :func:`_chord_roof` runs this path.
+A rank-2 state of a qubit and a qudit takes one start, and not over U(2).  Its
+two-member decompositions are exactly the chords of its Bloch ball through the
+state's Bloch vector (Osterloh, Siewert & Uhlmann, PRA 77, 032310 (2008)), a
+two-parameter family: the other two parameters of U(2) are per-member phases
+no objective depends on.  So a fixed grid of ``CHORD_COUNT`` chord directions
+plus the eigendecomposition is scanned, and a stencil search minimizes over a
+two-parameter chart of chord directions around the best of them
+(:func:`_chord_unitaries`, :func:`_chord_chart`).  That search is a coroutine,
+:func:`_chord_search`: it yields each stack of chord directions it scores, the
+scan first and then one 3 x 3 stencil of chart points a step, and
+:func:`_chord_roof` scores each stack through the record in one objective
+call, sends back its averages and alone keeps the budget.  A quadratic model
+of the stencil takes the search to the Newton point when that point is near.
+A rank-2 two-qubit state has a whole curve of optimal chords, along which the
+model's Hessian is near singular and its Newton point is rejected; when the
+stencil also stalled (no point improved on its centre), the search takes the
+valley step instead, the Newton step along the model's direction of greatest
+curvature, straight across the valley.  That search is deterministic, so
+``starts`` and ``seed`` do not change its value.  On 3 x 3 pairs the same
+single start missed the multi-start value on some states, so every other input
+keeps multi-start search.
 
 The multi-start search (:func:`_search_roof`) first probes ``PROBE_COUNT``
 Haar-random mixing unitaries to detect decomposition-independent objectives,
@@ -62,7 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -90,9 +92,10 @@ PROBE_SPREAD_TOL = 1e-9
 # decomposition.  The z-axis, the eigendecomposition, is scanned besides.
 CHORD_COUNT = 64
 
-# The chord search from the best scanned chord (:func:`_stencil_search`): its
-# first stencil step in the chart, the step below which it stops, how far
-# (in steps) a Newton point may lie, and the factors a step changes by.
+# The chord search from the best scanned chord (:func:`_chord_search`): its
+# first stencil step in the chart, the step below which it returns, how far
+# (in steps) a Newton or valley point may lie, and the factors a step changes
+# by.
 STENCIL_STEP = 0.1
 STENCIL_FLOOR = 1e-8
 STENCIL_TRUST = 2.0
@@ -127,11 +130,12 @@ class RoofConfig:
     ``iters`` is the per-start evaluation budget; it and ``starts`` must be
     at least 1.  Every roof decomposes its input into rank-many members.  A
     rank-2 qubit-qudit pair runs one stencil search over the two chord
-    parameters whatever ``starts`` says, and ``seed`` does not enter it; that
-    search stops after ``iters + max(300, iters // 2)`` evaluations at most,
-    against ``iters + max(100, iters // 2)`` for a Powell start and its
-    polish: the same from ``iters`` = 600 on (3000 at the default), up to
-    200 more below.
+    parameters whatever ``starts`` says, and ``seed`` does not enter it.
+    After the eigendecomposition and the ``CHORD_COUNT`` chord scan, that
+    search gets ``iters + max(300, iters // 2)`` more evaluations, and its
+    last stencil may pass them by up to 8; a Powell start and its polish get
+    ``iters + max(100, iters // 2)``: the same from ``iters`` = 600 on (3000
+    at the default), up to 200 more below.
     ``seed`` seeds the probe and the random starts of every other
     multi-start search.
     """
@@ -306,6 +310,14 @@ def _chord_chart(u0: Sequence[float]) -> np.ndarray:
     return np.array([u0, e1, e2])
 
 
+def _chart_directions(origin: np.ndarray, axes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(K, 3) unit directions of chart points ``x`` for the frame's origin column and
+    (3, 2) axes, built as their contiguous transpose (see :func:`_chord_unitaries`)."""
+    u = origin + axes @ x.T
+    u /= np.sqrt(np.add.reduce(u * u, axis=0))
+    return u.T
+
+
 def _newton_step(
     centre: float, values: Sequence[float]
 ) -> tuple[tuple[float, float] | None, tuple[float, float] | None]:
@@ -339,38 +351,46 @@ def _newton_step(
     return newton, valley
 
 
-def _stencil_search(
-    scores: Callable[[np.ndarray], Sequence[float]], value0: float, budget: int
-) -> bool:
-    """Minimize ``scores`` over the chord chart from x = 0, where it is ``value0``.
+def _chord_search(value0: float) -> Generator[np.ndarray, list[float], None]:
+    """The chord search as a coroutine: it yields each (K, 3) stack of chord
+    directions it scores and is sent their K averages as a list.
 
-    ``scores`` maps a (K, 2) stack of chart points to their K values in one
-    objective call, and each step is one such call: the 8 neighbours of
-    ``_STENCIL`` around a centre at step h, after the centre itself when it is
-    not yet scored.  If the stencil's quadratic model (:func:`_newton_step`)
-    has a positive definite Hessian and its Newton point lies within
-    ``STENCIL_TRUST`` steps of the centre, the next stencil is centred there
-    at h / ``NEWTON_SHRINK``.  When that step is rejected and the stencil
-    stalled (its model was fit and no stencil point improved on the centre),
-    the model's valley step, the Newton step along the eigenvector of the
-    Hessian's larger eigenvalue, takes its place under the same rule: on a
-    valley whose floor is flat the full Newton point is rejected, and without
-    the valley step h creeps down to ``STENCIL_FLOOR`` by compass moves.
-    Otherwise the next stencil is centred on the best point scored so far, at
-    h * ``STENCIL_GROW`` if a stencil point just became that best, else at
-    h / ``STENCIL_SHRINK``.  A Newton or valley centre that improved on
-    nothing fits no model: the search goes back to the best point.  It stops
-    when h falls below ``STENCIL_FLOOR`` or ``budget`` evaluations are spent,
-    and returns whether h reached the floor.
+    ``value0`` is the eigendecomposition's average.  The first stack is the
+    ``CHORD_COUNT`` scan of ``_CHORD_DIRECTIONS``; the search starts from the
+    first scanned chord of least average if that lies below ``value0``, else
+    from the z-axis, the eigendecomposition, and minimizes over the chart of
+    chord directions around it (:func:`_chord_chart`) from x = 0.  Each later
+    stack is one step: the 8 neighbours of ``_STENCIL`` around a centre at
+    step h, after the centre itself when it is not yet scored.  If the
+    stencil's quadratic model (:func:`_newton_step`) has a positive definite
+    Hessian and its Newton point lies within ``STENCIL_TRUST`` steps of the
+    centre, the next stencil is centred there at h / ``NEWTON_SHRINK``.  When
+    that step is rejected and the stencil stalled (its model was fit and no
+    stencil point improved on the centre), the model's valley step, the Newton
+    step along the eigenvector of the Hessian's larger eigenvalue, takes its
+    place under the same rule: on a valley whose floor is flat the full Newton
+    point is rejected, and without the valley step h creeps down to
+    ``STENCIL_FLOOR`` by compass moves.  Otherwise the next stencil is centred
+    on the best point scored so far, at h * ``STENCIL_GROW`` if a stencil
+    point just became that best, else at h / ``STENCIL_SHRINK``.  A Newton or
+    valley centre that improved on nothing fits no model: the search goes
+    back to the best point.  It returns when h falls below ``STENCIL_FLOOR``;
+    it keeps no budget, so its caller stops sending when it has spent one.
     """
+    scan = yield _CHORD_DIRECTIONS
+    low = min(scan)
+    # the eigendecomposition is the chord along the z-axis
+    u0 = _CHORD_DIRECTIONS[scan.index(low)] if low < value0 else (0.0, 0.0, 1.0)
+    value0 = min(value0, low)
+    frame = _chord_chart(u0)
+    origin, axes = frame[0][:, None], frame[1:].T
     best, best_value = np.zeros(2), value0
     centre, centre_value = best, value0
-    step, spent = STENCIL_STEP, 0
-    while step >= STENCIL_FLOOR and spent < budget:
+    step = STENCIL_STEP
+    while step >= STENCIL_FLOOR:
         jumped = centre_value is None
         points = centre + step * (_STENCIL if jumped else _STENCIL[1:])
-        values = scores(points)
-        spent += len(points)
+        values = yield _chart_directions(origin, axes, points)
         if jumped:
             centre_value, values = values[0], values[1:]
         low = min(values)
@@ -382,9 +402,7 @@ def _stencil_search(
             best, best_value = points[k - 8], low
         elif improved:
             best, best_value = centre, centre_value
-        newton = valley = None
-        if improved or not jumped:
-            newton, valley = _newton_step(centre_value, values)
+        newton, valley = _newton_step(centre_value, values) if improved or not jumped else (None, None)
         if (newton is None or math.hypot(*newton) > STENCIL_TRUST) and not moved:
             # the stencil stalled where the Newton point is rejected
             newton = valley
@@ -394,7 +412,6 @@ def _stencil_search(
             continue
         step = step * STENCIL_GROW if moved else step / STENCIL_SHRINK
         centre, centre_value = best, best_value
-    return step < STENCIL_FLOOR
 
 
 def member_average(dims: Sequence[int], fn: Callable[[PureState], float]):
@@ -471,43 +488,35 @@ def _chord_rows(q: tuple[float, float], base: np.ndarray, u: np.ndarray) -> np.n
     return (_chord_unitaries(q, u).reshape(-1, 2) @ base).reshape(-1, 2, base.shape[1])
 
 
-def _chart_directions(origin: np.ndarray, axes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(K, 3) unit directions of chart points ``x`` for the frame's origin column and
-    (3, 2) axes, built as their contiguous transpose (see :func:`_chord_unitaries`)."""
-    u = origin + axes @ x.T
-    u /= np.sqrt(np.add.reduce(u * u, axis=0))
-    return u.T
-
-
 def _chord_roof(roof: _Roof, lam: np.ndarray, base: np.ndarray, config: RoofConfig) -> None:
-    """One start on a rank-2 pair with a qubit party.
+    """One start on a rank-2 pair with a qubit party, driving :func:`_chord_search`.
 
-    A stencil search (:func:`_stencil_search`) runs over the two parameters of
-    a chart of chord directions (see :func:`_chord_chart`) centred on the best
-    chord of a deterministic grid that includes the eigendecomposition, so
-    ``starts`` and ``seed`` do not change its result.  The grid and each
-    search step are scored in one objective call each.  The search is
-    ``converged`` when its step fell below ``STENCIL_FLOOR`` within
-    ``config.iters + max(300, config.iters // 2)`` evaluations.
+    Each stack of chord directions the search yields is scored through the
+    record in one objective call, and its averages are sent back; so the
+    record is the one scorer and its ``evals`` the one count, and the driver
+    alone keeps the budget.  The search is deterministic, so ``starts`` and
+    ``seed`` do not change its result.  The driver stops once the stencil
+    steps, after the eigendecomposition and the ``CHORD_COUNT`` scan, have
+    scored ``config.iters + max(300, config.iters // 2)`` decompositions, so
+    the last stencil may pass that budget by up to 8, and only that stop
+    leaves the roof not ``converged``: a search that returned on its own (its
+    step below ``STENCIL_FLOOR``) or an average at the floor is converged.
     """
     roof.starts, roof.exit = 1, "chord"
-    # a chord scan finds the basin; the eigendecomposition is the chord along z
     q = tuple(float(v) for v in lam / lam.sum())
-    eigen_average = roof.value
-    scan = roof(_chord_rows(q, base, _CHORD_DIRECTIONS))
-    if roof.value < eigen_average:
-        u0 = _CHORD_DIRECTIONS[scan.index(roof.value)]
-    else:
-        u0 = (0.0, 0.0, 1.0)
-    frame = _chord_chart(u0)
-    origin, axes = frame[0][:, None], frame[1:].T
-    # Powell's start and polish budget, iters + max(100, iters // 2), from
-    # iters = 600 on and up to 200 more below that: at Powell's budget alone, a
-    # low ``iters`` left some stencil searches short of Powell's value
-    budget = config.iters + max(300, config.iters // 2)
-    roof.converged = _stencil_search(
-        lambda x: roof(_chord_rows(q, base, _chart_directions(origin, axes, x))), roof.value, budget
-    )
+    search = _chord_search(roof.value)
+    directions = next(search)
+    # the stencil steps get Powell's start and polish budget,
+    # iters + max(100, iters // 2), from iters = 600 on and up to 200 more below
+    # that: at Powell's budget alone, a low ``iters`` left some stencil searches
+    # short of Powell's value
+    stop = roof.evals + CHORD_COUNT + config.iters + max(300, config.iters // 2)
+    try:
+        while roof.evals < stop:
+            directions = search.send(roof(_chord_rows(q, base, directions)))
+    except StopIteration:
+        return
+    roof.converged = False
 
 
 def _mixed_rows(theta: np.ndarray, u0: np.ndarray, base: np.ndarray) -> np.ndarray:

@@ -47,7 +47,11 @@ FIXTURE_CHECKS = (
 
 
 def _pool_map(fn, tasks: list, workers: int) -> list:
-    """``[fn(t) for t in tasks]``, on a process pool when ``workers > 1``."""
+    """``[fn(t) for t in tasks]``, on a pool of ``min(workers, len(tasks))``
+    processes when that is more than one.  A pool can start every worker it
+    may use at its first task, so it is never made larger than the task list.
+    """
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))

@@ -444,6 +444,39 @@ def test_verify_wclass_workers_match_serial(capsys):
     assert serial == pooled
 
 
+@pytest.mark.parametrize("args, tasks", [
+    (["hunt", "--dims", "3,2,2", "--samples", "2", "--starts", "2", "--iters", "100"], 3),
+    (["verify", "wclass", "--n", "3", "--d", "2", "--trials", "2"], 2),
+    (["hunt", "--dims", "2,2,2", "--samples", "1", "--starts", "2", "--iters", "100"], 1),
+], ids=["hunt", "wclass", "one_task"])
+def test_pool_is_no_larger_than_the_task_list(capsys, monkeypatch, args, tasks):
+    # a pool may start every worker at its first task, so --workers 4096 on
+    # a few tasks asks for one process a task, and one task runs serially.
+    # The stand-in pool records its size and maps in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("scren.suites.ProcessPoolExecutor", RecordingPool)
+    serial = run_cli(capsys, *args, "--seed", "7", "--workers", "1")
+    assert sizes == []
+    pooled = run_cli(capsys, *args, "--seed", "7", "--workers", "4096")
+    assert sizes == ([tasks] if tasks > 1 else [])
+    assert pooled == serial
+    assert serial[0] == EXIT_OK
+
+
 def test_verify_wclass_warm_probe_cache_matches_a_cold_process(capsys):
     # the probe unitaries are cached per (seed, L); a warm cache must not move a byte
     args = ["verify", "wclass", "--n", "5", "--d", "3", "--trials", "2", "--seed", "7"]

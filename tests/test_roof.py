@@ -42,6 +42,8 @@ from scren.roof import (
     _CHORD_DIRECTIONS,
     _STENCIL,
     _chord_chart,
+    _chord_rows,
+    _chord_search,
     _chord_unitaries,
     _mixed_rows,
     _newton_step,
@@ -55,10 +57,10 @@ from util import (
     hjw_rows,
     random_mixed_state,
     random_rank2_two_qubit,
+    reference_chord_roof,
     reference_chord_unitaries,
     reference_mixed_rows,
     reference_newton_step,
-    reference_stencil_search,
 )
 
 PART2 = Bipartition((0,), 2)
@@ -808,7 +810,7 @@ def test_valley_step_keeps_qudit_and_separable_chord_roofs(family, measure, monk
     rng = np.random.default_rng(33)
     states = [_BITWISE_CHORD_PAIRS[family](rng) for _ in range(8)]
     results = [measure(rho, PART2, full_output=True)[1] for rho in states]
-    monkeypatch.setattr(roof_module, "_stencil_search", reference_stencil_search)
+    monkeypatch.setattr(roof_module, "_chord_roof", reference_chord_roof)
     for rho, result in zip(states, results):
         reference = measure(rho, PART2, full_output=True)[1]
         assert result.exit == reference.exit == "chord"
@@ -828,7 +830,7 @@ def test_valley_step_shortens_two_qubit_chord_searches(monkeypatch):
         value, result = scren2(rho, PART2, full_output=True)
         assert abs(value - wootters_tangle(rho)) <= 1e-15
         evals.append(result.evals)
-    monkeypatch.setattr(roof_module, "_stencil_search", reference_stencil_search)
+    monkeypatch.setattr(roof_module, "_chord_roof", reference_chord_roof)
     reference = [scren2(rho, PART2, full_output=True)[1].evals for rho in states]
     assert statistics.median(evals) <= 0.75 * statistics.median(reference)
     assert max(evals) <= max(reference)
@@ -968,6 +970,46 @@ def test_chord_path_evaluation_count():
     _, result = scren2(rho, PART2, full_output=True)
     assert result.starts == 1
     assert 1 + CHORD_COUNT + 1 < result.evals <= 250 - PROBE_COUNT
+
+
+@pytest.mark.parametrize("iters", [1, 50, 1000])
+def test_chord_search_ends_on_its_budget_within_one_stencil(iters):
+    # averages that fall on every call improve on every stencil, so the step
+    # never reaches its floor: after the eigendecomposition and the scan, the
+    # budget ends the search, and its last stencil passes it by at most 8
+    rho = random_rank2_two_qubit(np.random.default_rng(31))
+    calls = []
+
+    def falling(rows):
+        calls.append(len(rows))
+        return np.full(len(rows), (1.0 - 1e-3 * len(calls)) / 2)
+
+    result = roof_minimize(rho, falling, RoofConfig(iters=iters))
+    assert result.exit == "chord"
+    assert result.converged is False
+    ceiling = 1 + CHORD_COUNT + iters + max(300, iters // 2)
+    assert ceiling <= result.evals <= ceiling + 8
+
+
+def test_chord_search_needs_no_record():
+    # driven by hand, with no record and no budget, the search ends by itself
+    # at the chord roof's value and evaluation count
+    rho = random_mixed_state(np.random.default_rng(35), (3, 2), rank=2)
+    objective = negativity_rows(rho.dims, PART2)
+    lam, base = rho.support
+    q = tuple(float(v) for v in lam / lam.sum())
+    search = _chord_search(_stack_scores(objective, base[None]).tolist()[0])
+    directions, yielded, least = next(search), 0, math.inf
+    with pytest.raises(StopIteration):
+        for _ in range(1000):
+            yielded += len(directions)
+            values = _stack_scores(objective, _chord_rows(q, base, directions)).tolist()
+            least = min(least, *values)
+            directions = search.send(values)
+    _, result = cren(rho, PART2, full_output=True)
+    assert result.exit == "chord" and result.converged
+    assert least == result.value
+    assert 1 + yielded == result.evals
 
 
 # ---------------------------------------------------------------------------
