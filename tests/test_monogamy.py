@@ -11,6 +11,7 @@ from scren import (
     CKW_COUNTEREXAMPLE_322,
     Bipartition,
     CostGuardError,
+    PureState,
     RoofConfig,
     bell_state,
     ckw_report,
@@ -142,6 +143,50 @@ def test_n_scren_three_qubits_ignores_the_config():
         cheap = n_scren_pure(psi, 0, RoofConfig(starts=1, iters=1, seed=3))
         assert cheap == n_scren_pure(psi, 0, FAST)
         assert cheap == n_scren_pure(psi, 0)
+
+
+def _batched(psi) -> float:
+    return float(three_tangle_rows(psi.amplitudes[None])[0])
+
+
+def test_n_scren_three_qubits_agrees_with_the_stack_carrier():
+    # one hyperdeterminant on two carriers: Python complex numbers here, numpy
+    # columns in three_tangle_rows.  Their products and moduli round apart, so
+    # the two agree to roundoff, not bit for bit.
+    rng = np.random.default_rng(20)
+    for _ in range(1000):
+        psi = haar_random_state((2, 2, 2), rng)
+        value = n_scren_pure(psi, 0)
+        assert type(value) is float
+        assert abs(value - _batched(psi)) <= 1e-15
+
+
+def test_n_scren_three_qubit_fixtures_on_the_single_state_carrier():
+    ghz = ghz_state(3)
+    assert abs(n_scren_pure(ghz, 0) - _batched(ghz)) <= 1e-15
+    assert abs(n_scren_pure(ghz, 0) - 1.0) <= 1e-15
+    assert n_scren_pure(w_state(3), 0) == 0.0
+    product = PureState((2, 2, 2), np.kron(np.kron([0.6, 0.8j], [1.0, 0.0]), [0.8, -0.6]))
+    assert n_scren_pure(product, 0) == 0.0
+
+
+def test_n_scren_three_qubits_near_a_vanishing_hyperdeterminant():
+    # GHZ/W superpositions with a small GHZ weight have Det close to 0
+    rng = np.random.default_rng(23)
+    ghz, w = ghz_state(3).amplitudes, w_state(3).amplitudes
+    for eps in (1e-2, 1e-4, 1e-6, 1e-8, 1e-12, 1e-16, 1e-24):
+        phase = np.exp(2j * np.pi * rng.random())
+        amps = np.sqrt(1.0 - eps) * w + np.sqrt(eps) * phase * ghz
+        psi = PureState((2, 2, 2), amps / np.linalg.norm(amps))
+        assert abs(n_scren_pure(psi, 0) - _batched(psi)) <= 1e-15
+
+
+def test_n_scren_three_qubits_agrees_across_foci():
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        psi = haar_random_state((2, 2, 2), rng)
+        values = [n_scren_pure(psi, focus) for focus in range(3)]
+        assert max(values) - min(values) <= 1e-15
 
 
 def test_n_scren_three_qubits_rejects_focus_out_of_range():
@@ -331,6 +376,23 @@ def test_all_qubit_m3_terms_run_at_the_report_budget():
             assert term.value == direct
             assert term.converged == result.converged
             assert result.starts == cfg.starts
+
+
+def test_reports_never_take_the_single_state_carrier(monkeypatch):
+    # reports score their m = 3 stacks with three_tangle_rows, never n_scren_pure
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report reached the single-state three-tangle")
+
+    psi = haar_random_state((2,) * 4, np.random.default_rng(25))
+    cfg = RoofConfig(starts=3, iters=200, seed=5)
+    monkeypatch.setattr("scren.monogamy.n_scren_pure", refuse)
+    monkeypatch.setattr("scren.monogamy._hyperdeterminant", refuse)
+    triples = [t for t in sm_report(psi, 0, "scren", cfg).terms if t.order == 3]
+    assert len(triples) == 3
+    for term in triples:
+        subset = tuple(j - 1 for j in term.subset)
+        direct, _ = _three_tangle_roof(reduced_density(psi, (0,) + subset), cfg)
+        assert term.value == direct
 
 
 @pytest.mark.parametrize("report", [sm_report, ckw_report], ids=lambda f: f.__name__)

@@ -24,7 +24,13 @@ from scren import (
 )
 from scren.monogamy import CKW_COUNTEREXAMPLE_322
 
-from util import random_local_unitaries, random_mixed_state, random_rank2_two_qubit, tensor
+from util import (
+    random_local_unitaries,
+    random_mixed_state,
+    random_rank2_two_qubit,
+    reference_three_tangle_rows,
+    tensor,
+)
 
 PART2 = Bipartition((0,), 2)
 FAST = RoofConfig(starts=8, iters=600, seed=7)
@@ -148,6 +154,15 @@ def test_three_tangle_local_unitary_invariance_and_batching():
         moved = random_local_unitaries(psi, rng)
         assert abs(three_tangle_rows(moved.amplitudes[None])[0] - value) <= 1e-13
         assert abs(three_tangle_rows(psi.amplitudes[None])[0] - value) <= 1e-15
+
+
+@pytest.mark.parametrize("length", [1, 2, 16, 1000])
+def test_three_tangle_rows_keeps_the_column_code_bits(length):
+    # the stack carrier of the one hyperdeterminant returns the column code's bits
+    rng = np.random.default_rng(400 + length)
+    rows = rng.normal(size=(length, 8)) + 1j * rng.normal(size=(length, 8))
+    for stack in (rows, rows / np.linalg.norm(rows, axis=1)[:, None]):
+        assert three_tangle_rows(stack).tobytes() == reference_three_tangle_rows(stack).tobytes()
 
 
 def test_three_tangle_rejects_wrong_shape():

@@ -148,7 +148,7 @@ def reference_newton_step(centre: float, values: Sequence[float]) -> tuple[float
 def reference_stencil_search(
     scores: Callable[[np.ndarray], Sequence[float]], value0: float, budget: int
 ) -> bool:
-    """The chord search with no valley step: ``roof._stencil_search`` must take
+    """The chord search with no valley step: ``roof._chord_search`` must take
     exactly its steps until a stencil stalls where the Newton step is rejected.
 
     Minimize ``scores`` over the chord chart from x = 0, where it is ``value0``.
@@ -241,6 +241,16 @@ def reference_mixed_rows(theta: np.ndarray, u0: np.ndarray, base: np.ndarray) ->
     o[_triu(r)] = theta[0::2] + 1j * theta[1::2]
     w, v = np.linalg.eigh(o + o.conj().T)
     return ((v * np.exp(1j * w)) @ v.conj().T @ u0) @ base
+
+
+def reference_three_tangle_rows(rows: np.ndarray) -> np.ndarray:
+    """Cayley's formula written out on the numpy columns of ``rows``:
+    ``tangle.three_tangle_rows`` must return exactly these bits."""
+    r = rows.T
+    a = r[0] * r[3] - r[1] * r[2]
+    c = r[4] * r[7] - r[5] * r[6]
+    b = r[0] * r[7] + r[4] * r[3] - r[1] * r[6] - r[5] * r[2]
+    return 4.0 * np.abs(b * b - 4.0 * a * c)
 
 
 def reference_excitation_index(dims: Sequence[int], slot: int, level: int) -> int:
