@@ -419,13 +419,17 @@ def member_average(dims: Sequence[int], fn: Callable[[PureState], float]):
 
     The weight w_h of a row is its squared norm; a row below ``WEIGHT_TOL``
     scores 0.0 without calling ``fn``.  :func:`roof_minimize` sums each
-    decomposition's values into its weighted ensemble average.
+    decomposition's values into its weighted ensemble average.  Members are
+    built with ``validate=False`` on ``dims`` made ints once: a roof's row (of
+    a state of these dims) over the root of its weight is a fresh unit vector,
+    so no check could fire.
     """
+    dims = tuple(int(d) for d in dims)
 
     def values(rows: np.ndarray) -> np.ndarray:
         weights = np.einsum("hd,hd->h", rows, rows.conj()).real.tolist()
         return np.array([
-            0.0 if w < WEIGHT_TOL else w * fn(PureState(dims, row / math.sqrt(w)))
+            0.0 if w < WEIGHT_TOL else w * fn(PureState(dims, row / math.sqrt(w), validate=False))
             for w, row in zip(weights, rows)
         ])
 
@@ -519,36 +523,38 @@ def _chord_roof(roof: _Roof, lam: np.ndarray, base: np.ndarray, config: RoofConf
     roof.converged = False
 
 
-def _mixed_rows(theta: np.ndarray, u0: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Rows of the decomposition mixed by exp(iO) ``u0``, for the off-diagonal
-    Hermitian O whose upper triangle ``theta`` packs as (re, im) pairs.
+def _mixed_rows(theta: np.ndarray, u0: np.ndarray | None, base: np.ndarray) -> np.ndarray:
+    """Decomposition rows mixed by exp(iO) ``u0`` (None: the identity), for the
+    off-diagonal Hermitian O whose upper triangle ``theta`` packs as (re, im) pairs.
 
     At rank 2, O = [[0, z], [z*, 0]] with z = theta_0 + i theta_1 squares to
     |z|^2 I, so exp(iO) = cos|z| I + i (sin|z| / |z|) O, the ratio taken as 1
     at z = 0, and no eigensolver runs.  Higher ranks take O's ``eigh``.
     """
-    r = len(u0)
+    r = len(base)
     if r == 2:
         z = complex(theta[0], theta[1])
         size = abs(z)
         scale = 1j * (math.sin(size) / size if size else 1.0)
         c = math.cos(size)
-        return (np.array([[c, scale * z], [scale * z.conjugate(), c]]) @ u0) @ base
-    o = np.zeros((r, r), dtype=np.complex128)
-    o[_triu(r)] = theta[0::2] + 1j * theta[1::2]
-    w, v = np.linalg.eigh(o + o.conj().T)
-    return ((v * np.exp(1j * w)) @ v.conj().T @ u0) @ base
+        u = np.array([[c, scale * z], [scale * z.conjugate(), c]])
+    else:
+        o = np.zeros((r, r), dtype=np.complex128)
+        o[_triu(r)] = theta[0::2] + 1j * theta[1::2]
+        w, v = np.linalg.eigh(o + o.conj().T)
+        u = (v * np.exp(1j * w)) @ v.conj().T
+    return (u if u0 is None else u @ u0) @ base
 
 
 def _powell(roof, u0, base, maxfev, xtol, ftol):
-    """Powell over exp(iO) ``u0`` from O = 0, and whether it stopped on its own
-    tolerances.  What it found is in the record, so the point it returns is not
-    read: when ``maxfev`` ends a line search, that point can lie well above the
-    least average it scored."""
+    """Powell over exp(iO) ``u0`` (None: the identity) from O = 0, and whether it
+    stopped on its own tolerances.  What it found is in the record, so the point
+    it returns is not read: when ``maxfev`` ends a line search, that point can
+    lie well above the least average it scored."""
     options = {"maxfev": maxfev, "xtol": xtol, "ftol": ftol, "maxiter": 10**6}
     res = minimize(
         lambda theta: roof(_mixed_rows(theta, u0, base)[None])[0],
-        np.zeros(len(u0) * (len(u0) - 1)), method="Powell", options=options,
+        np.zeros(len(base) * (len(base) - 1)), method="Powell", options=options,
     )
     return res.status == 0
 
@@ -586,13 +592,12 @@ def _search_roof(roof: _Roof, lam: np.ndarray, base: np.ndarray, config: RoofCon
     pivots = base[np.arange(r), np.abs(base).argmax(axis=1)]
     base = base * (pivots.conj() / np.abs(pivots))[:, None]
     seeds = np.random.SeedSequence(config.seed).spawn(config.starts)
-    eye = np.eye(r, dtype=complex)
     for k in range(config.starts):
-        u0 = haar_unitary(r, np.random.default_rng(seeds[k])) if k else eye
+        u0 = haar_unitary(r, np.random.default_rng(seeds[k])) if k else None
         roof.starts = k + 1
         _powell(roof, u0, base, config.iters, 1e-7, 1e-11)
     # polish the least-average decomposition with tight line-search tolerances
-    roof.converged = _powell(roof, eye, roof.rows, max(100, config.iters // 2), 1e-10, 1e-14)
+    roof.converged = _powell(roof, None, roof.rows, max(100, config.iters // 2), 1e-10, 1e-14)
 
 
 def roof_minimize(
@@ -699,7 +704,7 @@ def roof_sqrt_functional(
         v = float(pure_fn(psi))
         if v < -CONJECTURE_ATOL:
             raise ConjectureViolation(psi, v)
-        return np.sqrt(max(0.0, v))
+        return math.sqrt(max(0.0, v))
 
     value, result = _squared_roof(rho, member_average(rho.dims, sqrt_member), config)
     return (value, result) if full_output else value

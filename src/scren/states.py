@@ -8,6 +8,8 @@ Conventions
 * Subsystem indices are 0-based everywhere in this module.
 * States and matrices are immutable after construction and validated at the
   boundary; operations are pure functions and may assume the invariants.
+  Values built valid (``PureState.permute``, ``roof.member_average``, the
+  reductions) pass ``validate=False``, which skips no check that could fire.
 
 Support of a density matrix
 ---------------------------
@@ -54,12 +56,20 @@ class PureState:
         Local dimension of each subsystem, each at least 2.
     amplitudes : array_like
         Complex vector of length prod(dims) in row-major basis order.
+    validate : bool
+        ``False`` only freezes ``amplitudes``: ``permute`` (a permuted valid
+        state) and ``roof.member_average`` (a finite row over its own norm)
+        pass it, since their states would pass the checks and need no copy.
     """
 
     dims: tuple[int, ...]
     amplitudes: np.ndarray
+    validate: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, validate: bool):
+        if not validate:
+            _freeze(self.amplitudes)
+            return
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 2 for d in dims):
             raise ValueError(f"subsystem dimensions must all be >= 2, got {dims}")
@@ -88,7 +98,7 @@ class PureState:
         if sorted(order) != list(range(self.n_parties)):
             raise ValueError(f"not a permutation of subsystems: {order}")
         amps = self.as_tensor().transpose(order).reshape(-1)
-        return PureState(tuple(self.dims[i] for i in order), amps)
+        return PureState(tuple(self.dims[i] for i in order), amps, validate=False)
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,19 @@ def test_mixing_map_at_zero_is_the_start_bit_for_bit():
         assert np.array_equal(_mixed_rows(np.zeros(rank * (rank - 1)), u0, base), u0 @ base)
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_mixing_map_without_a_start_is_the_identity_start_bit_for_bit(rank):
+    # u0=None skips the product with the identity and changes no bit, on the
+    # rank-2 closed form and on the eigh branch
+    rng = np.random.default_rng(44 + rank)
+    for size in (1e-12, 1e-3, 1.0, 1e3):
+        theta = rng.standard_normal(rank * (rank - 1))
+        theta *= size / np.linalg.norm(theta)
+        _, base = _mixing_inputs(rng, rank)
+        eye = np.eye(rank, dtype=complex)
+        assert _mixed_rows(theta, None, base).tobytes() == _mixed_rows(theta, eye, base).tobytes()
+
+
 @pytest.mark.parametrize("rank", [3, 4])
 def test_mixing_map_above_rank_2_equals_the_eigh_map_bit_for_bit(rank):
     rng = np.random.default_rng(42 + rank)
@@ -1042,6 +1055,44 @@ def test_sqrt_roof_raises_conjecture_violation():
         roof_sqrt_functional(rho, lambda s: -1.0, FAST)
     assert err.value.value == -1.0
     assert isinstance(err.value.state, PureState)
+
+
+def _seeded_member_rows(rng):
+    """A rank-2 three-qubit state and the rows of three of its decompositions."""
+    rho = random_mixed_state(rng, (2, 2, 2), rank=2)
+    return rho, np.concatenate([hjw_rows(rho, haar_unitary(2, rng)) for _ in range(3)])
+
+
+def test_member_average_hands_unchecked_members_the_row_over_its_norm():
+    # members skip PureState's checks: each is the row over the square root
+    # of its weight, byte for byte, read-only, with dims a tuple of ints
+    rng = np.random.default_rng(45)
+    _, rows = _seeded_member_rows(rng)
+    seen = []
+    values = member_average([2, 2, 2], lambda s: seen.append(s) or 1.0)(rows)
+    weights = np.einsum("hd,hd->h", rows, rows.conj()).real.tolist()
+    assert values.tolist() == weights
+    assert len(seen) == len(rows)
+    for state, row, w in zip(seen, rows, weights):
+        assert type(state.dims) is tuple and state.dims == (2, 2, 2)
+        assert all(type(d) is int for d in state.dims)
+        assert state.amplitudes.tobytes() == (row / math.sqrt(w)).tobytes()
+        assert not state.amplitudes.flags.writeable
+        checked = PureState((2, 2, 2), row / math.sqrt(w))
+        assert checked.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
+def test_conjecture_violation_on_an_unchecked_member_survives_a_pickle_round_trip():
+    rng = np.random.default_rng(46)
+    rho, _ = _seeded_member_rows(rng)
+    with pytest.raises(ConjectureViolation) as err:
+        roof_sqrt_functional(rho, lambda s: -1.0, FAST)
+    state = err.value.state
+    back = pickle.loads(pickle.dumps(err.value))
+    assert back.value == -1.0
+    assert back.state.dims == state.dims == (2, 2, 2)
+    assert back.state.amplitudes.tobytes() == state.amplitudes.tobytes()
+    assert abs(np.vdot(back.state.amplitudes, back.state.amplitudes).real - 1.0) <= 1e-14
 
 
 def test_conjecture_violation_survives_a_pickle_round_trip():

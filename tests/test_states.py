@@ -290,6 +290,21 @@ def test_permute_roundtrip():
     np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-15)
 
 
+@pytest.mark.parametrize("order", [[2, 0, 1], [0, 1, 2], [1, 0, 2]])
+def test_permute_builds_the_validated_state_unchecked(order):
+    # a permutation of a valid state is valid, so permute skips the checks:
+    # its amplitudes are frozen and byte-equal to the validated construction
+    psi = haar_random_state((2, 3, 4), np.random.default_rng(12))
+    out = psi.permute(order)
+    checked = PureState(out.dims, psi.as_tensor().transpose(order).reshape(-1))
+    assert out.dims == checked.dims and all(type(d) is int for d in out.dims)
+    assert not out.amplitudes.flags.writeable
+    assert out.amplitudes.dtype == np.complex128 and out.amplitudes.flags.c_contiguous
+    assert out.amplitudes.tobytes() == checked.amplitudes.tobytes()
+    with pytest.raises(ValueError):
+        out.amplitudes[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------
