@@ -3,15 +3,19 @@
 The SM right-hand side sums, over every level m = 2..n-1 and every (m-1)-subset
 of the non-focus parties, the mixed m-party measure of the reduced state raised
 to m/2.  The mixed m-party measure is the squared roof of the square root of
-the pure m-party residual, and an m >= 3 member's residual is its own SCREN
-``sm_report`` residual (on three qubits, the three-tangle closed form), so
+the pure m-party residual, and an m >= 3 member's residual is its
+:func:`n_scren_pure`, its own SCREN ``sm_report`` residual (on three qubits,
+the three-tangle closed form), so
 ``sm_report`` is the only SM recursion and one report may nest convex-roof
 optimizations.  Roofs that nest another roof in their objective run at the
 fixed small budget ``NESTED_CONFIG``.
 
 The CKW report is the pair level (m = 2) of the same balance sheet: one loop
 builds both, and both return an :class:`SMReport` with one schema.  For three
-parties the two inequalities coincide.
+parties the two inequalities coincide.  A report holds only what was measured,
+the focus cut's value and each term's value and convergence; each term's
+contribution, the right-hand total, the residual and the verdict are
+properties read off them.
 
 The measure enters only at the top of a report: the focus-versus-rest cut and
 the guard on its pairs.  The recursion below the top cut is measure
@@ -27,7 +31,7 @@ a report, from the state's amplitudes as Python complex numbers.  The m = 3
 term of a 3-qubit reduced state is one roof over hyperdeterminant rows
 (:func:`scren.tangle.three_tangle_rows`, numpy columns) at the report's own
 budget, with no roof nested in it, so no report reaches ``n_scren_pure``'s
-carrier.  The two agree to 6e-16, not bit for bit.
+Python-complex carrier.  The two agree to 6e-16, not bit for bit.
 
 Subsets are reported with the paper-style 1-based labels {2..n} assigned after
 moving the focus party to the front; subsystem indices handed to the state
@@ -60,16 +64,23 @@ MEASURES = ("scren", "tangle")
 
 @dataclass(frozen=True)
 class SMTerm:
-    """One term of the SM sum; ``subset`` holds its ascending 1-based labels."""
+    """One term of the SM sum; ``subset`` holds its ascending 1-based labels.
+
+    A term holds what was measured, its ``value`` and ``converged``; its
+    ``order`` m and its ``contribution`` value^(m/2) are read off them.
+    """
 
     subset: tuple[int, ...]
     value: float
-    contribution: float
     converged: bool
 
     @property
     def order(self) -> int:
         return len(self.subset) + 1
+
+    @property
+    def contribution(self) -> float:
+        return self.value ** (self.order / 2)
 
     def to_dict(self) -> dict:
         return {
@@ -85,16 +96,34 @@ class SMTerm:
 class SMReport:
     """Strong-monogamy balance sheet for one pure state and focus party.
 
-    A CKW report (:func:`ckw_report`) is the same sheet over its m = 2 terms.
+    A report holds what was measured: the focus cut's ``one_value`` and the
+    ``terms``.  ``rhs_total`` (the contributions added left to right from
+    0.0), ``residual`` (one value minus that total) and ``satisfied`` (the
+    residual within ``SATISFIED_ATOL`` of nonnegative) are read off them, so
+    no report disagrees with its own terms.  A CKW report
+    (:func:`ckw_report`) is the same sheet over its m = 2 terms.
     """
 
     measure: str
     focus: int
     one_value: float
     terms: tuple[SMTerm, ...]
-    rhs_total: float
-    residual: float
-    satisfied: bool
+
+    @property
+    def rhs_total(self) -> float:
+        # a plain loop, not sum(): sum() compensates float sums on Python >= 3.12
+        total = 0.0
+        for t in self.terms:
+            total += t.contribution
+        return total
+
+    @property
+    def residual(self) -> float:
+        return self.one_value - self.rhs_total
+
+    @property
+    def satisfied(self) -> bool:
+        return bool(self.residual >= -SATISFIED_ATOL)
 
     def level_totals(self) -> dict[int, float]:
         totals: dict[int, float] = {}
@@ -172,10 +201,10 @@ def _mixed_value(
     3-qubit reduced state that residual is the three-tangle, so the term is
     the squared roof of the row objective sqrt(4|Det row_h|), each member's
     weight times its root three-tangle, at the given config.  Any other
-    member's residual is its own ``sm_report`` residual; that nests a full
-    report inside every objective evaluation, so both that outer roof and the
-    members' reports run at ``NESTED_CONFIG`` with the report's seed,
-    whatever the report's own budget.
+    member's residual is its :func:`n_scren_pure`, its own ``sm_report``
+    residual; that nests a full report inside every objective evaluation, so
+    both that outer roof and the members' reports run at ``NESTED_CONFIG``
+    with the report's seed, whatever the report's own budget.
     """
     rho = reduced_density(psi, (0,) + subset)
     if rho.dims == (2, 2):
@@ -188,7 +217,7 @@ def _mixed_value(
         nested = replace(NESTED_CONFIG, seed=config.seed)
         value, result = roof_sqrt_functional(
             rho,
-            lambda member: sm_report(member, 0, "scren", nested).residual,
+            lambda member: n_scren_pure(member, 0, nested),
             nested,
             full_output=True,
         )
@@ -209,32 +238,13 @@ def _report(
     _check_measure(work.dims, measure)
     n = work.n_parties
     one = _cut_value(work, measure)
-    terms: list[SMTerm] = []
-    rhs = 0.0
-    for m in range(2, 3 if pairs_only else n):
-        for labels in combinations(range(2, n + 1), m - 1):
-            subset = tuple(j - 1 for j in labels)  # labels 2..n -> positions 1..n-1
-            value, converged = _mixed_value(work, subset, config)
-            contribution = value ** (m / 2)
-            rhs += contribution
-            terms.append(
-                SMTerm(
-                    subset=labels,
-                    value=value,
-                    contribution=contribution,
-                    converged=converged,
-                )
-            )
-    residual = one - rhs
-    return SMReport(
-        measure=measure,
-        focus=focus,
-        one_value=one,
-        terms=tuple(terms),
-        rhs_total=rhs,
-        residual=residual,
-        satisfied=bool(residual >= -SATISFIED_ATOL),
+    terms = tuple(
+        # labels 2..n -> positions 1..n-1
+        SMTerm(labels, *_mixed_value(work, tuple(j - 1 for j in labels), config))
+        for m in range(2, 3 if pairs_only else n)
+        for labels in combinations(range(2, n + 1), m - 1)
     )
+    return SMReport(measure, focus, one, terms)
 
 
 def sm_report(

@@ -696,15 +696,16 @@ def roof_sqrt_functional(
     """Squared roof of the square root of a nonnegative pure-state functional.
 
     Computes [min average sqrt(max(0, pure_fn))]^2 over decompositions.
-    ``pure_fn`` values in [-1e-7, 0) count as roundoff and clamp to zero; any
-    value below that raises :class:`ConjectureViolation` with the state.
+    ``pure_fn`` values in [-1e-7, 0] count as roundoff and clamp to zero; any
+    value below that raises :class:`ConjectureViolation` with the state.  A
+    NaN value is kept, so the roof raises ``ValueError`` on its average.
     """
 
     def sqrt_member(psi: PureState) -> float:
         v = float(pure_fn(psi))
         if v < -CONJECTURE_ATOL:
             raise ConjectureViolation(psi, v)
-        return math.sqrt(max(0.0, v))
+        return 0.0 if v <= 0.0 else math.sqrt(v)
 
     value, result = _squared_roof(rho, member_average(rho.dims, sqrt_member), config)
     return (value, result) if full_output else value

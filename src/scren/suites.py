@@ -196,7 +196,9 @@ def hunt_suite(
 ) -> dict:
     """SM residuals of the built-in fixtures of shape ``dims``, then of
     ``samples`` Haar-random states; sample i is drawn from
-    ``SeedSequence((config.seed, i))``."""
+    ``SeedSequence((config.seed, i))``.  ``dims`` may be any sequence of
+    ints; it is made a tuple of ints before the fixtures are matched."""
+    dims = tuple(int(d) for d in dims)
     tasks = [(label, psi) for label, psi in HUNT_FIXTURES if psi.dims == dims]
     for i in range(samples):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, i)))

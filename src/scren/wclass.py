@@ -214,22 +214,27 @@ def verify_theorem1(spec: WClassSpec, rep: SMReport) -> Theorem1Report:
 
 @dataclass(frozen=True)
 class Theorem2Report:
-    """Strong-monogamy saturation: residual and all higher-order terms vanish."""
+    """Strong-monogamy saturation: residual and all higher-order terms vanish.
+
+    It holds only the SM ``report``; ``max_higher_term`` (the largest m >= 3
+    term value, 0.0 if none) and ``passed`` (that value and the report's
+    residual within ``THEOREM_ATOL`` of zero) are read off it.
+    """
 
     report: SMReport
-    max_higher_term: float
-    passed: bool
+
+    @property
+    def max_higher_term(self) -> float:
+        return max((t.value for t in self.report.terms if t.order >= 3), default=0.0)
+
+    @property
+    def passed(self) -> bool:
+        return bool(
+            abs(self.report.residual) <= THEOREM_ATOL and self.max_higher_term <= THEOREM_ATOL
+        )
 
 
 def verify_theorem2(psi: PureState, config: RoofConfig | None = None) -> Theorem2Report:
     """Run the full SCREN SM report of the W-class state ``psi`` (from
     :func:`build_state`) with party 1 in focus and check saturation."""
-    report = sm_report(psi, focus=0, measure="scren", config=config)
-    higher = [t.value for t in report.terms if t.order >= 3]
-    max_higher = max(higher, default=0.0)
-    passed = bool(abs(report.residual) <= THEOREM_ATOL and max_higher <= THEOREM_ATOL)
-    return Theorem2Report(
-        report=report,
-        max_higher_term=max_higher,
-        passed=passed,
-    )
+    return Theorem2Report(sm_report(psi, focus=0, measure="scren", config=config))

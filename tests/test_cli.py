@@ -14,6 +14,7 @@ import pytest
 import scren
 from scren import (
     DensityMatrix,
+    RoofConfig,
     bell_state,
     dump_state,
     ghz_state,
@@ -31,7 +32,7 @@ from scren.cli import (
 from scren.monogamy import CKW_COUNTEREXAMPLE_322
 from scren.roof import ConjectureViolation
 from scren.states import state_to_dict
-from scren.suites import FIXTURE_CHECKS, random_rank2_two_qubit
+from scren.suites import FIXTURE_CHECKS, hunt_suite, random_rank2_two_qubit
 
 
 @pytest.fixture()
@@ -658,6 +659,15 @@ def test_hunt_worker_pool_matches_serial(capsys, dims):
     _, pooled, _ = run_cli(capsys, *base, "--workers", "2")
     assert serial == pooled
     assert json.loads(serial)["results"][0]["label"] == ("fixture_322" if dims == "3,2,2" else "sample_0000")
+
+
+def test_hunt_suite_matches_fixtures_for_any_dims_sequence():
+    # a list or an array of dims finds the same fixtures as the tuple
+    cfg = RoofConfig(2, 50, 0)
+    report = hunt_suite((3, 2, 2), 1, "scren", cfg, 1)
+    assert [r["label"] for r in report["results"]] == ["fixture_322", "sample_0000"]
+    assert hunt_suite([3, 2, 2], 1, "scren", cfg, 1) == report
+    assert hunt_suite(np.array([3, 2, 2]), 1, "scren", cfg, 1) == report
 
 
 def test_hunt_tangle_guard_beyond_three_parties(capsys):

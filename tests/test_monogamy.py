@@ -253,6 +253,44 @@ def test_sm_residual_identity_and_contributions():
     assert abs(sum(rep.level_totals().values()) - rep.rhs_total) <= 1e-12
 
 
+def _left_to_right(values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 2)])
+def test_sm_rhs_total_adds_contributions_left_to_right(dims):
+    # pins the summation order: a compensated sum could move the last bit
+    psi = haar_random_state(dims, np.random.default_rng(12))
+    rep = sm_report(psi, 0, "scren", RoofConfig(starts=3, iters=200, seed=7))
+    assert rep.rhs_total == _left_to_right(t.contribution for t in rep.terms)
+    assert rep.residual == rep.one_value - rep.rhs_total
+
+
+def test_replaced_terms_move_every_derived_value():
+    # a report holds only its one value and terms; nothing read off them goes stale
+    psi = haar_random_state((2,) * 4, np.random.default_rng(9))
+    rep = sm_report(psi, 0, "scren", RoofConfig(starts=3, iters=200, seed=7))
+    assert rep.satisfied
+    pair = replace(rep.terms[0], value=rep.one_value + 1.0)
+    assert pair.contribution == pair.value  # m = 2: exponent 1
+    (k,) = [i for i, t in enumerate(rep.terms) if t.subset == (2, 3)]
+    triple = replace(rep.terms[k], value=0.25)
+    assert triple.contribution == 0.25**1.5
+    terms = list(rep.terms)
+    terms[0], terms[k] = pair, triple
+    moved = replace(rep, terms=tuple(terms))
+    assert moved.rhs_total == _left_to_right(t.contribution for t in terms)
+    assert moved.rhs_total > rep.rhs_total + 1.0
+    assert moved.residual == moved.one_value - moved.rhs_total
+    assert not moved.satisfied
+    assert moved.to_dict()["rhs"] == moved.rhs_total
+    empty = replace(rep, terms=())
+    assert (empty.rhs_total, empty.residual, empty.satisfied) == (0.0, rep.one_value, True)
+
+
 def test_sm_dominates_ckw():
     cfg = RoofConfig(starts=6, iters=400, seed=5)
     rng = np.random.default_rng(5)

@@ -1057,6 +1057,14 @@ def test_sqrt_roof_raises_conjecture_violation():
     assert isinstance(err.value.state, PureState)
 
 
+def test_sqrt_roof_raises_on_nan_member_values():
+    # a NaN member value is not clamped to zero: it reaches the roof record,
+    # which raises on the non-finite average instead of stopping at 0.0
+    rho = reduced_density(haar_random_state((2,) * 4, np.random.default_rng(0)), (0, 1, 2))
+    with pytest.raises(ValueError, match="non-finite"):
+        roof_sqrt_functional(rho, lambda s: float("nan"), RoofConfig(1, 20, 0))
+
+
 def _seeded_member_rows(rng):
     """A rank-2 three-qubit state and the rows of three of its decompositions."""
     rho = random_mixed_state(rng, (2, 2, 2), rank=2)

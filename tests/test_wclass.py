@@ -1,6 +1,7 @@
 """Generalized W-class plus vacuum family: closed forms and theorem checks."""
 
 import json
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -390,6 +391,24 @@ def test_theorem2_vacuum_all_zero():
     rep = verify_theorem2(build_state(WClassSpec(spec.n, spec.d, spec.a, 0.0)), FAST)
     assert rep.passed
     assert abs(rep.report.residual) <= 1e-12 and rep.max_higher_term <= 1e-12
+
+
+def test_theorem2_verdict_is_read_off_its_report():
+    rng = np.random.default_rng(16)
+    thm2 = verify_theorem2(build_state(random_spec(rng, 4, 3)), FAST)
+    assert thm2.passed
+    assert thm2.max_higher_term == max(t.value for t in thm2.report.terms if t.order >= 3)
+    terms = list(thm2.report.terms)
+    (k,) = [i for i, t in enumerate(terms) if t.subset == (2, 3)]
+    terms[k] = replace(terms[k], value=0.25)
+    higher = replace(thm2, report=replace(thm2.report, terms=tuple(terms)))
+    assert higher.max_higher_term == 0.25
+    assert not higher.passed
+    shifted = replace(thm2, report=replace(thm2.report, one_value=thm2.report.one_value + 0.01))
+    assert shifted.max_higher_term == thm2.max_higher_term
+    assert not shifted.passed
+    pairs = replace(thm2, report=replace(thm2.report, terms=thm2.report.terms[:3]))
+    assert pairs.max_higher_term == 0.0
 
 
 def test_wclass_trial_runs_lemma1_on_its_report_states(monkeypatch):
