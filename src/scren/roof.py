@@ -33,8 +33,14 @@ two-parameter chart of chord directions around the best of them
 :func:`_chord_search`: it yields each stack of chord directions it scores, the
 scan first and then one 3 x 3 stencil of chart points a step, and
 :func:`_chord_roof` scores each stack through the record in one objective
-call, sends back its averages and alone keeps the budget.  A quadratic model
-of the stencil takes the search to the Newton point when that point is near.
+call, sends back its averages and alone keeps the budget.  Two kernels build
+a stack's chord decompositions, with the same IEEE operations.  A stack of
+at most ``CHORD_SCALAR_MAX_K`` = 16 chords, every stencil, is built on Python
+floats, since numpy's per-call cost would outweigh its arithmetic; a larger
+one, the scan, by numpy.  The two cost the same at 17 to 20 chords.  numpy
+divides a complex entry by the real sqrt(q_j) as a multiplication by
+1 / sqrt(q_j), so the scalar kernel multiplies too.  A quadratic model of
+the stencil takes the search to the Newton point when that point is near.
 A rank-2 two-qubit state has a whole curve of optimal chords, along which the
 model's Hessian is near singular and its Newton point is rejected; when the
 stencil also stalled (no point improved on its centre), the search takes the
@@ -91,6 +97,13 @@ PROBE_SPREAD_TOL = 1e-9
 # upper half of a Fibonacci sphere, since a chord and its reverse are the same
 # decomposition.  The z-axis, the eigendecomposition, is scanned besides.
 CHORD_COUNT = 64
+
+# Largest stack of chords built on Python floats (:func:`_scalar_chord_unitaries`)
+# in place of numpy (:func:`_chord_unitaries`).  At one BLAS thread (2-vCPU
+# machine) the numpy kernel took 23-26 µs for 1 to 64 chords, about its
+# per-call cost; the scalar kernel 2.6 µs at 1 chord, 10.8 and 12.4 at 8 and 9
+# (a stencil step), 21 at 16, 22-24 at 17, 28 at 20 and 78 at 64.
+CHORD_SCALAR_MAX_K = 16
 
 # The chord search from the best scanned chord (:func:`_chord_search`): its
 # first stencil step in the chart, the step below which it returns, how far
@@ -232,6 +245,43 @@ _STENCIL = np.array(
 )
 
 
+def _scalar_chord_unitaries(q: tuple[float, float], u: np.ndarray) -> np.ndarray:
+    """:func:`_chord_unitaries` on Python floats, for a short stack ``u``.
+
+    Each chord's small root is c / big, each end point takes the hemisphere
+    chart of the larger of 1 +- n_z, and column j is multiplied by
+    1 / sqrt(q_j), not divided by sqrt(q_j): those are the numpy kernel's
+    operations, so the two agree bit for bit (up to the sign of a zero).
+    """
+    q1, q2 = q
+    c = 4.0 * q1 * q2
+    d = q1 - q2
+    north0, south0 = 2.0 * q1, 2.0 * q2
+    r1, r2 = 1.0 / math.sqrt(q1), 1.0 / math.sqrt(q2)
+    # (re, im) of entries (h, 0) and (h, 1) for each chord and end point h
+    out = []
+    for ux, uy, uz in u.tolist():
+        b = d * uz
+        big = abs(b) + math.sqrt(b * b + c)
+        small = c / big
+        total = big + small
+        if b >= 0:
+            ends = (small, big / total), (-big, small / total)
+        else:
+            ends = (big, small / total), (-small, big / total)
+        for t, p in ends:
+            tz = t * uz
+            north = north0 + tz
+            south = south0 - tz
+            if north >= south:
+                s = math.sqrt(p / (2.0 * north))
+                out += (s * north * r1, 0.0, s * (t * ux) * r2, s * (t * uy) * r2)
+            else:
+                s = math.sqrt(p / (2.0 * south))
+                out += (s * (t * ux) * r1, s * -(t * uy) * r1, s * south * r2, 0.0)
+    return np.array(out).view(np.complex128).reshape(-1, 2, 2)
+
+
 def _chord_unitaries(q: tuple[float, float], u: np.ndarray) -> np.ndarray:
     """(K, 2, 2) mixing unitaries of the chord decompositions along a (K, 3) stack ``u``.
 
@@ -252,12 +302,20 @@ def _chord_unitaries(q: tuple[float, float], u: np.ndarray) -> np.ndarray:
     (1 + n_z, n_x + i n_y) / sqrt(2 (1 + n_z)) or
     (n_x - i n_y, 1 - n_z) / sqrt(2 (1 - n_z)).
 
-    The kernel runs on stacks of 8 to 64 chords, where each numpy call costs
+    Two kernels compute it, with the same IEEE operations on every element.
+    A stack of at most ``CHORD_SCALAR_MAX_K`` chords, every stencil step,
+    takes :func:`_scalar_chord_unitaries`; the two kernels cost the same at
+    17 to 20 chords (see the constant).  A larger stack, the
+    ``CHORD_COUNT`` scan, takes this numpy kernel, whose every call costs
     more than its arithmetic, so it makes as few calls as it can: it works on
     (2, K) arrays, one row per end point, and builds them in place.  It reads
     the components of ``u`` as the rows of ``u.T``, which are contiguous
-    (and the calls faster) when the caller built ``u`` as a transpose.
+    (and the calls faster) when the caller built ``u`` as a transpose.  Its
+    last step divides complex entries by the real sqrt(q_j), which numpy
+    does as a multiplication by the reciprocal 1 / sqrt(q_j).
     """
+    if len(u) <= CHORD_SCALAR_MAX_K:
+        return _scalar_chord_unitaries(q, u)
     q1, q2 = q
     ux, uy, uz = u.T
     c = 4.0 * q1 * q2
@@ -312,7 +370,14 @@ def _chord_chart(u0: Sequence[float]) -> np.ndarray:
 
 def _chart_directions(origin: np.ndarray, axes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(K, 3) unit directions of chart points ``x`` for the frame's origin column and
-    (3, 2) axes, built as their contiguous transpose (see :func:`_chord_unitaries`)."""
+    (3, 2) axes, built as their contiguous transpose.
+
+    A stencil's 8 or 9 directions go to the scalar chord kernel, which reads
+    them in one ``tolist``; the transpose speeds the numpy kernel, which
+    takes stacks of more than ``CHORD_SCALAR_MAX_K`` (see
+    :func:`_chord_unitaries`).  The product stays on numpy: BLAS may fuse
+    its multiply-adds, which Python floats cannot match bit for bit.
+    """
     u = origin + axes @ x.T
     u /= np.sqrt(np.add.reduce(u * u, axis=0))
     return u.T

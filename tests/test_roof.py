@@ -36,6 +36,7 @@ from scren.monogamy import NESTED_CONFIG
 from scren.negativity import negativity_rows
 from scren.roof import (
     CHORD_COUNT,
+    CHORD_SCALAR_MAX_K,
     PROBE_COUNT,
     SQRT_ROOF_FLOOR,
     STENCIL_TRUST,
@@ -636,16 +637,35 @@ def _near_pole_pair(rng, small):
     return DensityMatrix((2, 2), mat)
 
 
-@pytest.mark.parametrize("q2", [0.5, 0.3, 1e-3, 1e-9])
-def test_chord_unitaries_are_unitary_to_roundoff(q2):
+# q_2 of the chord kernel tests, down to a pair whose second member weighs 2e-12
+_KERNEL_Q2 = [0.5, 0.3, 1e-3, 1e-9, 2e-12]
+
+# CHORD_SCALAR_MAX_K at which every stack takes the numpy kernel, every stack
+# the scalar kernel, or each stack the kernel its size picks (the default)
+_KERNEL_LIMITS = (0, 1 << 30, CHORD_SCALAR_MAX_K)
+
+
+def _stack_cuts(u):
+    """Leading cuts of a stack on both sides of the scalar kernel's limit, and the stack."""
+    sizes = {1, 8, 9, CHORD_SCALAR_MAX_K, CHORD_SCALAR_MAX_K + 1, len(u)}
+    return [u[:k] for k in sorted(sizes) if k <= len(u)]
+
+
+@pytest.mark.parametrize("q2", _KERNEL_Q2)
+def test_chord_unitaries_are_unitary_to_roundoff(q2, monkeypatch):
     # entries of the second column scale as 1 / sqrt(q2), so the defect is
     # measured relative to that
     q = (1.0 - q2, q2)
     poles_and_equator = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
-    w = _chord_unitaries(q, np.array(poles_and_equator + list(_CHORD_DIRECTIONS)))
-    assert w.shape == (4 + CHORD_COUNT, 2, 2)
-    defect = np.abs(w.conj().transpose(0, 2, 1) @ w - np.eye(2)).max(axis=(1, 2))
-    assert defect.max() * q2 <= 1e-15
+    stack = np.array(poles_and_equator + list(_CHORD_DIRECTIONS))
+    assert len(stack) == 4 + CHORD_COUNT
+    for limit in _KERNEL_LIMITS:
+        monkeypatch.setattr(roof_module, "CHORD_SCALAR_MAX_K", limit)
+        for u in _stack_cuts(stack):
+            w = _chord_unitaries(q, u)
+            assert w.shape == (len(u), 2, 2)
+            defect = np.abs(w.conj().transpose(0, 2, 1) @ w - np.eye(2)).max(axis=(1, 2))
+            assert defect.max() * q2 <= 1e-15
 
 
 def _kernel_directions():
@@ -663,11 +683,33 @@ def _kernel_directions():
     return stacks + [np.ascontiguousarray(u.T).T for u in stacks]
 
 
-@pytest.mark.parametrize("q2", [0.5, 0.3, 1e-3, 1e-9])
-def test_chord_unitaries_equal_the_reference_kernel_bit_for_bit(q2):
+@pytest.mark.parametrize("q2", _KERNEL_Q2)
+def test_chord_unitaries_equal_the_reference_kernel_bit_for_bit(q2, monkeypatch):
+    # the kernels may differ in the sign of a zero entry, which array_equal
+    # does not see
     q = (1.0 - q2, q2)
-    for u in _kernel_directions():
-        assert np.array_equal(_chord_unitaries(q, u), reference_chord_unitaries(q, u))
+    for limit in _KERNEL_LIMITS:
+        monkeypatch.setattr(roof_module, "CHORD_SCALAR_MAX_K", limit)
+        for stack in _kernel_directions():
+            for u in _stack_cuts(stack):
+                assert np.array_equal(_chord_unitaries(q, u), reference_chord_unitaries(q, u))
+
+
+@pytest.mark.parametrize("measure", [scren2, cren], ids=["scren2", "cren"])
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 4)], ids=["2x2", "3x2", "2x4"])
+def test_scalar_chord_kernel_keeps_every_chord_roof_bit_for_bit(dims, measure, monkeypatch):
+    rng = np.random.default_rng(37)
+    states = [random_mixed_state(rng, dims, rank=2) for _ in range(8)]
+    results = [measure(rho, PART2, full_output=True) for rho in states]
+    # every stack to the numpy kernel
+    monkeypatch.setattr(roof_module, "CHORD_SCALAR_MAX_K", 0)
+    for rho, (value, result) in zip(states, results):
+        numpy_value, reference = measure(rho, PART2, full_output=True)
+        assert result.exit == reference.exit == "chord"
+        assert value == numpy_value
+        assert result.value == reference.value
+        assert result.rows.tobytes() == reference.rows.tobytes()
+        assert result.evals == reference.evals
 
 
 def test_chord_chart_is_an_orthonormal_frame_with_the_cross_product():

@@ -104,8 +104,12 @@ def marginal_focus_matrix(spec: WClassSpec) -> np.ndarray:
 def reference_chord_unitaries(q: tuple[float, float], u: np.ndarray) -> np.ndarray:
     """The chord kernel written plainly, one ``np.stack`` per (K, 2) array.
 
-    ``roof._chord_unitaries`` must return exactly these values: it makes
-    fewer numpy calls, through the same IEEE operations on every element.
+    ``roof._chord_unitaries`` must return exactly these values from both of
+    its kernels, through the same IEEE operations on every element: the
+    numpy kernel (stacks above ``CHORD_SCALAR_MAX_K`` chords) in fewer numpy
+    calls, the scalar kernel (at most that many) on Python floats.  numpy
+    divides a complex entry by the real sqrt(q_j) as a multiplication by
+    1 / sqrt(q_j), so the scalar kernel multiplies by that reciprocal.
     """
     q1, q2 = q
     ux, uy, uz = u.T
