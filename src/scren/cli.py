@@ -4,8 +4,11 @@ codes.  The batch runs themselves live in :mod:`scren.suites`.
 Subcommands
 -----------
 compute  one measure of one state file, JSON result on stdout
-verify   bundled suites: ``paper`` (fixture values) or ``wclass`` (theorems)
+verify   bundled suites: ``paper`` (fixture values) or ``wclass`` (theorems),
+         each with its own flags after the suite name
 hunt     sample random states and report strong-monogamy residuals
+
+Every subcommand takes ``--out``, ``--starts``, ``--iters`` and ``--seed``.
 
 Exit codes: 0 ok, 1 verification failure, 2 input error (an unwritable
 ``--out`` too), 3 cost guard, 4 conjecture violation (offending state dumped
@@ -46,17 +49,6 @@ EXIT_CONJECTURE = 4
 COMPUTE_MEASURES = ("negativity", "cren", "scren", "tangle", "ntangle", "nscren")
 
 
-def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--starts", type=int, default=RoofConfig.starts,
-                        help="optimizer multi-starts (a rank-2 qubit-qudit pair runs "
-                             "one start from a chord scan instead)")
-    parser.add_argument("--iters", type=int, default=RoofConfig.iters,
-                        help="evaluation budget per start")
-    parser.add_argument("--seed", type=int, default=RoofConfig.seed,
-                        help="non-negative master random seed (a rank-2 qubit-qudit "
-                             "pair roof does not use it)")
-
-
 def _config_from(args: argparse.Namespace) -> RoofConfig:
     return RoofConfig(starts=args.starts, iters=args.iters, seed=args.seed)
 
@@ -78,9 +70,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="scren",
         description="Negativity-based entanglement measures and monogamy checks",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--out", default=None, help="write the result here")
+    shared.add_argument("--starts", type=int, default=RoofConfig.starts,
+                        help="optimizer multi-starts (a rank-2 qubit-qudit pair runs "
+                             "one start from a chord scan instead)")
+    shared.add_argument("--iters", type=int, default=RoofConfig.iters,
+                        help="evaluation budget per start")
+    shared.add_argument("--seed", type=int, default=RoofConfig.seed,
+                        help="non-negative master random seed (a rank-2 qubit-qudit "
+                             "pair roof does not use it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_compute = sub.add_parser("compute", help="compute one measure of a state file")
+    p_compute = sub.add_parser("compute", parents=[shared],
+                               help="compute one measure of a state file")
     p_compute.add_argument("measure", choices=COMPUTE_MEASURES)
     p_compute.add_argument("--state", required=True, help="path to a JSON state file")
     p_compute.add_argument("--cut", default=None,
@@ -89,29 +92,26 @@ def build_parser() -> argparse.ArgumentParser:
                            help="focus party for the recursive measures")
     p_compute.add_argument("--trace-out", default=None,
                            help="subsystems to trace out before measuring")
-    p_compute.add_argument("--out", default=None, help="write the JSON result here")
-    _add_optimizer_flags(p_compute)
 
     p_verify = sub.add_parser("verify", help="run a bundled verification suite")
-    p_verify.add_argument("suite", choices=("paper", "wclass"))
-    p_verify.add_argument("--trials", type=int, default=None,
-                          help="paper: oracle comparison count (default 50); "
-                               "wclass: number of random specs (default 20)")
-    p_verify.add_argument("--n", type=int, default=4, help="wclass party count")
-    p_verify.add_argument("--d", type=int, default=3, help="wclass local dimension")
-    p_verify.add_argument("--workers", type=int, default=1,
-                          help="worker pool size for wclass trials")
-    p_verify.add_argument("--out", default=None, help="write the JSON report here")
-    _add_optimizer_flags(p_verify)
+    suites = p_verify.add_subparsers(dest="suite", required=True)
+    p_paper = suites.add_parser("paper", parents=[shared],
+                                help="fixture values and the two-qubit oracle")
+    p_paper.add_argument("--trials", type=int, default=50, help="oracle comparison count")
+    p_wclass = suites.add_parser("wclass", parents=[shared],
+                                 help="Lemma 1 and Theorems 1-2 on W-class states")
+    p_wclass.add_argument("--trials", type=int, default=20, help="number of random specs")
+    p_wclass.add_argument("--n", type=int, default=4, help="party count")
+    p_wclass.add_argument("--d", type=int, default=3, help="local dimension")
+    p_wclass.add_argument("--workers", type=int, default=1, help="worker pool size")
 
-    p_hunt = sub.add_parser("hunt", help="scan random states for SM-inequality violations")
+    p_hunt = sub.add_parser("hunt", parents=[shared],
+                            help="scan random states for SM-inequality violations")
     p_hunt.add_argument("--dims", required=True, help="local dimensions, e.g. 3,2,2")
     p_hunt.add_argument("--samples", type=int, default=100)
     p_hunt.add_argument("--measure", choices=MEASURES, default="scren")
     p_hunt.add_argument("--csv", action="store_true", help="tabular output instead of JSON")
-    p_hunt.add_argument("--out", default=None, help="write the report here")
     p_hunt.add_argument("--workers", type=int, default=1, help="worker pool size")
-    _add_optimizer_flags(p_hunt)
 
     return parser
 
@@ -171,21 +171,19 @@ def _run_compute(args) -> dict:
         raise ValueError(f"{kind}'{measure}' does not read --cut")
     if args.focus is not None and measure not in ("ntangle", "nscren"):
         raise ValueError(f"'{measure}' does not read --focus")
+    part = _cut_from(args, kept, n) if reads_cut else None
     if measure == "negativity":
-        part = _cut_from(args, kept, n)
         if isinstance(state, PureState):
             value = negativity_pure(state, part)
         else:
             value = negativity_mixed(state, part)
     elif measure in ("cren", "scren"):
-        part = _cut_from(args, kept, n)
         rho = to_density(state) if isinstance(state, PureState) else state
         fn = cren if measure == "cren" else scren2
         value, result = fn(rho, part, config, full_output=True)
         diagnostics = {"converged": result.converged, "starts": result.starts}
     elif measure == "tangle":
         if isinstance(state, PureState):
-            part = _cut_from(args, kept, n)
             value = one_tangle(state, part)
         else:
             if n != 2:
@@ -233,26 +231,20 @@ def _check_at_least_one(flag: str, value: int) -> None:
 
 
 def _run_verify(args) -> tuple[dict, bool]:
-    if args.trials is not None:
-        _check_at_least_one("--trials", args.trials)
-    _check_at_least_one("--workers", args.workers)
+    _check_at_least_one("--trials", args.trials)
+    if args.suite == "wclass":
+        _check_at_least_one("--workers", args.workers)
     config = _config_from(args)
     if args.suite == "paper":
-        trials = args.trials if args.trials is not None else 50
-        report = paper_suite(config=config, oracle_trials=trials)
+        report = paper_suite(config=config, oracle_trials=args.trials)
     else:
-        trials = args.trials if args.trials is not None else 20
         if args.n < 3:
             # a two-party SM report has no terms, so Theorem 2 cannot saturate
             raise ValueError(f"verify wclass needs --n >= 3, got {args.n}")
+        if args.d < 2:
+            raise ValueError(f"verify wclass needs --d >= 2, got {args.d}")
         check_cost((args.d,) * args.n)
-        report = wclass_suite(
-            trials=trials,
-            n=args.n,
-            d=args.d,
-            config=config,
-            workers=args.workers,
-        )
+        report = wclass_suite(args.trials, args.n, args.d, config, args.workers)
     return report, bool(report["all_passed"])
 
 

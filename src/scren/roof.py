@@ -34,13 +34,10 @@ two-parameter chart of chord directions around the best of them
 scan first and then one 3 x 3 stencil of chart points a step, and
 :func:`_chord_roof` scores each stack through the record in one objective
 call, sends back its averages and alone keeps the budget.  Two kernels build
-a stack's chord decompositions, with the same IEEE operations.  A stack of
-at most ``CHORD_SCALAR_MAX_K`` = 16 chords, every stencil, is built on Python
-floats, since numpy's per-call cost would outweigh its arithmetic; a larger
-one, the scan, by numpy.  The two cost the same at 17 to 20 chords.  numpy
-divides a complex entry by the real sqrt(q_j) as a multiplication by
-1 / sqrt(q_j), so the scalar kernel multiplies too.  A quadratic model of
-the stencil takes the search to the Newton point when that point is near.
+a stack's chord decompositions bit for bit alike: Python floats for a
+stencil, numpy for the scan (see :func:`_chord_unitaries`).  A quadratic
+model of the stencil takes the search to the Newton point when that point
+is near.
 A rank-2 two-qubit state has a whole curve of optimal chords, along which the
 model's Hessian is near singular and its Newton point is rejected; when the
 stencil also stalled (no point improved on its centre), the search takes the
@@ -102,7 +99,9 @@ CHORD_COUNT = 64
 # in place of numpy (:func:`_chord_unitaries`).  At one BLAS thread (2-vCPU
 # machine) the numpy kernel took 23-26 µs for 1 to 64 chords, about its
 # per-call cost; the scalar kernel 2.6 µs at 1 chord, 10.8 and 12.4 at 8 and 9
-# (a stencil step), 21 at 16, 22-24 at 17, 28 at 20 and 78 at 64.
+# (a stencil step), 21 at 16, 22-24 at 17, 28 at 20 and 78 at 64, so the two
+# cost the same at 17 to 20 chords.  Both kernels multiply by the reciprocal
+# 1 / sqrt(q_j), as numpy divides, so the limit changes no bit of any value.
 CHORD_SCALAR_MAX_K = 16
 
 # The chord search from the best scanned chord (:func:`_chord_search`): its
@@ -246,12 +245,8 @@ _STENCIL = np.array(
 
 
 def _scalar_chord_unitaries(q: tuple[float, float], u: np.ndarray) -> np.ndarray:
-    """:func:`_chord_unitaries` on Python floats, for a short stack ``u``.
-
-    Each chord's small root is c / big, each end point takes the hemisphere
-    chart of the larger of 1 +- n_z, and column j is multiplied by
-    1 / sqrt(q_j), not divided by sqrt(q_j): those are the numpy kernel's
-    operations, so the two agree bit for bit (up to the sign of a zero).
+    """:func:`_chord_unitaries` on Python floats, for a short stack ``u``,
+    through the numpy kernel's IEEE operations (see there).
     """
     q1, q2 = q
     c = 4.0 * q1 * q2
@@ -302,17 +297,18 @@ def _chord_unitaries(q: tuple[float, float], u: np.ndarray) -> np.ndarray:
     (1 + n_z, n_x + i n_y) / sqrt(2 (1 + n_z)) or
     (n_x - i n_y, 1 - n_z) / sqrt(2 (1 - n_z)).
 
-    Two kernels compute it, with the same IEEE operations on every element.
-    A stack of at most ``CHORD_SCALAR_MAX_K`` chords, every stencil step,
-    takes :func:`_scalar_chord_unitaries`; the two kernels cost the same at
-    17 to 20 chords (see the constant).  A larger stack, the
-    ``CHORD_COUNT`` scan, takes this numpy kernel, whose every call costs
-    more than its arithmetic, so it makes as few calls as it can: it works on
-    (2, K) arrays, one row per end point, and builds them in place.  It reads
-    the components of ``u`` as the rows of ``u.T``, which are contiguous
-    (and the calls faster) when the caller built ``u`` as a transpose.  Its
-    last step divides complex entries by the real sqrt(q_j), which numpy
-    does as a multiplication by the reciprocal 1 / sqrt(q_j).
+    Two kernels compute it, with the same IEEE operations on every element,
+    so they agree bit for bit (up to the sign of a zero): the small root as
+    c / big, the hemisphere chart of the larger of 1 +- n_z, and column j
+    multiplied by the reciprocal 1 / sqrt(q_j), which is how numpy divides a
+    complex entry by the real sqrt(q_j).  A stack of at most
+    ``CHORD_SCALAR_MAX_K`` chords, every stencil step, takes
+    :func:`_scalar_chord_unitaries`; the two kernels cost the same at 17 to
+    20 chords (see the constant).  A larger stack, the ``CHORD_COUNT`` scan
+    of the C-contiguous ``_CHORD_DIRECTIONS``, takes this numpy kernel,
+    whose every call costs more than its arithmetic, so it makes as few
+    calls as it can: it works on (2, K) arrays, one row per end point, and
+    builds them in place from the (strided) rows of ``u.T``.
     """
     if len(u) <= CHORD_SCALAR_MAX_K:
         return _scalar_chord_unitaries(q, u)
@@ -370,13 +366,13 @@ def _chord_chart(u0: Sequence[float]) -> np.ndarray:
 
 def _chart_directions(origin: np.ndarray, axes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(K, 3) unit directions of chart points ``x`` for the frame's origin column and
-    (3, 2) axes, built as their contiguous transpose.
+    (3, 2) axes, the transpose of the (3, K) array the product builds.
 
     A stencil's 8 or 9 directions go to the scalar chord kernel, which reads
-    them in one ``tolist``; the transpose speeds the numpy kernel, which
-    takes stacks of more than ``CHORD_SCALAR_MAX_K`` (see
-    :func:`_chord_unitaries`).  The product stays on numpy: BLAS may fuse
-    its multiply-adds, which Python floats cannot match bit for bit.
+    them in one ``tolist``; they reach the numpy kernel only when
+    ``CHORD_SCALAR_MAX_K`` is set below 8.  The product stays on numpy for
+    its BLAS bits: BLAS may fuse its multiply-adds, which Python floats
+    cannot match bit for bit.
     """
     u = origin + axes @ x.T
     u /= np.sqrt(np.add.reduce(u * u, axis=0))

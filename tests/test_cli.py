@@ -510,6 +510,14 @@ def test_verify_wclass_rejects_fewer_than_three_parties(capsys, n):
     assert "--n" in err
 
 
+@pytest.mark.parametrize("d", ["1", "0", "-1"])
+def test_verify_wclass_rejects_local_dimension_below_two(capsys, d):
+    code, out, err = run_cli(capsys, "verify", "wclass", "--n", "3", "--d", d, "--trials", "1")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: verify wclass needs --d >= 2, got {d}\n"
+
+
 @pytest.mark.parametrize("suite", ["paper", "wclass"])
 def test_verify_rejects_zero_trials(capsys, suite):
     code, out, err = run_cli(capsys, "verify", suite, "--trials", "0")
@@ -519,12 +527,22 @@ def test_verify_rejects_zero_trials(capsys, suite):
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
-@pytest.mark.parametrize("suite", ["paper", "wclass"])
+@pytest.mark.parametrize("suite", ["wclass"])
 def test_verify_rejects_workers_below_one(capsys, suite, workers):
     code, out, err = run_cli(capsys, "verify", suite, "--trials", "1", "--workers", workers)
     assert code == EXIT_INPUT
     assert out == ""
     assert "--workers" in err
+
+
+def test_verify_paper_has_no_workers_flag(capsys):
+    # the paper suite runs in one process, so a pool size is a parse error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "paper", "--workers", "2"])
+    assert exc.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--workers" in captured.err
 
 
 @pytest.mark.parametrize("flag", ["--starts", "--iters"])

@@ -33,6 +33,8 @@ from scren.monogamy import NESTED_CONFIG
 from scren.roof import SQRT_ROOF_FLOOR
 from scren.wclass import build_state, random_spec
 
+from util import random_local_unitaries
+
 FAST = RoofConfig(starts=8, iters=600, seed=7)
 
 
@@ -314,6 +316,24 @@ def test_sm_permutation_covariance():
     swapped_pairs = {t.subset: t.value for t in swapped.terms if t.order == 2}
     assert abs(base_pairs[(2,)] - swapped_pairs[(3,)]) <= 1e-6
     assert abs(base_pairs[(3,)] - swapped_pairs[(2,)]) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "dims", [(3, 2, 2), (2, 2, 3), (2, 3, 2), (2, 2, 2)], ids=["322", "223", "232", "222"]
+)
+def test_three_party_residual_is_free_of_labels_and_local_unitaries(dims):
+    # every pair term of a 3-party report is exact: the chord exit of a
+    # rank-2 qubit-qudit pair or the Wootters closed form of a qubit pair
+    rng = np.random.default_rng(80 + sum(dims))
+    psi = haar_random_state(dims, rng)
+    base = sm_report(psi)
+    swapped = sm_report(psi.permute([0, 2, 1]))
+    assert [t.subset for t in swapped.terms] == [(2,), (3,)]
+    assert abs(base.terms[0].value - swapped.terms[1].value) <= 1e-12
+    assert abs(base.terms[1].value - swapped.terms[0].value) <= 1e-12
+    residuals = [base.residual, swapped.residual]
+    residuals += [sm_report(random_local_unitaries(psi, rng)).residual for _ in range(3)]
+    assert max(residuals) - min(residuals) <= 1e-12
 
 
 def test_sm_focus_relabeling():

@@ -126,6 +126,12 @@ def test_bipartition_mismatch_rejected():
         negativity_mixed(to_density(bell_state()), Bipartition((0,), 3))
 
 
+def test_pure_bipartition_mismatch_rejected():
+    # the row kernel checks the cut against the state's party count
+    with pytest.raises(ValueError, match="party count"):
+        negativity_pure(bell_state(), Bipartition((0,), 3))
+
+
 def _split_singular_values(row: np.ndarray, dims, side_a) -> np.ndarray:
     """Schmidt singular values of one unnormalized row across side A | rest."""
     order = list(side_a) + [i for i in range(len(dims)) if i not in side_a]

@@ -42,6 +42,7 @@ from scren.roof import (
     STENCIL_TRUST,
     _CHORD_DIRECTIONS,
     _STENCIL,
+    _checked_rows,
     _chord_chart,
     _chord_rows,
     _chord_search,
@@ -56,6 +57,8 @@ from scren.wclass import build_state, random_spec
 
 from util import (
     hjw_rows,
+    random_local_unitaries,
+    random_local_unitaries_mixed,
     random_mixed_state,
     random_rank2_two_qubit,
     reference_chord_roof,
@@ -892,6 +895,40 @@ def test_valley_step_shortens_two_qubit_chord_searches(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# local-unitary invariance of the exact exits
+# ---------------------------------------------------------------------------
+
+def _spread(values) -> float:
+    return max(values) - min(values)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3)], ids=["2x2", "3x2", "2x3"])
+@pytest.mark.parametrize("roof", [scren2, cren])
+def test_chord_exit_is_local_unitary_invariant(roof, dims):
+    # every copy U_A (x) U_B rho U^dagger takes the chord exit to the same value
+    rng = np.random.default_rng(60 + 10 * dims[0] + dims[1])
+    for _ in range(3):
+        rho = random_mixed_state(rng, dims, rank=2)
+        copies = [rho] + [random_local_unitaries_mixed(rho, rng) for _ in range(3)]
+        results = [roof(copy, PART2, full_output=True) for copy in copies]
+        assert {result.exit for _, result in results} == {"chord"}
+        assert _spread([value for value, _ in results]) <= 1e-12
+
+
+@pytest.mark.parametrize("roof", [scren2, cren])
+def test_probe_exit_is_local_unitary_invariant_on_wclass_pairs(roof):
+    # the (0, 1) reduction of a W-class state is decomposition independent, so
+    # it takes the probe exit for the state and for its local-unitary copies
+    rng = np.random.default_rng(64)
+    for _ in range(3):
+        psi = build_state(random_spec(rng, 4, 3))
+        copies = [psi] + [random_local_unitaries(psi, rng) for _ in range(3)]
+        results = [roof(reduced_density(copy, (0, 1)), PART2, full_output=True) for copy in copies]
+        assert {result.exit for _, result in results} == {"probe"}
+        assert _spread([value for value, _ in results]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # objective-evaluation counts
 # ---------------------------------------------------------------------------
 
@@ -1186,6 +1223,13 @@ def test_support_rows_rebuild_the_matrix():
     _, base = rho.support
     rebuilt = base.T @ base.conj()
     assert np.abs(rebuilt - rho.matrix).max() <= 1e-10
+
+
+def test_checked_rows_reject_the_rows_of_another_state():
+    rng = np.random.default_rng(23)
+    rho, other = (random_mixed_state(rng, (2, 2), rank=2) for _ in range(2))
+    with pytest.raises(AssertionError, match="rows do not rebuild the state"):
+        _checked_rows(rho, other.support[1].copy())
 
 
 # ---------------------------------------------------------------------------

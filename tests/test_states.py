@@ -57,6 +57,16 @@ def test_density_matrix_rejects_negative_eigenvalue():
         DensityMatrix((2,), mat)
 
 
+@pytest.mark.parametrize("dims, matrix, message", [
+    pytest.param((1, 2), np.eye(2) / 2, "dimensions must all be >= 2", id="trivial-dims"),
+    pytest.param((2,), np.eye(4) / 4, r"shape \(4, 4\), expected \(2, 2\)", id="wrong-shape"),
+    pytest.param((2,), np.eye(2), "trace must be 1", id="trace-2"),
+])
+def test_density_matrix_rejects_malformed_input(dims, matrix, message):
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(dims, matrix)
+
+
 def test_bipartition_validation():
     with pytest.raises(ValueError):
         Bipartition((), 3)
@@ -290,6 +300,11 @@ def test_permute_roundtrip():
     np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-15)
 
 
+def test_permute_rejects_a_repeated_index():
+    with pytest.raises(ValueError, match="not a permutation"):
+        bell_state().permute([0, 0])
+
+
 @pytest.mark.parametrize("order", [[2, 0, 1], [0, 1, 2], [1, 0, 2]])
 def test_permute_builds_the_validated_state_unchecked(order):
     # a permutation of a valid state is valid, so permute skips the checks:
@@ -359,6 +374,14 @@ def test_loaders_reject_nan():
         density_from_dict({"dims": [2], "matrix": [[[np.nan, 0], [0, 0]], [[0, 0], [1, 0]]]})
     with pytest.raises(ValueError, match="Hermitian"):
         density_from_dict({"dims": [2], "matrix": [[[0.5, 0], [np.nan, 0]], [[np.nan, 0], [0.5, 0]]]})
+
+
+def test_loaders_reject_a_last_axis_that_is_not_re_im():
+    with pytest.raises(ValueError, match="amplitudes must be nested"):
+        state_from_dict({"dims": [2], "amplitudes": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]})
+    # a flat list of pairs is a vector, not a matrix
+    with pytest.raises(ValueError, match="matrix must be a nested list"):
+        density_from_dict({"dims": [2], "matrix": [[1.0, 0.0], [0.0, 0.0]]})
 
 
 def test_load_state_requires_known_keys(tmp_path):

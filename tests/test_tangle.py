@@ -26,6 +26,7 @@ from scren.monogamy import CKW_COUNTEREXAMPLE_322
 
 from util import (
     random_local_unitaries,
+    random_local_unitaries_mixed,
     random_mixed_state,
     random_rank2_two_qubit,
     reference_three_tangle_rows,
@@ -114,6 +115,16 @@ def test_wootters_pure_states_equal_one_tangle():
         psi = haar_random_state((2, 2), rng)
         worst = max(worst, abs(wootters_tangle(to_density(psi)) - one_tangle(psi, PART2)))
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_wootters_is_local_unitary_invariant(rank):
+    rng = np.random.default_rng(70 + rank)
+    for _ in range(5):
+        rho = random_mixed_state(rng, (2, 2), rank)
+        values = [wootters_tangle(rho)]
+        values += [wootters_tangle(random_local_unitaries_mixed(rho, rng)) for _ in range(3)]
+        assert max(values) - min(values) <= 1e-12
 
 
 def test_wootters_rejects_wrong_dims():

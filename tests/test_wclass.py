@@ -82,6 +82,16 @@ def test_spec_rejects_bad_shape():
         WClassSpec(3, 3, np.full((3, 1), 1 / np.sqrt(3), dtype=complex), 0.5)
 
 
+def test_spec_rejects_a_single_party():
+    with pytest.raises(ValueError, match="at least two parties"):
+        WClassSpec(1, 2, np.ones((1, 1), dtype=complex), 0.5)
+
+
+def test_party_weight_rejects_an_index_out_of_range():
+    with pytest.raises(ValueError, match=r"party index 0 out of range 1\.\.3"):
+        equal_w3().party_weight(0)
+
+
 def test_omega_complements_focus_row():
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -47,13 +47,31 @@ def random_mixed_state(rng: np.random.Generator, dims, rank: int) -> DensityMatr
     return DensityMatrix(tuple(dims), mat)
 
 
+def _local_operator(dims: Sequence[int], unitaries: dict[int, np.ndarray]) -> np.ndarray:
+    """Kronecker product of one unitary per listed subsystem, identity elsewhere."""
+    full = np.array([[1.0 + 0.0j]])
+    for k, d in enumerate(dims):
+        full = np.kron(full, unitaries.get(k, np.eye(d, dtype=np.complex128)))
+    return full
+
+
 def apply_local_unitaries(psi: PureState, unitaries: dict[int, np.ndarray]) -> PureState:
     """Act with one unitary per listed subsystem."""
-    full = np.array([[1.0 + 0.0j]])
-    for k, d in enumerate(psi.dims):
-        u = unitaries.get(k, np.eye(d, dtype=np.complex128))
-        full = np.kron(full, u)
-    return PureState(psi.dims, full @ psi.amplitudes)
+    return PureState(psi.dims, _local_operator(psi.dims, unitaries) @ psi.amplitudes)
+
+
+def apply_local_unitaries_mixed(
+    rho: DensityMatrix, unitaries: dict[int, np.ndarray]
+) -> DensityMatrix:
+    """:func:`apply_local_unitaries` on a density matrix: U rho U^dagger."""
+    full = _local_operator(rho.dims, unitaries)
+    return DensityMatrix(rho.dims, full @ rho.matrix @ full.conj().T)
+
+
+def random_local_unitaries_mixed(rho: DensityMatrix, rng: np.random.Generator) -> DensityMatrix:
+    return apply_local_unitaries_mixed(
+        rho, {k: haar_unitary(d, rng) for k, d in enumerate(rho.dims)}
+    )
 
 
 def random_local_unitaries(psi: PureState, rng: np.random.Generator) -> PureState:
@@ -105,11 +123,7 @@ def reference_chord_unitaries(q: tuple[float, float], u: np.ndarray) -> np.ndarr
     """The chord kernel written plainly, one ``np.stack`` per (K, 2) array.
 
     ``roof._chord_unitaries`` must return exactly these values from both of
-    its kernels, through the same IEEE operations on every element: the
-    numpy kernel (stacks above ``CHORD_SCALAR_MAX_K`` chords) in fewer numpy
-    calls, the scalar kernel (at most that many) on Python floats.  numpy
-    divides a complex entry by the real sqrt(q_j) as a multiplication by
-    1 / sqrt(q_j), so the scalar kernel multiplies by that reciprocal.
+    its kernels, whose shared IEEE operations it lists.
     """
     q1, q2 = q
     ux, uy, uz = u.T
