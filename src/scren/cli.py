@@ -10,9 +10,18 @@ hunt     sample random states and report strong-monogamy residuals
 
 Every subcommand takes ``--out``, ``--starts``, ``--iters`` and ``--seed``.
 
-Exit codes: 0 ok, 1 verification failure, 2 input error (an unwritable
-``--out`` too), 3 cost guard, 4 conjecture violation (offending state dumped
-to stderr as JSON, from a worker pool too).
+Exit codes
+----------
+0    ok
+1    verification failure (``verify`` only)
+2    input error: a flag argparse rejects (printed with the usage of the
+     subcommand it was given to), a bad value, an unreadable state file or an
+     unwritable ``--out``
+3    cost guard
+4    conjecture violation (offending state dumped to stderr as JSON, from a
+     worker pool too)
+141  stdout closed before the output was written (128 + SIGPIPE), e.g. by
+     ``| head``; nothing is printed to stderr
 """
 
 from __future__ import annotations
@@ -20,12 +29,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
+import os
 import sys
 
 from .guards import CostGuardError, check_cost
-from .monogamy import MEASURES, _check_measure, n_tangle_pure, sm_report
+from .monogamy import MEASURES, _check_measure, sm_report
 from .negativity import negativity_mixed, negativity_pure
 from .roof import ConjectureViolation, RoofConfig, cren, scren2
 from .states import (
@@ -45,6 +56,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_COST_GUARD = 3
 EXIT_CONJECTURE = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended
 
 COMPUTE_MEASURES = ("negativity", "cren", "scren", "tangle", "ntangle", "nscren")
 
@@ -65,6 +77,8 @@ def _parse_indices(text: str | None, what: str) -> list[int] | None:
         raise ValueError(f"{what} must be a comma-separated list of integers") from exc
 
 
+# built by the first main() call and shared after it; parsing leaves a parser as it was
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scren",
@@ -92,18 +106,21 @@ def build_parser() -> argparse.ArgumentParser:
                            help="focus party for the recursive measures")
     p_compute.add_argument("--trace-out", default=None,
                            help="subsystems to trace out before measuring")
+    p_compute.set_defaults(run=_run_compute, leaf=p_compute)
 
     p_verify = sub.add_parser("verify", help="run a bundled verification suite")
     suites = p_verify.add_subparsers(dest="suite", required=True)
     p_paper = suites.add_parser("paper", parents=[shared],
                                 help="fixture values and the two-qubit oracle")
     p_paper.add_argument("--trials", type=int, default=50, help="oracle comparison count")
+    p_paper.set_defaults(run=_run_verify, leaf=p_paper)
     p_wclass = suites.add_parser("wclass", parents=[shared],
                                  help="Lemma 1 and Theorems 1-2 on W-class states")
     p_wclass.add_argument("--trials", type=int, default=20, help="number of random specs")
     p_wclass.add_argument("--n", type=int, default=4, help="party count")
     p_wclass.add_argument("--d", type=int, default=3, help="local dimension")
     p_wclass.add_argument("--workers", type=int, default=1, help="worker pool size")
+    p_wclass.set_defaults(run=_run_verify, leaf=p_wclass)
 
     p_hunt = sub.add_parser("hunt", parents=[shared],
                             help="scan random states for SM-inequality violations")
@@ -112,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("--measure", choices=MEASURES, default="scren")
     p_hunt.add_argument("--csv", action="store_true", help="tabular output instead of JSON")
     p_hunt.add_argument("--workers", type=int, default=1, help="worker pool size")
+    p_hunt.set_defaults(run=_run_hunt, leaf=p_hunt)
 
     return parser
 
@@ -143,14 +161,7 @@ def _map_index(original_index: int, kept: list[int], what: str) -> int:
     return kept.index(original_index)
 
 
-def _cut_from(args, kept: list[int], n_parties: int) -> Bipartition:
-    cut = _parse_indices(args.cut, "--cut")
-    if not cut:
-        raise ValueError(f"'{args.measure}' needs --cut")
-    return Bipartition(tuple(_map_index(i, kept, "--cut") for i in cut), n_parties)
-
-
-def _run_compute(args) -> dict:
+def _run_compute(args) -> tuple[str, int]:
     config = _config_from(args)
     try:
         state = load_state(args.state)
@@ -160,48 +171,46 @@ def _run_compute(args) -> dict:
     trace_out = _parse_indices(args.trace_out, "--trace-out")
     state, kept = _apply_trace_out(state, trace_out)
     n = state.n_parties
+    pure = isinstance(state, PureState)
     diagnostics: dict = {}
 
     measure = args.measure
-    reads_cut = measure in ("negativity", "cren", "scren") or (
-        measure == "tangle" and isinstance(state, PureState)
-    )
+    reads_cut = measure in ("negativity", "cren", "scren") or (measure == "tangle" and pure)
     if args.cut is not None and not reads_cut:
         kind = "mixed-state " if measure == "tangle" else ""
         raise ValueError(f"{kind}'{measure}' does not read --cut")
     if args.focus is not None and measure not in ("ntangle", "nscren"):
         raise ValueError(f"'{measure}' does not read --focus")
-    part = _cut_from(args, kept, n) if reads_cut else None
+    cut = _parse_indices(args.cut, "--cut")
+    if reads_cut and not cut:
+        raise ValueError(f"'{measure}' needs --cut")
+    part = Bipartition(tuple(_map_index(i, kept, "--cut") for i in cut), n) if cut else None
     if measure == "negativity":
-        if isinstance(state, PureState):
+        if pure:
             value = negativity_pure(state, part)
         else:
             value = negativity_mixed(state, part)
-    elif measure in ("cren", "scren"):
-        rho = to_density(state) if isinstance(state, PureState) else state
-        fn = cren if measure == "cren" else scren2
-        value, result = fn(rho, part, config, full_output=True)
-        diagnostics = {"converged": result.converged, "starts": result.starts}
-    elif measure == "tangle":
-        if isinstance(state, PureState):
-            value = one_tangle(state, part)
-        else:
+    elif measure == "tangle" and pure:
+        value = one_tangle(state, part)
+    elif measure in ("ntangle", "nscren"):
+        if not pure:
+            raise ValueError(f"'{measure}' is defined for pure states")
+        focus = args.focus if args.focus is not None else kept[0]
+        focus = _map_index(focus, kept, "--focus")
+        report = sm_report(state, focus, measure.removeprefix("n"), config)
+        value = report.residual
+        diagnostics = {"report": report.to_dict()}
+    else:  # cren, scren and the mixed-state tangle are convex roofs
+        if measure == "tangle":
             if n != 2:
                 raise ValueError("mixed-state tangle needs a bipartite state "
                                  "(use --trace-out to reduce first)")
             value, result = two_tangle(state, config, full_output=True)
-            diagnostics = {"converged": result.converged, "starts": result.starts}
-    else:  # ntangle or nscren
-        if not isinstance(state, PureState):
-            raise ValueError(f"'{measure}' is defined for pure states")
-        focus = args.focus if args.focus is not None else kept[0]
-        focus = _map_index(focus, kept, "--focus")
-        if measure == "ntangle":
-            value = n_tangle_pure(state, focus=focus, config=config)
         else:
-            report = sm_report(state, focus=focus, measure="scren", config=config)
-            value = report.residual
-            diagnostics = {"report": report.to_dict()}
+            rho = to_density(state) if pure else state
+            fn = cren if measure == "cren" else scren2
+            value, result = fn(rho, part, config, full_output=True)
+        diagnostics = {"converged": result.converged, "starts": result.starts}
 
     out = {
         "command": "compute",
@@ -210,15 +219,15 @@ def _run_compute(args) -> dict:
         "value": float(value),
         "config": dataclasses.asdict(config),
     }
-    if args.cut is not None:
-        out["cut"] = _parse_indices(args.cut, "--cut")
+    if cut is not None:
+        out["cut"] = cut
     if args.focus is not None:
         out["focus"] = args.focus
     if trace_out:
         out["trace_out"] = trace_out
     if diagnostics:
         out["diagnostics"] = diagnostics
-    return out
+    return json.dumps(out, indent=2), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +239,7 @@ def _check_at_least_one(flag: str, value: int) -> None:
         raise ValueError(f"{flag} must be at least 1, got {value}")
 
 
-def _run_verify(args) -> tuple[dict, bool]:
+def _run_verify(args) -> tuple[str, int]:
     _check_at_least_one("--trials", args.trials)
     if args.suite == "wclass":
         _check_at_least_one("--workers", args.workers)
@@ -245,14 +254,14 @@ def _run_verify(args) -> tuple[dict, bool]:
             raise ValueError(f"verify wclass needs --d >= 2, got {args.d}")
         check_cost((args.d,) * args.n)
         report = wclass_suite(args.trials, args.n, args.d, config, args.workers)
-    return report, bool(report["all_passed"])
+    return json.dumps(report, indent=2), EXIT_OK if report["all_passed"] else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------------------
 # hunt
 # ---------------------------------------------------------------------------
 
-def _run_hunt(args) -> dict:
+def _run_hunt(args) -> tuple[str, int]:
     dims = _parse_indices(args.dims, "--dims")
     if not dims or any(d < 2 for d in dims):
         raise ValueError("--dims needs local dimensions >= 2, e.g. 3,2,2")
@@ -265,7 +274,9 @@ def _run_hunt(args) -> dict:
     _check_at_least_one("--workers", args.workers)
     config = _config_from(args)
     report = hunt_suite(dims, args.samples, args.measure, config, args.workers)
-    return {"command": "hunt", **report, "config": dataclasses.asdict(config)}
+    report = {"command": "hunt", **report, "config": dataclasses.asdict(config)}
+    text = _hunt_csv(report) if args.csv else json.dumps(report, indent=2)
+    return text, EXIT_OK
 
 
 def _hunt_csv(report: dict) -> str:
@@ -281,35 +292,38 @@ def _hunt_csv(report: dict) -> str:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None, code: int) -> int:
+    """Write ``text`` to ``out_path`` or stdout; returns the exit code."""
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write output file: {exc}") from exc
-    else:
+        return code
+    try:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; what is left goes to devnull, so the flush at
+        # interpreter exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # parse_args would report these against the root parser's usage
+        args.leaf.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        if args.command == "compute":
-            report = _run_compute(args)
-            _emit(json.dumps(report, indent=2), args.out)
-            return EXIT_OK
-        if args.command == "verify":
-            report, passed = _run_verify(args)
-            _emit(json.dumps(report, indent=2), args.out)
-            return EXIT_OK if passed else EXIT_VERIFY_FAILED
-        # argparse requires a subcommand, so this one is hunt
-        report = _run_hunt(args)
-        text = _hunt_csv(report) if args.csv else json.dumps(report, indent=2)
-        _emit(text, args.out)
-        return EXIT_OK
+        text, code = args.run(args)
+        return _emit(text, args.out, code)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import json
 import multiprocessing
@@ -22,6 +23,7 @@ from scren import (
     to_density,
 )
 from scren.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CONJECTURE,
     EXIT_COST_GUARD,
     EXIT_INPUT,
@@ -29,7 +31,7 @@ from scren.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from scren.monogamy import CKW_COUNTEREXAMPLE_322
+from scren.monogamy import CKW_COUNTEREXAMPLE_322, n_tangle_pure
 from scren.roof import ConjectureViolation
 from scren.states import state_to_dict
 from scren.suites import FIXTURE_CHECKS, hunt_suite, random_rank2_two_qubit
@@ -110,6 +112,28 @@ def test_compute_ntangle_counterexample_322(capsys, state_files):
     )
     assert code == EXIT_OK
     assert abs(json.loads(out)["value"] + 4 / 9) <= 1e-3
+
+
+def test_compute_ntangle_prints_its_tangle_report(capsys, state_files):
+    # ntangle and nscren run the same report, one with tangles, one with SCREN
+    argv = ["--state", state_files["eq24"], "--focus", "0", "--seed", "7"]
+    outputs = {}
+    for measure in ("ntangle", "nscren"):
+        code, out, _ = run_cli(capsys, "compute", measure, *argv)
+        assert code == EXIT_OK
+        outputs[measure] = json.loads(out)
+    tangle = outputs["ntangle"]
+    report = tangle["diagnostics"]["report"]
+    assert report["diagnostics"]["measure"] == "tangle"
+    assert report["residual"] == tangle["value"]
+    assert tangle["value"] == n_tangle_pure(CKW_COUNTEREXAMPLE_322, 0, RoofConfig(seed=7))
+    # on 2 x k pairs the two-tangle is the SCREN roof, so the pair terms agree
+    scren_report = outputs["nscren"]["diagnostics"]["report"]
+    assert [t for t in report["terms"] if t["m"] == 2] == [
+        t for t in scren_report["terms"] if t["m"] == 2
+    ]
+    assert abs(report["one"] - 4 / 3) <= 1e-12
+    assert abs(scren_report["one"] - 4) <= 1e-12
 
 
 def test_compute_cren_equals_negativity_for_pure(capsys, state_files):
@@ -550,6 +574,38 @@ def test_verify_paper_has_no_workers_flag(capsys):
     assert "--workers" in captured.err
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["verify", "paper", "--workers", "2"], "usage: scren verify paper "),
+    (["compute", "negativity", "--state", "never-read.json", "--cut", "0", "--tol", "1"],
+     "usage: scren compute "),
+    ([], "usage: scren [-h] {compute,verify,hunt} ..."),
+    (["verify"], "usage: scren verify [-h] {paper,wclass} ..."),
+], ids=["verify-paper-unknown-flag", "compute-unknown-flag", "no-command", "no-suite"])
+def test_parse_errors_show_the_usage_of_the_parser_that_owns_the_command(capsys, argv, usage):
+    # an unknown flag is reported by the subcommand's parser, with its flags
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(usage)
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch, state_files):
+    argv = ["compute", "negativity", "--state", state_files["bell"], "--cut", "0"]
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert built == []
+
+
 @pytest.mark.parametrize("flag", ["--starts", "--iters"])
 @pytest.mark.parametrize("suite", ["paper", "wclass"])
 def test_verify_rejects_budgets_below_one(capsys, suite, flag):
@@ -754,6 +810,31 @@ def test_compute_deterministic_across_runs(capsys, state_files):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", [
+    ["hunt", "--dims", "2,2", "--samples", "60", "--seed", "1", "--starts", "1", "--iters", "5"],
+    ["compute", "negativity", "--cut", "0"],
+], ids=["hunt", "compute"])
+def test_closed_stdout_exits_141_quietly(tmp_path, command):
+    # the read end is closed before the run starts, so every write to the
+    # pipe fails, however short the output
+    if command[0] == "compute":
+        dump_state(bell_state(), tmp_path / "bell.json")
+        command = command + ["--state", str(tmp_path / "bell.json")]
+    src = str(Path(scren.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "scren.cli", *command],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == b""
 
 
 def test_module_invocation_roundtrip(tmp_path):
