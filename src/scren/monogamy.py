@@ -5,10 +5,23 @@ of the non-focus parties, the mixed m-party measure of the reduced state raised
 to m/2.  The mixed m-party measure is the squared roof of the square root of
 the pure m-party residual, and an m >= 3 member's residual is its
 :func:`n_scren_pure`, its own SCREN ``sm_report`` residual (on three qubits,
-the three-tangle closed form), so
-``sm_report`` is the only SM recursion and one report may nest convex-roof
+the three-tangle closed form), so one report may nest convex-roof
 optimizations.  Roofs that nest another roof in their objective run at the
 fixed small budget ``NESTED_CONFIG``.
+
+There is one SM recursion, and it runs over stacks of rows, breadth first.
+:func:`_term_values` measures every term on every row of a stack of
+focus-first unit rows.  The reductions of all rows onto all terms of one
+shape come from one :func:`scren.states.reduced_rows` call, with their
+supports from one stacked SVD, and go through one lockstep
+:func:`scren.roof.roof_minimize` call.  A nested term's objective scores all
+the member rows of an objective call at once (:func:`_member_residuals`):
+their focus cuts in one ``negativity_rows`` call, their terms by recursing on
+the whole stack.  ``sm_report`` is the one-row case plus its term records.
+Every value is bit for bit what one member at a time gives.  When several
+members of one lockstep call have a residual below -1e-7, the
+``ConjectureViolation`` names the first in that call's row order, which can
+be another member than the one a member-at-a-time order would meet first.
 
 The CKW report is the pair level (m = 2) of the same balance sheet: one loop
 builds both, and both return an :class:`SMReport` with one schema.  For three
@@ -24,14 +37,15 @@ reports nest (n >= 4) only for all-qubit states, where the one-tangle is the
 squared negativity; so every pair value is the SCREN pair roof and every
 nested residual is a SCREN residual.  A qubit pair's roof is the Wootters
 closed form (:func:`scren.tangle.wootters_tangle`), so all-qubit reports run
-no pair optimizer.  Other pairs run ``scren2``.  The residual of a 3-qubit
-state is the Coffman-Kundu-Wootters three-tangle 4|Det psi|, one formula on
-two carriers (see :mod:`scren.tangle`).  ``n_scren_pure`` returns it without
-a report, from the state's amplitudes as Python complex numbers.  The m = 3
-term of a 3-qubit reduced state is one roof over hyperdeterminant rows
-(:func:`scren.tangle.three_tangle_rows`, numpy columns) at the report's own
-budget, with no roof nested in it, so no report reaches ``n_scren_pure``'s
-Python-complex carrier.  The two agree to 6e-16, not bit for bit.
+no pair optimizer.  Other pairs run the ``scren2`` roof.  The residual of a
+3-qubit state is the Coffman-Kundu-Wootters three-tangle 4|Det psi|, one
+formula on two carriers (see :mod:`scren.tangle`).  ``n_scren_pure`` returns
+it without a report, from the state's amplitudes as Python complex numbers.
+The m = 3 term of a 3-qubit reduced state is one roof over hyperdeterminant
+rows (:func:`scren.tangle.three_tangle_rows`, numpy columns) at the
+report's own budget, with no roof nested in it, so no report reaches
+``n_scren_pure``'s Python-complex carrier.  The two agree to 6e-16, not bit
+for bit.
 
 Subsets are reported with the paper-style 1-based labels {2..n} assigned after
 moving the focus party to the front; subsystem indices handed to the state
@@ -40,14 +54,22 @@ operations stay 0-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 import numpy as np
 
 from .guards import check_cost
-from .negativity import negativity_pure
-from .roof import RoofConfig, _squared_roof, roof_sqrt_functional, scren2
-from .states import Bipartition, PureState, reduced_density
+from .negativity import negativity_pure, negativity_rows
+from .roof import (
+    CONJECTURE_ATOL,
+    SQRT_ROOF_FLOOR,
+    WEIGHT_TOL,
+    ConjectureViolation,
+    RoofConfig,
+    roof_minimize,
+)
+from .states import Bipartition, DensityMatrix, PureState, reduced_rows
 from .tangle import _hyperdeterminant, one_tangle, three_tangle_rows, wootters_tangle
 
 SATISFIED_ATOL = 1e-6
@@ -188,40 +210,124 @@ def _cut_value(psi: PureState, measure: str) -> float:
     return one_tangle(psi, part)
 
 
-def _mixed_value(
-    psi: PureState, subset: tuple[int, ...], config: RoofConfig
-) -> tuple[float, bool]:
-    """Mixed m-party measure of the reduced state on focus + subset (0-based).
+def _subsets(n: int, pairs_only: bool) -> list[tuple[int, ...]]:
+    """The 0-based non-focus parties of each term of an n-party report, in
+    report order: level by level from m = 2, subsets in lexicographic order."""
+    return [
+        subset
+        for m in range(2, 3 if pairs_only else n)
+        for subset in combinations(range(1, n), m - 1)
+    ]
 
-    Returns ``(value, converged)``.  A qubit pair is the Wootters closed
-    form, reported as ``(C^2, True)`` with no roof run; any other pair is the
-    ``scren2`` roof at the given config.  Either is also the two-tangle of the
-    pairs ``_check_measure`` admits.  Terms of order three and above are the
-    squared roof of the square root of each member's SCREN residual.  On a
-    3-qubit reduced state that residual is the three-tangle, so the term is
-    the squared roof of the row objective sqrt(4|Det row_h|), each member's
-    weight times its root three-tangle, at the given config.  Any other
-    member's residual is its :func:`n_scren_pure`, its own ``sm_report``
-    residual; that nests a full report inside every objective evaluation, so
-    both that outer roof and the members' reports run at ``NESTED_CONFIG``
-    with the report's seed, whatever the report's own budget.
+
+def _term_values(
+    dims: tuple[int, ...], units: np.ndarray, config: RoofConfig, pairs_only: bool
+) -> list[list[tuple[float, bool]]]:
+    """``(value, converged)`` of every term on every row of an (N, prod(dims))
+    stack of focus-first unit rows: one list per term, in report order, of the
+    N rows' values.
+
+    The terms of one reduced shape are measured together: the reductions of
+    all rows onto all of them come from one :func:`reduced_rows` call, and
+    their roofs from one lockstep :func:`roof_minimize` call.  A qubit pair
+    is the Wootters closed form, reported as ``(C^2, True)`` with no roof
+    run; any other pair is the ``scren2`` roof at the given config.  Either
+    is also the two-tangle of the pairs ``_check_measure`` admits.  Terms of
+    order three and above are the squared roof of the square root of each
+    member's SCREN residual.  On a 3-qubit reduced state that residual is the
+    three-tangle, so the term is the squared roof of the row objective
+    sqrt(4|Det row_h|), each member's weight times its root three-tangle, at
+    the given config.  Any other term scores the residuals of all the member
+    rows of an objective call at once (:func:`_member_residuals`), which
+    recurses here on all of them; that outer roof and the members' nested
+    terms run at ``NESTED_CONFIG`` with the report's seed, whatever the
+    report's own budget.
     """
-    rho = reduced_density(psi, (0,) + subset)
-    if rho.dims == (2, 2):
-        return wootters_tangle(rho), True
-    if len(subset) == 1:
-        value, result = scren2(rho, Bipartition((0,), 2), config, full_output=True)
-    elif rho.dims == (2, 2, 2):
-        value, result = _squared_roof(rho, lambda rows: np.sqrt(three_tangle_rows(rows)), config)
+    subsets = _subsets(len(dims), pairs_only)
+    shapes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for subset in subsets:
+        shapes.setdefault((dims[0],) + tuple(dims[j] for j in subset), []).append(subset)
+    columns = {}
+    for shape, group in shapes.items():
+        rhos = reduced_rows(dims, units, [(0,) + subset for subset in group])
+        if shape == (2, 2):
+            values = [(wootters_tangle(rho), True) for rho in rhos]
+        else:
+            values = _roof_values(shape, rhos, config)
+        for k, subset in enumerate(group):
+            columns[subset] = values[k * len(units):(k + 1) * len(units)]
+    return [columns[subset] for subset in subsets]
+
+
+def _roof_values(
+    shape: tuple[int, ...], rhos: list[DensityMatrix], config: RoofConfig
+) -> list[tuple[float, bool]]:
+    """``(value, converged)`` of the squared roofs of reduced states of one
+    ``shape`` other than a qubit pair, in one lockstep call (see
+    :func:`_term_values`)."""
+    if len(shape) == 2:
+        objective = negativity_rows(shape, Bipartition((0,), 2))
+    elif shape == (2, 2, 2):
+        objective = _root_three_tangle
     else:
-        nested = replace(NESTED_CONFIG, seed=config.seed)
-        value, result = roof_sqrt_functional(
-            rho,
-            lambda member: n_scren_pure(member, 0, nested),
-            nested,
-            full_output=True,
-        )
-    return value, result.converged
+        config = replace(NESTED_CONFIG, seed=config.seed)
+        objective = _nested_rows(shape, config)
+    results = roof_minimize(rhos, objective, config, stop_below=SQRT_ROOF_FLOOR)
+    return [(max(0.0, result.value) ** 2, result.converged) for result in results]
+
+
+def _root_three_tangle(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(three_tangle_rows(rows))
+
+
+def _nested_rows(dims: tuple[int, ...], config: RoofConfig):
+    """Row objective (w_h sqrt(max(0, residual(row_h / sqrt(w_h)))))_h of a
+    nested term, the roof of :func:`roof_sqrt_functional` over each member's
+    ``n_scren_pure``, scored on all member rows of a call at once.
+
+    Rows of weight w_h below ``WEIGHT_TOL`` score 0.0.  The others are made
+    unit rows as ``member_average`` makes its members, and their residuals
+    come from one :func:`_member_residuals` call.  A residual below
+    -``CONJECTURE_ATOL`` raises ``ConjectureViolation`` with the first such
+    member in row order; residuals in [-``CONJECTURE_ATOL``, 0] count as
+    roundoff.  ``member_average``, which hands its functional one member per
+    call, keeps its own loop: built on a helper shared with this kernel, the
+    roofs over it ran about 5% slower.
+    """
+
+    def values(rows: np.ndarray) -> np.ndarray:
+        weights = np.einsum("hd,hd->h", rows, rows.conj()).real.tolist()
+        live = [h for h, w in enumerate(weights) if not w < WEIGHT_TOL]
+        units = np.array([rows[h] / math.sqrt(weights[h]) for h in live])
+        out = np.zeros(len(weights))
+        for h, unit, residual in zip(live, units, _member_residuals(dims, units, config)):
+            if residual < -CONJECTURE_ATOL:
+                raise ConjectureViolation(PureState(dims, unit, validate=False), residual)
+            out[h] = weights[h] * (0.0 if residual <= 0.0 else math.sqrt(residual))
+        return out
+
+    return values
+
+
+def _member_residuals(dims: tuple[int, ...], units: np.ndarray, config: RoofConfig) -> list[float]:
+    """SCREN residual of each row of an (N, prod(dims)) stack of focus-first
+    unit rows: for each row, the ``residual`` of its :func:`sm_report` with
+    focus 0 at ``config``, bit for bit, from one recursion over all rows.
+
+    The focus cuts of all rows are scored in one ``negativity_rows`` call.
+    Each residual is the squared cut negativity less the contributions
+    value^(m/2), added left to right from 0.0, as :class:`SMReport` adds them.
+    """
+    cuts = negativity_rows(dims, Bipartition((0,), len(dims)))(units).tolist()
+    orders = [len(subset) + 1 for subset in _subsets(len(dims), False)]
+    columns = _term_values(dims, units, config, False)
+    residuals = []
+    for h, cut in enumerate(cuts):
+        total = 0.0
+        for m, column in zip(orders, columns):
+            total += column[h][0] ** (m / 2)
+        residuals.append(max(0.0, cut) ** 2 - total)
+    return residuals
 
 
 def _report(
@@ -231,18 +337,18 @@ def _report(
     config: RoofConfig | None,
     pairs_only: bool,
 ) -> SMReport:
-    """The balance sheet over levels m = 2..n-1, or over the pair level only."""
+    """The balance sheet over levels m = 2..n-1, or over the pair level only:
+    :func:`_term_values` on the one focus-first row, and its term records."""
     config = config or RoofConfig()
     check_cost(psi.dims)
     work = _focus_first(psi, focus)
     _check_measure(work.dims, measure)
-    n = work.n_parties
     one = _cut_value(work, measure)
+    columns = _term_values(work.dims, work.amplitudes[None], config, pairs_only)
     terms = tuple(
-        # labels 2..n -> positions 1..n-1
-        SMTerm(labels, *_mixed_value(work, tuple(j - 1 for j in labels), config))
-        for m in range(2, 3 if pairs_only else n)
-        for labels in combinations(range(2, n + 1), m - 1)
+        # positions 1..n-1 -> labels 2..n
+        SMTerm(tuple(j + 1 for j in subset), *column[0])
+        for subset, column in zip(_subsets(work.n_parties, pairs_only), columns)
     )
     return SMReport(measure, focus, one, terms)
 

@@ -11,10 +11,18 @@ and the engine sums each decomposition's r values.  So a whole stack of
 decompositions is scored in one objective call: the probe, the chord scan and
 each step of the chord search below are one call each, and a Powell step is a
 stack of one.
+One engine, :func:`roof_minimize`, runs one state or a list of states of one
+shape in lockstep: it scores every eigendecomposition of the list in one
+objective call, then the probe of every state on the search route that is
+still open in one more, and only then does each state left open run its own
+chord or Powell search.  One state is the list's one-input case, and each
+state of a list gets the result it would get alone, bit for bit.
 Which path runs depends only on the party dims and the rank of the input;
 :func:`_route` is the one place that chooses it.  Every path scores through
-one record, :class:`_Roof`: the roof's value is the least average it scored,
-and on every path the first average at or below ``stop_below`` ends the roof.
+one record per state, :class:`_Roof`, which records averages scored by the
+lockstep stages or scores a stack itself: the roof's value is the least
+average it scored, and on every path the first average at or below
+``stop_below`` ends the roof.
 
 ``cren`` and ``scren2`` score rows with the one negativity kernel,
 :func:`scren.negativity.negativity_rows`.  On a 2 x k cut with k at most
@@ -47,8 +55,9 @@ curvature, straight across the valley.  That search is deterministic, so
 single start missed the multi-start value on some states, so every other input
 keeps multi-start search.
 
-The multi-start search (:func:`_search_roof`) first probes ``PROBE_COUNT``
-Haar-random mixing unitaries to detect decomposition-independent objectives,
+Every input that takes the multi-start search is first probed at
+``PROBE_COUNT`` Haar-random mixing unitaries to detect
+decomposition-independent objectives.  The search (:func:`_search_roof`)
 then runs derivative-free direction-set (Powell) search over U = exp(iO) U0,
 O off-diagonal Hermitian, from multiple starts: start 0 is the identity (so
 the eigendecomposition average is always an upper bound on the result) and
@@ -59,7 +68,9 @@ search runs over the r(r - 1) coordinates that change the decomposition.  At
 rank 2, where every three-tangle term and every rank-2 pair without a qubit
 party runs, exp(iO) has a closed form and no eigensolver runs
 (:func:`_mixed_rows`).  All randomness derives from the config seed, so
-results are reproducible.
+results are reproducible.  Only Powell needs ``scipy.optimize``, which is
+most of the time ``import scren`` would take, so :func:`_powell` imports it
+when it runs.
 """
 
 from __future__ import annotations
@@ -70,7 +81,6 @@ from functools import lru_cache
 from typing import Callable, Generator, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .negativity import negativity_rows
 from .states import Bipartition, DensityMatrix, PureState
@@ -508,24 +518,29 @@ class _Floor(Exception):
 
 
 class _Roof:
-    """The one scorer of a roof, and the record of what it scored.
+    """The record of one roof: its state's support and route, and what it scored.
 
-    A call scores a (K, r, dim) stack of decompositions in one objective
-    call (:func:`_stack_scores`), adds K to ``evals`` and returns the K
-    averages.  ``value`` and ``rows`` are the least average scored so far and
-    its decomposition (the first of equal values); the first average at or
-    below ``floor`` raises :class:`_Floor`, and a NaN or infinite average
-    raises ``ValueError``.  The paths set ``starts``, ``converged`` and
-    ``exit``.
+    ``record`` takes the K averages of a (K, r, dim) stack of decompositions
+    scored elsewhere, adds K to ``evals`` and returns them.  ``value`` and
+    ``rows`` are the least average recorded so far and its decomposition
+    (the first of equal values); the first average at or below ``floor``
+    raises :class:`_Floor`, and a NaN or infinite average raises
+    ``ValueError``.  A call scores a stack in one objective call
+    (:func:`_stack_scores`) and records it.  The paths set ``starts``,
+    ``converged`` and ``exit``.
     """
 
-    def __init__(self, objective: Callable[[np.ndarray], np.ndarray], floor: float, exit: str):
-        self.objective, self.floor, self.exit = objective, floor, exit
+    def __init__(
+        self, rho: DensityMatrix, objective: Callable[[np.ndarray], np.ndarray], floor: float
+    ):
+        self.rho, self.objective, self.floor = rho, objective, floor
+        self.lam, self.base = rho.support
+        self.path = _route(rho.dims, len(self.lam))
+        self.exit = "rank1" if self.path == "rank1" else "stop_below"
         self.value, self.rows, self.evals = math.inf, None, 0
         self.starts, self.converged = 0, True
 
-    def __call__(self, stack: np.ndarray) -> list[float]:
-        values = _stack_scores(self.objective, stack).tolist()
+    def record(self, stack: np.ndarray, values: list[float]) -> list[float]:
         if not math.isfinite(sum(values)):
             raise ValueError("the roof objective returned a non-finite average")
         self.evals += len(values)
@@ -535,6 +550,43 @@ class _Roof:
             if low <= self.floor:
                 raise _Floor
         return values
+
+    def __call__(self, stack: np.ndarray) -> list[float]:
+        return self.record(stack, _stack_scores(self.objective, stack).tolist())
+
+    def result(self) -> RoofResult:
+        return RoofResult(
+            float(self.value), _checked_rows(self.rho, self.rows), self.starts, self.converged,
+            self.evals, self.exit,
+        )
+
+
+def _lockstep(roofs: list[_Roof], stacks: list[np.ndarray]) -> list[list[float] | None]:
+    """Score each roof's (K, r, dim) stack of decompositions and record it.
+
+    Returns each roof's K averages, or None for a roof that an average at its
+    floor closed.  Stacks of one shape are joined and scored in one
+    :func:`_stack_scores` call, so a list of one shape, the usual case, takes
+    one objective call.
+    """
+    shapes: dict[tuple[int, ...], list[int]] = {}
+    for i, stack in enumerate(stacks):
+        shapes.setdefault(stack.shape, []).append(i)
+    averages: list = [None] * len(stacks)
+    for members in shapes.values():
+        joined = stacks[members[0]]
+        if len(members) > 1:
+            joined = np.concatenate([stacks[i] for i in members])
+        scores = _stack_scores(roofs[0].objective, joined).reshape(len(members), -1).tolist()
+        for i, values in zip(members, scores):
+            averages[i] = values
+    out = []
+    for roof, stack, values in zip(roofs, stacks, averages):
+        try:
+            out.append(roof.record(stack, values))
+        except _Floor:
+            out.append(None)
+    return out
 
 
 def _route(dims: Sequence[int], rank: int) -> str:
@@ -612,6 +664,8 @@ def _powell(roof, u0, base, maxfev, xtol, ftol):
     stopped on its own tolerances.  What it found is in the record, so the point
     it returns is not read: when ``maxfev`` ends a line search, that point can
     lie well above the least average it scored."""
+    from scipy.optimize import minimize
+
     options = {"maxfev": maxfev, "xtol": xtol, "ftol": ftol, "maxiter": 10**6}
     res = minimize(
         lambda theta: roof(_mixed_rows(theta, u0, base)[None])[0],
@@ -621,31 +675,18 @@ def _powell(roof, u0, base, maxfev, xtol, ftol):
 
 
 def _search_roof(roof: _Roof, lam: np.ndarray, base: np.ndarray, config: RoofConfig) -> None:
-    """The probe, then multi-start Powell search and a polish of the record.
+    """Multi-start Powell search, after the probe, and a polish of the record.
 
-    If the eigendecomposition average and the values at a seeded stack of
-    random mixing unitaries, scored in one objective call, spread by at most
-    ``PROBE_SPREAD_TOL``, the objective is treated as decomposition
-    independent and the eigendecomposition ensemble is returned with
-    ``starts=0``.  The probe's unitaries depend only on ``config.seed`` and
-    the rank, and are drawn once per process for each such pair
-    (:func:`_probe_unitaries`).  Otherwise each support row is rotated so that
-    its largest-modulus entry is real and positive, and ``config.starts``
-    Powell starts search the r(r - 1) parameters of U = exp(iO) U0 acting on
-    those rows (O off-diagonal Hermitian; U0 the identity, then Haar-random
-    unitaries).  The record is the search's only memory: the polish runs
-    Powell from O = 0 on the least-average decomposition scored so far, with
-    U0 the identity.  ``converged`` says that the polish stopped on its own
-    tolerances, and not on its evaluation budget.
+    Each support row is rotated so that its largest-modulus entry is real and
+    positive, and ``config.starts`` Powell starts search the r(r - 1)
+    parameters of U = exp(iO) U0 acting on those rows (O off-diagonal
+    Hermitian; U0 the identity, then Haar-random unitaries).  The record is
+    the search's only memory: the polish runs Powell from O = 0 on the
+    least-average decomposition scored so far, with U0 the identity.
+    ``converged`` says that the polish stopped on its own tolerances, and not
+    on its evaluation budget.
     """
     r = len(lam)
-    eigen = roof.value, roof.rows
-    probe_values = [eigen[0], *roof(_probe_unitaries(config.seed, r) @ base)]
-    if max(probe_values) - min(probe_values) <= PROBE_SPREAD_TOL:
-        roof.value, roof.rows = eigen
-        roof.exit = "probe"
-        return
-
     roof.exit = "search"
     # fix each support row's phase: its largest-modulus entry (the first of
     # equals) real and positive, so the starts do not depend on the phases
@@ -662,44 +703,73 @@ def _search_roof(roof: _Roof, lam: np.ndarray, base: np.ndarray, config: RoofCon
 
 
 def roof_minimize(
-    rho: DensityMatrix,
+    rho: DensityMatrix | Sequence[DensityMatrix],
     objective: Callable[[np.ndarray], np.ndarray],
     config: RoofConfig | None = None,
     stop_below: float = 0.0,
-) -> RoofResult:
+):
     """Minimize the summed ``objective`` over decompositions of ``rho``.
+
+    ``rho`` is one state, which returns one :class:`RoofResult`, or a list of
+    states of one shape, which returns the list of their results, each bit
+    for bit the result of its state alone.  One state is the one-input case
+    of the lockstep list: every eigendecomposition is scored in one objective
+    call, then the probe of every open roof on the search route in one more,
+    and only then does each roof left open run its own chord or Powell search.
 
     ``objective`` maps an (N, dim) array of *unnormalized* member rows
     sqrt(p_h)|psi_h> to the (N,) array of weighted member values
     p_h f(psi_h); the roof sums each decomposition's values into its average.
-    The rows of several decompositions may arrive in one call, so a value
-    must depend on its own row only, and a NaN or infinite value raises
-    ``ValueError``.  Wrap a pure-state functional with :func:`member_average`.
+    The rows of several decompositions, and of several states, may arrive in
+    one call, so a value must depend on its own row only, and a NaN or
+    infinite value raises ``ValueError``.  Wrap a pure-state functional with
+    :func:`member_average`.
 
-    A rank-one ``rho`` has a single decomposition, returned with
-    ``starts=0``.  Every other input takes the path :func:`_route` names,
-    :func:`_chord_roof` or :func:`_search_roof`.  Every decomposition scored,
-    on every exit, goes through one :class:`_Roof` record: the value is the
-    least average it scored, ``evals`` counts every decomposition, and the
-    first average at or below ``stop_below`` ends the roof at once and counts
-    as converged.  An eigendecomposition or probe average that does so is the
-    ``stop_below`` exit, with ``starts=0`` (the roof value is sandwiched
-    between it and zero).
+    A rank-one state has a single decomposition, returned with ``starts=0``.
+    Every other state takes the path :func:`_route` names.  On the chord
+    route it runs :func:`_chord_roof`.  On the search route the probe comes
+    first: if the eigendecomposition average and the values at a seeded stack
+    of ``PROBE_COUNT`` random mixing unitaries spread by at most
+    ``PROBE_SPREAD_TOL``, the objective is treated as decomposition
+    independent and the eigendecomposition is returned with ``starts=0``
+    (the ``probe`` exit); otherwise :func:`_search_roof` runs.  The probe's
+    unitaries depend only on ``config.seed`` and the rank, and are drawn
+    once per process for each such pair (:func:`_probe_unitaries`).
+    Every decomposition scored, on every exit, goes through the state's one
+    :class:`_Roof` record: the value is the least average it scored,
+    ``evals`` counts every decomposition, and the first average at or below
+    ``stop_below`` ends the roof at once and counts as converged.  An
+    eigendecomposition or probe average that does so is the ``stop_below``
+    exit, with ``starts=0`` (the roof value is sandwiched between it and
+    zero).
     """
     config = config or RoofConfig()
-    lam, base = rho.support
-    path = _route(rho.dims, len(lam))
-    roof = _Roof(objective, stop_below, "rank1" if path == "rank1" else "stop_below")
-    try:
-        roof(base[None])
-        if path != "rank1":
-            (_chord_roof if path == "chord" else _search_roof)(roof, lam, base, config)
-    except _Floor:
-        pass  # no path sets converged before it ends, so a floor stop stays converged
-    return RoofResult(
-        float(roof.value), _checked_rows(rho, roof.rows), roof.starts, roof.converged,
-        roof.evals, roof.exit,
-    )
+    rhos = [rho] if isinstance(rho, DensityMatrix) else rho
+    roofs = [_Roof(state, objective, stop_below) for state in rhos]
+    if any(roof.rho.dims != roofs[0].rho.dims for roof in roofs):
+        raise ValueError("roof_minimize takes a list of states of one shape")
+    searching, probed = [], []
+    for roof, values in zip(roofs, _lockstep(roofs, [roof.base[None] for roof in roofs])):
+        if values is not None and roof.path != "rank1":
+            (searching if roof.path == "chord" else probed).append(roof)
+    if probed:
+        eigen = [(roof.value, roof.rows) for roof in probed]
+        stacks = [_probe_unitaries(config.seed, len(roof.lam)) @ roof.base for roof in probed]
+        for roof, (value, rows), values in zip(probed, eigen, _lockstep(probed, stacks)):
+            if values is None:
+                continue
+            if max(value, *values) - min(value, *values) <= PROBE_SPREAD_TOL:
+                roof.value, roof.rows, roof.exit = value, rows, "probe"
+            else:
+                searching.append(roof)
+    for roof in searching:
+        try:
+            search = _chord_roof if roof.path == "chord" else _search_roof
+            search(roof, roof.lam, roof.base, config)
+        except _Floor:
+            pass  # no path sets converged before it ends, so a floor stop stays converged
+    results = [roof.result() for roof in roofs]
+    return results[0] if isinstance(rho, DensityMatrix) else results
 
 
 def _squared_roof(

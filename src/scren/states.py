@@ -23,7 +23,9 @@ d_keep x d_rest problem in place of an eigendecomposition of the
 d_keep x d_keep matrix.  A matrix given by value (a density file,
 :func:`partial_trace`, a mixture built by hand) carries no factor, and its
 support comes from ``eigh`` of the matrix.  Either way the support is taken
-once per state and cached.
+once per state and cached.  :func:`reduced_rows` reduces a whole stack of
+rows at once and takes all their supports from one stacked SVD, each with
+the bits of its own.
 """
 
 from __future__ import annotations
@@ -148,15 +150,34 @@ class DensityMatrix:
         from ``eigh`` of the matrix.
         """
         if self._factor is not None:
-            vecs, scale, _ = np.linalg.svd(self._factor, full_matrices=False)
-            lam = scale**2
-        else:
-            evals, evecs = np.linalg.eigh(self.matrix)
-            order = np.argsort(evals)[::-1]
-            lam, vecs = evals[order], evecs[:, order]
-            scale = np.sqrt(np.clip(lam, 0.0, None))
-        r = int(np.sum(lam > RANK_TOL))
-        return _freeze(lam[:r]), _freeze((vecs[:, :r] * scale[:r]).T)
+            return _svd_supports(self._factor[None])[0]
+        evals, evecs = np.linalg.eigh(self.matrix)
+        order = np.argsort(evals)[::-1]
+        lam = evals[order]
+        scale = np.sqrt(np.clip(lam, 0.0, None))
+        return _supports(lam[None], evecs[None, :, order], scale[None])[0]
+
+
+def _supports(
+    lam: np.ndarray, vecs: np.ndarray, scale: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Read-only supports ``(lam, rows)`` of a stack of spectra: the (N, k)
+    eigenvalues ``lam`` in descending order, their (N, d, k) eigenvector
+    columns ``vecs`` and their square roots ``scale``, each trimmed to the
+    eigenvalues above ``RANK_TOL``.  The products are elementwise, so each
+    support has the bits it would have alone."""
+    rows = (vecs * scale[:, None, :]).transpose(0, 2, 1)
+    ranks = np.sum(lam > RANK_TOL, axis=1).tolist()
+    return [(_freeze(lam[i, :r]), _freeze(rows[i, :r])) for i, r in enumerate(ranks)]
+
+
+def _svd_supports(factors: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Supports of the states F F^dagger of an (N, a, b) stack of factors F, from
+    one stacked thin SVD (lam = s^2, rows = (U s)^T).  ``np.linalg.svd`` runs
+    LAPACK on each matrix of a stack in turn, so each support has the bits
+    of its factor's own SVD."""
+    vecs, scale, _ = np.linalg.svd(factors, full_matrices=False)
+    return _supports(scale**2, vecs, scale)
 
 
 @dataclass(frozen=True)
@@ -184,11 +205,21 @@ class Bipartition:
         return tuple(i for i in range(self.n_parties) if i not in in_a)
 
 
-def _factored(dims: tuple[int, ...], factor: np.ndarray) -> DensityMatrix:
-    """Density matrix F F^dagger that keeps F = ``factor`` for its support."""
-    rho = DensityMatrix(dims, factor @ factor.conj().T, validate=False)
-    object.__setattr__(rho, "_factor", _freeze(factor))
-    return rho
+def _factored(
+    dims: tuple[int, ...], factors: np.ndarray, supports: list | None = None
+) -> list[DensityMatrix]:
+    """Density matrices F F^dagger of an (N, a, b) stack of factors F, each
+    keeping its F for its support, or taking its entry of ``supports`` as its
+    cached support when those are given."""
+    states = []
+    matrices = factors @ factors.conj().transpose(0, 2, 1)
+    for factor, matrix, support in zip(factors, matrices, supports or [None] * len(factors)):
+        rho = DensityMatrix(dims, matrix, validate=False)
+        object.__setattr__(rho, "_factor", _freeze(factor))
+        if support is not None:
+            rho.__dict__["support"] = support  # where cached_property keeps its value
+        states.append(rho)
+    return states
 
 
 def to_density(psi: PureState) -> DensityMatrix:
@@ -227,6 +258,14 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     )
 
 
+def _split(dims: tuple[int, ...], keep: Iterable[int]) -> tuple[tuple[int, ...], list[int]]:
+    """Dims of the kept subsystems, and the subsystem order of the keep|rest
+    split: the kept ones first, each side ascending."""
+    n = len(dims)
+    kept = _check_keep(keep, n)
+    return tuple(dims[i] for i in kept), kept + [i for i in range(n) if i not in kept]
+
+
 def reduced_density(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state M M^dagger of a pure state, without forming |psi><psi|.
 
@@ -235,12 +274,34 @@ def reduced_density(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
     keeps M as its square-root factor, so its ``support`` is the thin SVD of
     M (keeping every subsystem leaves one column, the amplitudes).
     """
-    n = psi.n_parties
-    kept = _check_keep(keep, n)
-    order = kept + [i for i in range(n) if i not in kept]
-    d_keep = prod(psi.dims[i] for i in kept)
-    factor = psi.as_tensor().transpose(order).reshape(d_keep, -1)
-    return _factored(tuple(psi.dims[i] for i in kept), factor)
+    kept_dims, order = _split(psi.dims, keep)
+    factor = psi.as_tensor().transpose(order).reshape(prod(kept_dims), -1)
+    return _factored(kept_dims, factor[None])[0]
+
+
+def reduced_rows(
+    dims: tuple[int, ...], rows: np.ndarray, keeps: Sequence[Iterable[int]]
+) -> list[DensityMatrix]:
+    """:func:`reduced_density` of each unit row of an (N, prod(dims)) stack onto
+    each of ``keeps``, keep-major: the N reductions onto ``keeps[0]`` first.
+
+    Every keep must give the same kept dims.  The reductions' supports come
+    from one stacked SVD of their split matrices (see ``DensityMatrix.support``),
+    each with the bits its own reduction would take.
+    """
+    kept_dims, orders = None, []
+    for keep in keeps:
+        this, order = _split(dims, keep)
+        if kept_dims not in (None, this):
+            raise ValueError(f"keeps {list(keeps)} do not give one shape of reduced state")
+        kept_dims = this
+        orders.append(order)
+    tensor = rows.reshape((len(rows),) + tuple(dims))
+    factors = np.concatenate([
+        tensor.transpose([0] + [1 + i for i in order]).reshape(len(rows), prod(kept_dims), -1)
+        for order in orders
+    ])
+    return _factored(kept_dims, factors, _svd_supports(factors))
 
 
 def partial_transpose(rho: DensityMatrix, part: Bipartition) -> np.ndarray:

@@ -1,6 +1,7 @@
 """CKW and strong-monogamy reports, subsets, fixtures, serialization."""
 
 import json
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from scren import (
     ANTISYMMETRIC_333,
     CKW_COUNTEREXAMPLE_322,
     Bipartition,
+    ConjectureViolation,
     CostGuardError,
     PureState,
     RoofConfig,
@@ -29,8 +31,10 @@ from scren import (
     w_state,
     wootters_tangle,
 )
-from scren.monogamy import NESTED_CONFIG
-from scren.roof import SQRT_ROOF_FLOOR
+from scren import monogamy
+from scren.monogamy import NESTED_CONFIG, _member_residuals
+from scren.roof import CONJECTURE_ATOL, SQRT_ROOF_FLOOR
+from scren.suites import wclass_suite
 from scren.wclass import build_state, random_spec
 
 from util import random_local_unitaries
@@ -385,7 +389,7 @@ def test_qubit_pairs_are_wootters_and_qudit_pairs_scren2(monkeypatch):
     def no_roof(*args, **kwargs):
         raise AssertionError("a qubit pair ran a roof")
 
-    monkeypatch.setattr("scren.monogamy.scren2", no_roof)
+    monkeypatch.setattr("scren.monogamy.roof_minimize", no_roof)
     monkeypatch.setattr("scren.roof.roof_minimize", no_roof)
     terms = ckw_report(qubits, 0, "scren", cfg).terms
     assert [t.value for t in terms] == wootters
@@ -420,6 +424,87 @@ def test_nested_term_is_the_members_own_report_residual():
             reduced_density(psi, (0, 1, 2)), lambda s: n_scren_pure(s, 0, nested), nested
         )
         assert term.value == direct
+    # on five parties an m = 4 term's members nest m = 3 terms, whose members
+    # nest pair roofs: three roofs deep
+    for d in (2, 3):
+        psi = build_state(random_spec(rng, 5, d))
+        rep = sm_report(psi, 0, "scren", FAST)
+        (term,) = [t for t in rep.terms if t.subset == (2, 3, 4)]
+        direct = roof_sqrt_functional(
+            reduced_density(psi, (0, 1, 2, 3)), lambda s: n_scren_pure(s, 0, nested), nested
+        )
+        assert term.value == direct
+
+
+_MEMBER_STACKS = [
+    *[("wclass", (d,) * n, 3) for n in (3, 4, 5) for d in (2, 3)],
+    ("haar", (3, 3, 3), 3),
+    ("haar", (2, 2, 3), 3),
+    ("haar", (3, 2, 2), 3),
+    ("haar", (2, 2, 2, 3), 1),  # its two nested terms run at NESTED_CONFIG, about 2 s
+]
+
+
+@pytest.mark.parametrize(
+    "kind, dims, count", _MEMBER_STACKS,
+    ids=[f"{kind}-{'x'.join(map(str, dims))}" for kind, dims, _ in _MEMBER_STACKS],
+)
+def test_member_residuals_are_each_members_own_report_residual(kind, dims, count):
+    # the row kernel of nested terms: one recursion over a whole stack of
+    # members gives each the residual of its own report, bit for bit
+    rng = np.random.default_rng(sum(dims))
+    if kind == "wclass":
+        states = [build_state(random_spec(rng, len(dims), dims[0])) for _ in range(count)]
+    else:
+        states = [haar_random_state(dims, rng) for _ in range(count)]
+    config = RoofConfig(starts=2, iters=60, seed=5)
+    residuals = _member_residuals(dims, np.array([psi.amplitudes for psi in states]), config)
+    assert residuals == [sm_report(psi, 0, "scren", config).residual for psi in states]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched residual reaches pool workers only through fork",
+)
+def test_a_violation_in_a_lockstep_level_names_a_violating_member(monkeypatch):
+    # every other member row of a three-party level is pushed to a residual
+    # near -0.5; the m = 3 terms of a 4-party report score all their members
+    # in one objective call, so the violation may name any of them
+    real, shift = monogamy._member_residuals, 0.5
+
+    def shifted(dims, units, config):
+        residuals = real(dims, units, config)
+        if len(dims) != 3:
+            return residuals
+        return [r - shift * (h % 2) for h, r in enumerate(residuals)]
+
+    monkeypatch.setattr("scren.monogamy._member_residuals", shifted)
+    spec = random_spec(np.random.default_rng(12), 4, 3)
+    psi = build_state(spec)
+    with pytest.raises(ConjectureViolation) as err:
+        sm_report(psi, 0, "scren", FAST)
+    member, value = err.value.state, err.value.value
+    assert value < -CONJECTURE_ATOL
+    assert member.dims == (3, 3, 3)
+    nested = replace(NESTED_CONFIG, seed=FAST.seed)
+    assert value == real((3, 3, 3), member.amplitudes[None], nested)[0] - shift
+    # the member lies in the range of one of the level's reduced states
+    ranges = []
+    for subset in [(1, 2), (1, 3), (2, 3)]:
+        lam, base = reduced_density(psi, (0,) + subset).support
+        ranges.append(np.linalg.norm((base / np.sqrt(lam)[:, None]).conj() @ member.amplitudes))
+    assert abs(max(ranges) - 1.0) <= 1e-12
+
+    # a worker pool hands the same violation back whole
+    raised = []
+    for workers in (1, 2):
+        with pytest.raises(ConjectureViolation) as err:
+            wclass_suite(2, 4, 3, replace(FAST, seed=12), workers)
+        raised.append(err.value)
+    serial, pooled = raised
+    assert pooled.value == serial.value < -CONJECTURE_ATOL
+    assert pooled.state.dims == serial.state.dims == (3, 3, 3)
+    assert pooled.state.amplitudes.tobytes() == serial.state.amplitudes.tobytes()
 
 
 def test_all_qubit_m3_terms_run_at_the_report_budget():

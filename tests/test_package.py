@@ -65,3 +65,10 @@ def test_readme_later_blocks_run(index):
     last = block.rstrip().splitlines()[-1]
     if "  # " in last:
         assert done.stdout.splitlines()[-1] == last.split("  # ")[-1]
+
+
+def test_import_leaves_out_scipy_optimize():
+    # only the Powell search needs scipy.optimize, and it imports it itself
+    done = _run("import sys, scren; print('scipy.optimize' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

@@ -357,7 +357,7 @@ def test_no_answer_depends_on_the_point_powell_returns(monkeypatch):
         return res
 
     expected = list(results())
-    monkeypatch.setattr(roof_module, "minimize", blinded)
+    monkeypatch.setattr("scipy.optimize.minimize", blinded)
     for want, got in zip(expected, results(), strict=True):
         assert got.exit == want.exit == "search"
         assert got.value == want.value
@@ -996,6 +996,67 @@ def test_probe_scores_its_unitaries_in_one_objective_call():
     assert res.starts == 0
     assert calls == [3, 3 * PROBE_COUNT]
     assert res.evals == 1 + PROBE_COUNT
+
+
+def _lockstep_inputs():
+    """(2, 3) states of every exit of a roof of ``_lockstep_objective``, and the
+    exits they take: two ranks on the search route, rank 2 on the chord route."""
+    rng = np.random.default_rng(48)
+    # eigenvectors |00> and |11>: the eigendecomposition average is 0
+    separable = DensityMatrix((2, 3), np.diag([0.3, 0, 0, 0, 0.7, 0]))
+    # every member lies in |0> (x) C^3, so every average is the linear term's <01|rho|01>
+    mix = haar_unitary(3, rng)
+    flat = np.zeros((6, 6), dtype=np.complex128)
+    flat[:3, :3] = mix @ np.diag([0.5, 0.3, 0.2]) @ mix.conj().T
+    flat = DensityMatrix((2, 3), flat)
+    return [
+        (random_mixed_state(rng, (2, 3), rank=3), "search"),
+        (to_density(haar_random_state((2, 3), rng)), "rank1"),
+        (random_mixed_state(rng, (2, 3), rank=2), "chord"),
+        (separable, "stop_below"),
+        (flat, "probe"),
+        (random_mixed_state(rng, (2, 3), rank=2), "chord"),
+        (random_mixed_state(rng, (2, 3), rank=4), "search"),
+    ]
+
+
+def _lockstep_objective(rows):
+    # the negativity of each row plus a linear term, its weight on |01>
+    return negativity_rows((2, 3), PART2)(rows) + np.abs(rows[:, 1]) ** 2
+
+
+def test_a_lockstep_list_gives_each_state_its_own_roof_bit_for_bit():
+    config = RoofConfig(starts=2, iters=60, seed=3)
+    inputs = _lockstep_inputs()
+    rhos = [rho for rho, _ in inputs]
+    together = roof_minimize(rhos, _lockstep_objective, config, SQRT_ROOF_FLOOR)
+    assert [result.exit for result in together] == [exit for _, exit in inputs]
+    for (rho, _), got in zip(inputs, together):
+        want = roof_minimize(rho, _lockstep_objective, config, SQRT_ROOF_FLOOR)
+        assert got.value == want.value
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert (got.evals, got.starts, got.converged, got.exit) == (
+            want.evals, want.starts, want.converged, want.exit
+        )
+
+
+def test_a_lockstep_list_scores_its_eigendecompositions_then_its_probes_in_one_call_each():
+    # three probe exits of rank 3: one call of their 3 x 3 eigendecomposition
+    # rows, then one of their 3 x PROBE_COUNT x 3 probe rows
+    rng = np.random.default_rng(6)
+    rhos = [random_mixed_state(rng, (2, 2), rank=3) for _ in range(3)]
+    recorded, calls = _recording(member_average((2, 2), lambda s: 0.7))
+    results = roof_minimize(rhos, recorded, FAST)
+    assert [result.exit for result in results] == ["probe"] * 3
+    assert calls == [3 * 3, 3 * 3 * PROBE_COUNT]
+
+
+def test_a_lockstep_list_takes_states_of_one_shape():
+    rng = np.random.default_rng(1)
+    rhos = [random_rank2_two_qubit(rng), to_density(haar_random_state((2, 3), rng))]
+    with pytest.raises(ValueError, match="one shape"):
+        roof_minimize(rhos, lambda rows: np.zeros(len(rows)), FAST)
+    assert roof_minimize([], lambda rows: np.zeros(len(rows)), FAST) == []
 
 
 def test_chord_scan_is_one_objective_call():
